@@ -449,8 +449,10 @@ def fd_baseline(
 
     Each iteration evaluates the objective at the base point and at d*T
     coordinate perturbations of scale h, steps with size alpha, and projects
-    back onto the feasible set (a qp.FeasibleSetProjector for the constrained
-    linear-quadratic case; identity when omitted).  Deterministic.
+    back onto the feasible set (a qp.FeasibleSetProjector, an exact LDP
+    solve, for the constrained linear-quadratic case; identity when omitted).
+    Projector errors propagate.  On a quadratic with Hessian Q the iteration
+    is stable only for alpha * lambda_max(Q) < 2.  Deterministic.
     """
     n = problem.n_controls
     u = np.asarray(u0, dtype=float).copy()

@@ -125,6 +125,8 @@ def _validate_resolved(experiment: str, resolved: Dict[str, Any]) -> None:
     seeds = resolved.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         raise ConfigError("seeds must be a non-empty list of integers")
+    if min(seeds) < 0:  # the Philox counter streams take only non-negative keys
+        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
     for key, values in resolved.get("grid", {}).items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid entry {key!r} must be a non-empty list")

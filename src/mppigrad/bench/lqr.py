@@ -17,7 +17,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from .. import analysis, qp
-from ..errors import AllInfeasibleError, ConvergenceError, InfeasibleProblemError
+from ..errors import AllInfeasibleError, ConvergenceError, InfeasibleProblemError, NotSpdError
 from ..optimizer import PgdConfig, run, step_size_rule
 from ..problems import LqrSpec, double_integrator, lqr_problem
 from ..sampling import GaussianPolicy
@@ -161,6 +161,8 @@ def _fd_record(
         "f_star": f_star_total,
         "h": float(fd_cfg["h"]),
         "alpha": float(fd_cfg["alpha"]),
+        # projected gradient descent on the quadratic diverges above 2
+        "alpha_lambda_max": float(fd_cfg["alpha"]) * float(np.linalg.eigvalsh(lifted.q)[-1]),
         "final_gap": float(gaps[-1]),
         "min_gap": float(gaps.min()),
         "iterations": iters,
@@ -181,7 +183,7 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     lifted = qp.lift(spec)
     try:
         f_star_total, _ = _solve_oracle(lifted)
-    except (ConvergenceError, InfeasibleProblemError) as err:
+    except (ConvergenceError, InfeasibleProblemError, NotSpdError) as err:
         bad = RunRecord(
             experiment="lqr",
             cell={"method": "oracle"},

@@ -2,23 +2,24 @@
 
 The trajectory cost of an `LqrSpec` is an exact quadratic in the stacked
 control vector once states are eliminated through x = M u + b.  This module
-builds that quadratic, solves it with an accelerated projected-gradient /
-augmented-Lagrangian reference solver (no external solver dependency), and
-cross-checks the value with an independent second method before it is trusted
-as an optimality-gap reference.  It also provides Euclidean projection onto
-the joint box-plus-linear feasible set (used by the finite-difference
-baseline), implemented with ADMM and a cached factorization so repeated
-projections are cheap.
+builds that quadratic and solves both QPs the benchmark needs with one exact,
+finite active-set method: least-distance programming (LDP) by non-negative
+least squares (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
+ch. 23).  Euclidean projection onto the joint box-plus-linear feasible set
+(used by the finite-difference baseline) is an LDP problem as it stands; the
+reference solve becomes one after a Cholesky change of variables.  The
+reference value is cross-checked with an independent second method before it
+is trusted as an optimality-gap reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import Bounds, LinearConstraint, minimize
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.optimize import Bounds, LinearConstraint, minimize, nnls
 
 from .errors import ConvergenceError, InfeasibleProblemError, NotSpdError
 from .problems import LqrSpec
@@ -79,16 +80,8 @@ class QpProblem:
 
     def violation(self, u: Array) -> float:
         """Infinity-norm constraint violation of a candidate point."""
-        u = np.asarray(u, dtype=float)
-        v = max(float(np.max(self.lb - u, initial=0.0)), float(np.max(u - self.ub, initial=0.0)))
-        if self.lin_mat is not None:
-            au = self.lin_mat @ u
-            v = max(
-                v,
-                float(np.max(self.lin_lo - au, initial=0.0)),
-                float(np.max(au - self.lin_hi, initial=0.0)),
-            )
-        return v
+        g, h = _stack(self)
+        return float(np.max(h - g @ np.asarray(u, dtype=float), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,6 @@ class QpSolution:
     u_star: Array
     f_star: float
     kkt_residual: float
-    iterations: int
 
 
 def lift(spec: LqrSpec) -> QpProblem:
@@ -140,108 +132,76 @@ def lift(spec: LqrSpec) -> QpProblem:
     )
 
 
-def _fista_box(q, c, extra_grad, lip, u0, lb, ub, tol, max_iter):
-    """Accelerated projected gradient on a box; returns (u, residual, iters).
+def _stack(qp: QpProblem) -> Tuple[Array, Array]:
+    """All constraints as G u >= h (box, then band); rows bounded by -inf dropped."""
+    eye = np.eye(qp.dim)
+    blocks, bounds = [eye, -eye], [qp.lb, -qp.ub]
+    if qp.lin_mat is not None:
+        blocks += [qp.lin_mat, -qp.lin_mat]
+        bounds += [qp.lin_lo, -qp.lin_hi]
+    g, h = np.vstack(blocks), np.concatenate(bounds)
+    keep = h != -np.inf
+    return g[keep], h[keep]
 
-    `extra_grad` adds the augmented-Lagrangian term's gradient (or nothing).
-    The residual is the norm of the gradient mapping at unit step 1/lip,
-    rescaled by lip so it is comparable to a plain gradient norm.
+
+def _ldp(g: Array, h: Array) -> Tuple[Array, Array]:
+    """min |x| s.t. g x >= h; returns x and its multipliers lam.
+
+    With z >= 0 the NNLS solution of [g'; h'] z = e_last, lam = z / (1 - h'z)
+    and x = g'lam (Lawson & Hanson 1974, ch. 23).  The NNLS residual is
+    1/sqrt(1 + |x|^2), so one below sqrt(eps) (|x| > 6.7e7) is read as zero:
+    the constraints are inconsistent.
     """
-    u = np.clip(u0, lb, ub)
-    y = u.copy()
-    t_acc = 1.0
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        g = q @ y + c + extra_grad(y)
-        u_next = np.clip(y - g / lip, lb, ub)
-        residual = lip * float(np.max(np.abs(u_next - y)))
-        # adaptive restart: drop momentum when it points uphill
-        if (y - u_next) @ (u_next - u) > 0:
-            t_acc = 1.0
-            y = u_next
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-            y = u_next + ((t_acc - 1.0) / t_next) * (u_next - u)
-            t_acc = t_next
-        u = u_next
-        if residual <= tol:
-            # evaluate the mapping at u itself for the reported residual
-            g = q @ u + c + extra_grad(u)
-            residual = lip * float(np.max(np.abs(np.clip(u - g / lip, lb, ub) - u)))
-            if residual <= tol:
-                return u, residual, it
-    return u, residual, max_iter
-
-
-def solve_reference(qp: QpProblem, tol: float = 1e-8, max_outer: int = 60) -> QpSolution:
-    """Reference QP solve: FISTA on the box, augmented Lagrangian outside.
-
-    Raises ConvergenceError (carrying the best iterate and its residual) if
-    the tolerance is not met, and InfeasibleProblemError when the linear
-    constraints appear inconsistent with the box (violation stalls while the
-    penalty is driven to its cap).
-    """
-    lip_q = max(float(np.linalg.eigvalsh(qp.q).max()), 1e-12)
-    if qp.lin_mat is None:
-        u, res, its = _fista_box(
-            qp.q, qp.c, lambda _u: 0.0, lip_q, np.zeros(qp.dim), qp.lb, qp.ub, tol, 20000
-        )
-        if res > tol:
-            raise ConvergenceError("box QP did not reach tolerance", best=u, residual=res)
-        return QpSolution(u_star=u, f_star=qp.value(u), kkt_residual=res, iterations=its)
-
-    a = qp.lin_mat
-    norm_a2 = float(np.linalg.norm(a, 2)) ** 2
-    rho = max(lip_q / max(norm_a2, 1e-12), 1e-3)
-    rho_cap = rho * 1e8
-    lam_lo = np.zeros(a.shape[0])
-    lam_hi = np.zeros(a.shape[0])
-    u = np.clip(np.zeros(qp.dim), qp.lb, qp.ub)
-    best = (np.inf, u, np.inf)  # (violation+residual, iterate, kkt residual)
-    total_inner = 0
-    prev_viol = np.inf
-
-    for _ in range(max_outer):
-        def al_grad(v, _a=a, _rho=rho, _lo=lam_lo, _hi=lam_hi):
-            av = _a @ v
-            up = np.maximum(0.0, av - qp.lin_hi + _hi / _rho)
-            dn = np.maximum(0.0, qp.lin_lo - av + _lo / _rho)
-            return _rho * (_a.T @ up) - _rho * (_a.T @ dn)
-
-        lip = lip_q + rho * norm_a2
-        u, _, its = _fista_box(
-            qp.q, qp.c, al_grad, lip, u, qp.lb, qp.ub, max(0.1 * tol, 1e-12) * lip / lip_q, 5000
-        )
-        total_inner += its
-        au = a @ u
-        lam_hi = np.maximum(0.0, lam_hi + rho * (au - qp.lin_hi))
-        lam_lo = np.maximum(0.0, lam_lo + rho * (qp.lin_lo - au))
-        viol = qp.violation(u)
-        # KKT residual of the original problem at (u, lambda)
-        g = qp.q @ u + qp.c + a.T @ lam_hi - a.T @ lam_lo
-        kkt = float(np.max(np.abs(np.clip(u - g, qp.lb, qp.ub) - u)))
-        score = viol + kkt
-        if score < best[0]:
-            best = (score, u.copy(), max(viol, kkt))
-        if viol <= tol and kkt <= tol:
-            return QpSolution(
-                u_star=u, f_star=qp.value(u), kkt_residual=max(viol, kkt), iterations=total_inner
-            )
-        if viol > 0.25 * prev_viol:
-            rho = min(rho * 10.0, rho_cap)
-        prev_viol = viol
-
-    if best[0] > np.sqrt(tol) and rho >= rho_cap:
+    n = g.shape[1]
+    if h.size == 0:  # unconstrained; scipy's nnls aborts the process on zero columns
+        return np.zeros(n), np.zeros(0)
+    target = np.zeros(n + 1)
+    target[n] = 1.0
+    try:
+        z, rnorm = nnls(np.vstack([g.T, h]), target)
+    except RuntimeError as err:
+        raise ConvergenceError(
+            f"NNLS did not finish: {err}", best=np.full(n, np.nan), residual=np.inf
+        ) from err
+    if rnorm <= np.sqrt(np.finfo(float).eps):
         raise InfeasibleProblemError(
-            "linear constraints appear infeasible: violation "
-            f"{best[0]:.3e} persists at penalty cap"
+            f"constraints are inconsistent: LDP residual {rnorm:.3e} vanishes"
         )
-    raise ConvergenceError(
-        "augmented Lagrangian did not reach tolerance", best=best[1], residual=best[2]
+    lam = z / (1.0 - h @ z)
+    return g.T @ lam, lam
+
+
+def solve_reference(qp: QpProblem) -> QpSolution:
+    """Exact reference QP solve: one LDP after a Cholesky change of variables.
+
+    With Q = R'R and x = R u + R^-T c the objective is 1/2|x|^2 - 1/2 c'Q^-1 c,
+    so the QP is min |x| s.t. G R^-1 x >= h + G Q^-1 c, with the same
+    multipliers lam.  `kkt_residual` is the largest of stationarity
+    |Qu + c - G'lam|, complementarity |lam_i (Gu - h)_i| and violation.
+
+    Raises NotSpdError when Q is not positive definite, InfeasibleProblemError
+    when the constraints are inconsistent, and ConvergenceError when NNLS
+    stops at its iteration cap.
+    """
+    g, h = _stack(qp)
+    try:
+        r = cholesky(qp.q)
+    except LinAlgError as err:
+        raise NotSpdError(f"reference solve needs a positive definite Q_qp: {err}") from err
+    shift = solve_triangular(r, qp.c, trans="T")
+    g_x = solve_triangular(r, g.T, trans="T").T
+    x, lam = _ldp(g_x, h + g_x @ shift)
+    u = solve_triangular(r, x - shift)
+    slack = g @ u - h
+    kkt = max(
+        float(np.max(np.abs(qp.q @ u + qp.c - g.T @ lam))),
+        float(np.max(np.abs(lam * slack), initial=0.0)),
+        float(np.max(-slack, initial=0.0)),
     )
+    return QpSolution(u_star=u, f_star=qp.value(u), kkt_residual=kkt)
 
 
-def solve_verified(qp: QpProblem, tol: float = 1e-8, agreement: float = 1e-6) -> QpSolution:
+def solve_verified(qp: QpProblem, agreement: float = 1e-6) -> QpSolution:
     """Solve twice by independent methods and insist the values agree.
 
     Route one is `solve_reference`; route two is an interior trust-region
@@ -249,7 +209,7 @@ def solve_verified(qp: QpProblem, tol: float = 1e-8, agreement: float = 1e-6) ->
     (relative on the optimal value) raises instead of returning a number that
     would silently corrupt every optimality gap downstream.
     """
-    ref = solve_reference(qp, tol=tol)
+    ref = solve_reference(qp)
 
     x0 = np.clip(np.zeros(qp.dim), qp.lb, qp.ub)
     constraints = []
@@ -277,56 +237,16 @@ def solve_verified(qp: QpProblem, tol: float = 1e-8, agreement: float = 1e-6) ->
 
 
 class FeasibleSetProjector:
-    """Euclidean projection onto {u: lb<=u<=ub, lin_lo<=A u<=lin_hi} via ADMM.
+    """Euclidean projection onto {u: lb<=u<=ub, lin_lo<=A u<=lin_hi}.
 
-    The splitting is min 1/2|u-p|^2 s.t. G u = y, y in a box, with G the
-    row-normalized stack of the identity and the linear constraint matrix.
-    The (I + rho G'G) factorization is cached, so projecting many points
-    against the same constraint set costs one Cholesky total.
+    In the offset x = u - p, min 1/2|u-p|^2 s.t. G u >= h is the LDP problem
+    min |x| s.t. G x >= h - G p.  (G, h) is stacked once, so projecting many
+    points against the same constraint set repeats only the NNLS solve.
     """
 
-    def __init__(self, qp: QpProblem, rho: float = 4.0, tol: float = 1e-8, max_iter: int = 20000):
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        self.rho = float(rho)
-        n = qp.dim
-        blocks = [np.eye(n)]
-        los = [qp.lb]
-        his = [qp.ub]
-        if qp.lin_mat is not None:
-            scale = np.linalg.norm(qp.lin_mat, axis=1)
-            scale[scale == 0] = 1.0
-            blocks.append(qp.lin_mat / scale[:, None])
-            los.append(qp.lin_lo / scale)
-            his.append(qp.lin_hi / scale)
-        self.g = np.vstack(blocks)
-        self.lo = np.concatenate(los)
-        self.hi = np.concatenate(his)
-        self._chol = cho_factor(np.eye(n) + self.rho * (self.g.T @ self.g))
-        self._qp = qp
+    def __init__(self, qp: QpProblem):
+        self._g, self._h = _stack(qp)
 
     def __call__(self, point: Array) -> Array:
         p = np.asarray(point, dtype=float)
-        g, rho, alpha = self.g, self.rho, 1.7
-        y = np.clip(g @ p, self.lo, self.hi)
-        lam = np.zeros_like(y)
-        u = p
-        for _ in range(self.max_iter):
-            u = cho_solve(self._chol, p + rho * (g.T @ (y - lam)))
-            gu = g @ u
-            gu_rel = alpha * gu + (1.0 - alpha) * y
-            y_prev = y
-            y = np.clip(gu_rel + lam, self.lo, self.hi)
-            lam = lam + gu_rel - y
-            primal = float(np.max(np.abs(gu - y)))
-            dual = rho * float(np.max(np.abs(g.T @ (y - y_prev))))
-            if primal <= self.tol and dual <= self.tol:
-                return u
-        raise ConvergenceError(
-            "projection ADMM did not converge", best=u, residual=max(primal, dual)
-        )
-
-
-def project(qp: QpProblem, point: Array, tol: float = 1e-8) -> Array:
-    """One-shot projection; build a FeasibleSetProjector for repeated use."""
-    return FeasibleSetProjector(qp, tol=tol)(point)
+        return p + _ldp(self._g, self._h - self._g @ p)[0]

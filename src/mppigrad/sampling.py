@@ -233,17 +233,20 @@ def evaluate(batch: SampleBatch, problem: TrajectoryProblem) -> SampleBatch:
 def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     """Self-normalized weights w_j ∝ exp(-cost_j/tau) over feasible samples.
 
-    Also stores the raw log-weights (-cost/tau, -inf when infeasible) on the
-    batch.  Raises AllInfeasibleError when no sample is feasible, leaving the
-    retry decision to the caller.
+    A sample whose cost is not finite counts as infeasible: one NaN or -inf
+    cost would otherwise make every weight NaN.  Also stores the raw
+    log-weights (-cost/tau, -inf when infeasible) on the batch.  Raises
+    AllInfeasibleError when no sample is feasible, leaving the retry decision
+    to the caller.
     """
     if batch.costs is None or batch.feasible_flags is None:
         raise ValueError("batch must be evaluated before weighing")
-    flags = np.asarray(batch.feasible_flags, dtype=bool)
+    costs = np.asarray(batch.costs, dtype=float)
+    flags = np.asarray(batch.feasible_flags, dtype=bool) & np.isfinite(costs)
     n = batch.n
     if not flags.any():
         raise AllInfeasibleError(n, batch.iteration)
-    log_w = np.where(flags, -np.asarray(batch.costs, dtype=float) / tau, _NEG_INF)
+    log_w = np.where(flags, -costs / tau, _NEG_INF)
     batch.log_weights = log_w
     shift = log_w[flags].max()
     raw = np.exp(log_w - shift)  # exp(-inf - shift) is exactly 0

@@ -340,7 +340,7 @@ def test_fd_baseline_applies_the_projector():
 
 def test_fd_baseline_propagates_projector_failures():
     def broken(u):
-        raise ConvergenceError("projection ADMM did not converge", best=u, residual=1.0)
+        raise ConvergenceError("projection failed", best=u, residual=1.0)
 
     with pytest.raises(ConvergenceError, match="projection"):
         analysis.fd_baseline(

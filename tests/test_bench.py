@@ -46,6 +46,19 @@ optimizer: {n_samples: 100, iterations: 5}
 grid: {eta: [1.0]}
 """
 
+# zero state and control weights lift to Q_qp = 0: semidefinite, so the config
+# loads, but no reference value can be certified
+SINGULAR_Q_LQR = """
+version: 1
+experiment: lqr
+seeds: [0]
+problem:
+  q: [[0.0, 0.0], [0.0, 0.0]]
+  r: [[0.0]]
+optimizer: {n_samples: 100, iterations: 5}
+grid: {eta: [1.0]}
+"""
+
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
@@ -95,6 +108,8 @@ def test_config_error_paths(tmp_path):
         load_config(
             write_cfg(tmp_path, "version: 1\nexperiment: lqr\ngrid: {eta: [0.0]}\n", "e.yaml")
         )
+    with pytest.raises(ConfigError, match="non-negative"):
+        load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\nseeds: [0, -1]\n", "n.yaml"))
     with pytest.raises(ConfigError, match="sim_steps"):
         load_config(
             write_cfg(tmp_path, "version: 1\nexperiment: dubins\nsim_steps: 0\n", "d.yaml")
@@ -243,6 +258,15 @@ def test_lqr_oracle_failure_is_flagged(tmp_path):
     assert "oracle" in records[0].flag_reason
 
 
+def test_lqr_singular_q_oracle_failure_is_flagged(tmp_path):
+    records = run_lqr(load_config(write_cfg(tmp_path, SINGULAR_Q_LQR)))
+    assert len(records) == 1
+    assert records[0].flagged
+    assert records[0].cell == {"method": "oracle"}
+    assert "qp oracle failure" in records[0].flag_reason
+    assert "positive definite" in records[0].flag_reason
+
+
 # ---------------------------------------------------------------------------
 # closed-loop runner
 # ---------------------------------------------------------------------------
@@ -321,6 +345,15 @@ def test_cli_experiment_config_mismatch(tmp_path, capsys):
     path = write_cfg(tmp_path, TINY_DUBINS)
     assert cli.main(["run", "--experiment", "lqr", "--config", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, TINY_LQR)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--experiment", "lqr", "--config", str(path), "--seed", "-1",
+                     "--out", str(out)]) == 1
+    assert "config error: seeds must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_grid_override(tmp_path):

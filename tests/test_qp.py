@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, minimize
 
 from mppigrad import qp
@@ -160,12 +162,27 @@ def test_infeasible_linear_constraints_detected():
         qp.solve_reference(prob)
 
 
-def test_nonconvergence_carries_best_iterate():
+def test_nonconvergence_carries_best_iterate(monkeypatch):
+    def capped(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(qp, "nnls", capped)
     lifted = qp.lift(double_integrator())
-    with pytest.raises(ConvergenceError) as err:
-        qp.solve_reference(lifted, max_outer=0)
-    assert err.value.best.shape == (10,)
-    assert err.value.residual > 0
+    projector = qp.FeasibleSetProjector(lifted)
+    for solve in (lambda: qp.solve_reference(lifted), lambda: projector(np.full(10, 5.0))):
+        with pytest.raises(ConvergenceError, match="NNLS") as err:
+            solve()
+        # NNLS leaves no iterate behind, so the one carried is all NaN
+        assert err.value.best.shape == (10,)
+        assert np.isnan(err.value.best).all()
+        assert err.value.residual > 0
+
+
+def test_singular_semidefinite_q_is_rejected():
+    # Q = 0 passes QpProblem's semidefinite check but has no Cholesky factor
+    prob = qp.QpProblem(q=np.zeros((2, 2)), c=np.ones(2), lb=-np.ones(2), ub=np.ones(2))
+    with pytest.raises(NotSpdError, match="positive definite"):
+        qp.solve_reference(prob)
 
 
 def test_qp_problem_validation():
@@ -202,11 +219,12 @@ def test_projection_of_interior_point_is_identity():
 def test_projection_box_only_is_clipping():
     prob = qp.QpProblem(q=np.eye(4), c=np.zeros(4), lb=-np.ones(4), ub=np.ones(4))
     point = np.array([2.0, -3.0, 0.5, 1.0])
-    np.testing.assert_allclose(qp.project(prob, point), np.clip(point, -1, 1), atol=1e-7)
+    proj = qp.FeasibleSetProjector(prob)
+    np.testing.assert_allclose(proj(point), np.clip(point, -1, 1), atol=1e-7)
 
 
 def test_projection_matches_scipy_on_benchmark_set():
-    """ADMM projection vs an independent solver on the full box+state set."""
+    """LDP projection vs an independent solver on the full box+state set."""
     lifted = qp.lift(double_integrator())
     proj = qp.FeasibleSetProjector(lifted)
     rng = np.random.default_rng(4)
@@ -232,3 +250,91 @@ def test_projector_is_reusable_across_points():
     a = proj(np.full(10, 5.0))
     b = proj(np.full(10, 5.0))
     np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# properties on random boxes and linear bands
+# ---------------------------------------------------------------------------
+
+TOL = 1e-9  # absolute, on data of order one
+
+
+@st.composite
+def box_and_band(draw, with_band=True):
+    """A feasible QpProblem on a random box and band, plus a point to project.
+
+    The band holds A u0 for a u0 inside the box, so the set is never empty.
+    Zero widths make band rows equalities, at most n - 1 of them, so that the
+    set never shrinks to a point that only exact arithmetic can hit.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5)) if with_band else 0
+    rng = np.random.default_rng(seed)
+    lb = -rng.uniform(0.0, 2.0, n)
+    ub = rng.uniform(0.0, 2.0, n)
+    lin = {}
+    if m:
+        a = rng.normal(size=(m, n))
+        center = a @ rng.uniform(lb, ub)
+        below, above = rng.choice([0.0, 0.3, 1.0], (2, m))
+        above[n - 1 :] = np.maximum(above[n - 1 :], 0.3)
+        lin = dict(lin_mat=a, lin_lo=center - below, lin_hi=center + above)
+    prob = qp.QpProblem(q=np.eye(n), c=np.zeros(n), lb=lb, ub=ub, **lin)
+    return prob, rng.uniform(-4.0, 4.0, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(box_and_band())
+def test_projection_is_idempotent(case):
+    prob, point = case
+    proj = qp.FeasibleSetProjector(prob)
+    once = proj(point)
+    np.testing.assert_allclose(proj(once), once, atol=TOL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(box_and_band())
+def test_projection_satisfies_kkt_conditions(case):
+    """With G u >= h: lam >= 0, lam_i (G u - h)_i = 0 and u - p = G'lam."""
+    prob, point = case
+    g, h = qp._stack(prob)
+    x, lam = qp._ldp(g, h - g @ point)
+    u = qp.FeasibleSetProjector(prob)(point)
+    np.testing.assert_array_equal(u, point + x)
+    slack = g @ u - h
+    assert lam.min() >= 0.0
+    assert slack.min() >= -TOL
+    assert np.abs(lam * slack).max() <= TOL * (1.0 + lam.max())
+    np.testing.assert_allclose(u - point, g.T @ lam, atol=TOL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(box_and_band(with_band=False), st.lists(st.booleans(), min_size=12, max_size=12))
+def test_projection_onto_a_box_is_clipping(case, unbounded):
+    prob, point = case
+    n = prob.dim
+    lb = np.where(unbounded[:n], -np.inf, prob.lb)
+    ub = np.where(unbounded[6 : 6 + n], np.inf, prob.ub)
+    box = qp.QpProblem(q=np.eye(n), c=np.zeros(n), lb=lb, ub=ub)
+    np.testing.assert_allclose(qp.FeasibleSetProjector(box)(point), np.clip(point, lb, ub), atol=TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(box_and_band(), st.integers(0, 2**32 - 1))
+def test_reference_solve_satisfies_kkt_on_random_definite_q(case, seed):
+    """Small KKT residual, and no feasible point does better than f*."""
+    prob, _ = case
+    n = prob.dim
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(n, n))
+    definite = qp.QpProblem(
+        q=root @ root.T + 0.1 * np.eye(n), c=rng.normal(scale=3.0, size=n),
+        lb=prob.lb, ub=prob.ub, lin_mat=prob.lin_mat, lin_lo=prob.lin_lo, lin_hi=prob.lin_hi,
+    )
+    sol = qp.solve_reference(definite)
+    scale = 1.0 + np.abs(definite.q).max() + np.abs(definite.c).max()
+    assert sol.kkt_residual <= 1e-8 * scale
+    proj = qp.FeasibleSetProjector(definite)
+    for p in rng.uniform(-4.0, 4.0, (20, n)):
+        assert sol.f_star <= definite.value(proj(p)) + 1e-9 * scale

@@ -177,6 +177,24 @@ def test_all_infeasible_raises():
     assert err.value.iteration == 7
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_cost_counts_as_infeasible(bad):
+    batch, s = _weighed(np.array([1.0, bad, 2.0, 3.0]))
+    assert np.isfinite(s.normalized_weights).all()
+    assert s.normalized_weights[1] == 0.0
+    assert batch.log_weights[1] == -np.inf
+    assert s.acceptance_rate == 0.75
+    _, clean = _weighed(np.array([1.0, 2.0, 3.0]))
+    np.testing.assert_allclose(s.normalized_weights[[0, 2, 3]], clean.normalized_weights)
+
+
+def test_all_non_finite_costs_raise_all_infeasible():
+    with pytest.raises(AllInfeasibleError):
+        _weighed(np.full(4, np.inf))
+    with pytest.raises(AllInfeasibleError):
+        _weighed(np.array([np.nan, np.inf, -np.inf]))
+
+
 def test_unevaluated_batch_rejected():
     batch = SampleBatch(samples=np.zeros((4, 1)), seed=0, iteration=0)
     with pytest.raises(ValueError, match="evaluated"):
