@@ -507,8 +507,7 @@ def bias_probe(
         rng = batch_rng(seed, iteration=trial)
         z = rng.standard_normal((n_max, policy.dim))
         samples = policy.mean + policy.sqrt_mul(z)
-        costs = problem.batch_objective(samples)
-        flags = problem.batch_feasible(samples)
+        costs, flags = problem.evaluate_batch(samples)
         log_w_full = np.where(flags, -costs / policy.tau, -np.inf)
         for n in n_list:
             log_w = log_w_full[:n]

@@ -101,6 +101,8 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, k_inner: int, seed: int) -> RunR
     record.summary = {
         "average_cost": trace.average_cost,
         "acceptance_rate": trace.acceptance_rate,
+        "ess_min": min((s.ess_min for s in trace.steps), default=float("nan")),
+        "retries": sum(s.retries for s in trace.steps),
         "safe": bool(clear and not trace.unsafe),
         "terminal_position_error": terminal_err,
         "steps_completed": len(trace.steps),

@@ -79,8 +79,7 @@ def _one_cell(
         return record
 
     means = np.array([r.mean for r in trace.records] + [final_policy.mean])
-    costs = problem.batch_objective(means)
-    feasible = problem.batch_feasible(means)
+    costs, feasible = problem.evaluate_batch(means)
     gaps = costs - f_star_total
     n = pgd.n_samples
     for r, gap in zip(trace.records, gaps[:-1]):
@@ -108,6 +107,8 @@ def _one_cell(
         "min_gap": float(gaps.min()),
         "final_cost": float(costs[-1]),
         "mean_acceptance": float(trace.column("acceptance").mean()),
+        "ess_min": float(trace.column("ess").min()),
+        "retries": int(sum(r.retries for r in trace.records)),
         "infeasible_mean_iterations": [int(i) for i in np.nonzero(~feasible)[0]],
         "iterations": len(trace),
         "evaluations": len(trace) * n,

@@ -275,6 +275,8 @@ class ClosedLoopStep:
     ess: float
     grad_norm_p: float
     ms: float
+    retries: int  # all-infeasible retries over the step's inner iterations
+    ess_min: float  # smallest ESS over the step's inner iterations
     plan: Array = None  # the solved open-loop mean this step executed from
 
 
@@ -351,6 +353,8 @@ def receding_horizon(
                 ess=float(inner.column("ess").mean()),
                 grad_norm_p=float(inner.records[-1].grad_norm_p),
                 ms=(time.perf_counter() - t0) * 1e3,
+                retries=sum(r.retries for r in inner.records),
+                ess_min=float(inner.column("ess").min()),
                 plan=solved.mean.copy(),
             )
         )

@@ -10,7 +10,7 @@ constraint-checked (it is not controllable).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -30,54 +30,57 @@ def _check_controls(u: Array, expected: int, what: str = "control sequence") -> 
 
 @dataclass(frozen=True)
 class TrajectoryProblem:
-    """A finite-horizon control problem exposed through callables.
+    """A finite-horizon control problem exposed through one batch evaluator.
 
-    `objective` maps a flat control vector to a scalar cost; `feasible` is the
-    hard indicator of the constraint set (control bounds and any state
-    constraints, checked at the discrete states x_1..x_T). A certified
-    feasible control sequence must be supplied at construction so the
-    weighted-sampling machinery is never started on an empty feasible set.
-
-    `objective_batch` / `feasible_batch` optionally vectorize over the leading
-    axis of an (N, d*T) array; when absent, row-by-row fallbacks are used.
+    `evaluate` maps an (N, d*T) array of flat control sequences to their
+    costs, shape (N,), and their hard feasibility flags, shape (N,): control
+    bounds and any state constraints, checked at the discrete states
+    x_1..x_T.  Every other view (`evaluate_batch`, `objective`, `feasible`,
+    `batch_objective`, `batch_feasible`) is derived from that one call, so a
+    batch is rolled out once.  A certified feasible control sequence must be
+    supplied at construction so the weighted-sampling machinery is never
+    started on an empty feasible set.
     """
 
     control_dim: int
     horizon: int
     initial_state: Array
     dynamics: Callable[[Array, Array], Array]
-    objective: Callable[[Array], float]
-    feasible: Callable[[Array], bool]
+    evaluate: Callable[[Array], Tuple[Array, Array]]
     known_feasible: Array
-    objective_batch: Optional[Callable[[Array], Array]] = None
-    feasible_batch: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=float))
         kf = _check_controls(self.known_feasible, self.n_controls, "known-feasible sequence")
         object.__setattr__(self, "known_feasible", kf)
-        if not self.feasible(kf):
+        (cost,), (ok,) = self.evaluate_batch(kf[None, :])
+        if not ok:
             raise InfeasibleProblemError(
                 "registered known-feasible control sequence fails the feasibility check"
             )
-        if not np.isfinite(self.objective(kf)):
+        if not np.isfinite(cost):
             raise ValueError("objective is not finite on the known-feasible sequence")
 
     @property
     def n_controls(self) -> int:
         return self.control_dim * self.horizon
 
+    def evaluate_batch(self, controls: Array) -> Tuple[Array, Array]:
+        """Costs and feasibility flags of each row of an (N, d*T) array."""
+        costs, flags = self.evaluate(np.asarray(controls, dtype=float))
+        return np.asarray(costs, dtype=float), np.asarray(flags, dtype=bool)
+
     def batch_objective(self, controls: Array) -> Array:
-        controls = np.asarray(controls, dtype=float)
-        if self.objective_batch is not None:
-            return np.asarray(self.objective_batch(controls), dtype=float)
-        return np.array([self.objective(row) for row in controls], dtype=float)
+        return self.evaluate_batch(controls)[0]
 
     def batch_feasible(self, controls: Array) -> Array:
-        controls = np.asarray(controls, dtype=float)
-        if self.feasible_batch is not None:
-            return np.asarray(self.feasible_batch(controls), dtype=bool)
-        return np.array([self.feasible(row) for row in controls], dtype=bool)
+        return self.evaluate_batch(controls)[1]
+
+    def objective(self, controls: Array) -> float:
+        return float(self.batch_objective(_check_controls(controls, self.n_controls)[None, :])[0])
+
+    def feasible(self, controls: Array) -> bool:
+        return bool(self.batch_feasible(_check_controls(controls, self.n_controls)[None, :])[0])
 
 
 def rollout(problem: TrajectoryProblem, controls: Array) -> Array:
@@ -165,58 +168,58 @@ def double_integrator(horizon: int = 10) -> LqrSpec:
     )
 
 
-def _lqr_states_batch(spec: LqrSpec, controls: Array) -> Array:
-    """States x_1..x_T for each row of controls; shape (N, T, n)."""
+def lqr_response(spec: LqrSpec) -> Tuple[Array, Array]:
+    """The stacked states x = (x_1..x_T) as the affine map x = M u + b.
+
+    Block (t, j) of M is A^(t-1-j) B for j < t, and b stacks the free
+    response A^t x0.  The batch evaluator of `lqr_problem` and the QP lift
+    (`qp.lift`) both read the states through this map.
+    """
     n, m, T = spec.state_dim, spec.control_dim, spec.horizon
-    U = controls.reshape(controls.shape[0], T, m)
-    X = np.empty((controls.shape[0], T, n))
-    x = np.broadcast_to(spec.x0, (controls.shape[0], n))
-    at, bt = spec.a.T, spec.b.T
-    for t in range(T):
-        x = x @ at + U[:, t, :] @ bt
-        X[:, t, :] = x
-    return X
+    powers = [np.eye(n)]
+    for _ in range(T):
+        powers.append(spec.a @ powers[-1])
 
-
-def lqr_objective(spec: LqrSpec, controls: Array) -> float:
-    u = _check_controls(controls, spec.control_dim * spec.horizon)
-    return float(lqr_objective_batch(spec, u[None, :])[0])
-
-
-def lqr_objective_batch(spec: LqrSpec, controls: Array) -> Array:
-    controls = np.asarray(controls, dtype=float)
-    X = _lqr_states_batch(spec, controls)
-    U = controls.reshape(controls.shape[0], spec.horizon, spec.control_dim)
-    state_cost = 0.5 * np.einsum("ntk,kl,ntl->n", X, spec.q, X)
-    control_cost = 0.5 * np.einsum("ntk,kl,ntl->n", U, spec.r, U)
-    return state_cost + control_cost
-
-
-def lqr_feasible_batch(spec: LqrSpec, controls: Array) -> Array:
-    controls = np.asarray(controls, dtype=float)
-    U = controls.reshape(controls.shape[0], spec.horizon, spec.control_dim)
-    ok = (U >= spec.u_min).all(axis=(1, 2)) & (U <= spec.u_max).all(axis=(1, 2))
-    X = _lqr_states_batch(spec, controls)
-    ok &= (X >= spec.x_min).all(axis=(1, 2)) & (X <= spec.x_max).all(axis=(1, 2))
-    return ok
+    big_m = np.zeros((T * n, T * m))
+    b = np.empty(T * n)
+    for t in range(1, T + 1):
+        b[(t - 1) * n : t * n] = powers[t] @ spec.x0
+        for j in range(t):
+            big_m[(t - 1) * n : t * n, j * m : (j + 1) * m] = powers[t - 1 - j] @ spec.b
+    return big_m, b
 
 
 def lqr_problem(spec: LqrSpec) -> TrajectoryProblem:
-    def dyn(x: Array, u: Array) -> Array:
-        return spec.a @ x + spec.b @ u
+    """The LQR problem, evaluated in one pass per batch through the response map.
+
+    M', the block-diagonal stage matrices and the tiled bounds are built once
+    here; a batch U then costs one GEMM X = U M' + b plus two row-wise
+    quadratic forms (plain 2-D products, which beat batched 3-D products and
+    three-operand einsum at these sizes).
+    """
+    T = spec.horizon
+    big_m, b = lqr_response(spec)
+    m_t = np.ascontiguousarray(big_m.T)
+    q_bar, r_bar = np.kron(np.eye(T), spec.q), np.kron(np.eye(T), spec.r)
+    u_lo, u_hi = np.tile(spec.u_min, T), np.tile(spec.u_max, T)
+    x_lo, x_hi = np.tile(spec.x_min, T), np.tile(spec.x_max, T)
+
+    def evaluate(controls: Array) -> Tuple[Array, Array]:
+        x = controls @ m_t + b
+        state_cost = np.einsum("ij,ij->i", x @ q_bar, x)
+        control_cost = np.einsum("ij,ij->i", controls @ r_bar, controls)
+        costs = 0.5 * (state_cost + control_cost)
+        ok = ((controls >= u_lo) & (controls <= u_hi)).all(axis=1)
+        ok &= ((x >= x_lo) & (x <= x_hi)).all(axis=1)
+        return costs, ok
 
     return TrajectoryProblem(
         control_dim=spec.control_dim,
-        horizon=spec.horizon,
+        horizon=T,
         initial_state=spec.x0,
-        dynamics=dyn,
-        objective=lambda u: lqr_objective(spec, u),
-        feasible=lambda u: bool(
-            lqr_feasible_batch(spec, _check_controls(u, spec.control_dim * spec.horizon)[None, :])[0]
-        ),
-        known_feasible=np.zeros(spec.control_dim * spec.horizon),
-        objective_batch=lambda U: lqr_objective_batch(spec, U),
-        feasible_batch=lambda U: lqr_feasible_batch(spec, U),
+        dynamics=lambda x, u: spec.a @ x + spec.b @ u,
+        evaluate=evaluate,
+        known_feasible=np.zeros(spec.control_dim * T),
     )
 
 
@@ -289,23 +292,17 @@ def dubins_states_batch(spec: DubinsSpec, controls: Array) -> Array:
     return np.stack([px, py, theta], axis=2)
 
 
-def dubins_objective_batch(spec: DubinsSpec, controls: Array) -> Array:
+def dubins_evaluate_batch(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
+    """Costs and feasibility flags from one rollout, checking one obstacle at a time."""
     W = np.asarray(controls, dtype=float)
     X = dubins_states_batch(spec, W)
     err = X - spec.target
-    return (err**2 @ spec.q_weights).sum(axis=1) + spec.r_weight * (W**2).sum(axis=1)
-
-
-def dubins_feasible_batch(spec: DubinsSpec, controls: Array) -> Array:
-    W = np.asarray(controls, dtype=float)
-    ok = (np.abs(W) <= spec.w_max).all(axis=1)
-    if spec.obstacles.shape[0]:
-        p = dubins_states_batch(spec, W)[:, :, :2]
-        centers = spec.obstacles[:, :2]
-        radii2 = spec.obstacles[:, 2] ** 2
-        d2 = ((p[:, :, None, :] - centers[None, None, :, :]) ** 2).sum(axis=3)
-        ok &= (d2 > radii2).all(axis=(1, 2))
-    return ok
+    costs = (err**2 @ spec.q_weights).sum(axis=1) + spec.r_weight * (W**2).sum(axis=1)
+    ok = np.abs(W) <= spec.w_max  # per step, reduced over the horizon once at the end
+    px, py = X[:, :, 0], X[:, :, 1]
+    for cx, cy, radius in spec.obstacles:
+        ok &= (px - cx) ** 2 + (py - cy) ** 2 > radius**2
+    return costs, ok.all(axis=1)
 
 
 def dubins_stage_cost(spec: DubinsSpec, x_next: Array, u: Array) -> float:
@@ -325,25 +322,19 @@ def dubins_clear(spec: DubinsSpec, state: Array) -> bool:
 def dubins_problem(spec: DubinsSpec, known_candidate: Optional[Array] = None) -> TrajectoryProblem:
     """Build the TrajectoryProblem; `known_candidate` seeds the feasible search
     (useful when re-rooting at a mid-flight state with a warm-started plan)."""
-    T = spec.horizon
 
     def dyn(x: Array, u: Array) -> Array:
         return x + spec.dt * np.array(
             [spec.speed * np.cos(x[2]), spec.speed * np.sin(x[2]), float(u[0])]
         )
 
-    feasible_batch = lambda U: dubins_feasible_batch(spec, U)
-    known = _find_feasible_controls(spec, extra=known_candidate)
     return TrajectoryProblem(
         control_dim=1,
-        horizon=T,
+        horizon=spec.horizon,
         initial_state=spec.x0,
         dynamics=dyn,
-        objective=lambda u: float(dubins_objective_batch(spec, _check_controls(u, T)[None, :])[0]),
-        feasible=lambda u: bool(feasible_batch(_check_controls(u, T)[None, :])[0]),
-        known_feasible=known,
-        objective_batch=lambda U: dubins_objective_batch(spec, U),
-        feasible_batch=lambda U: dubins_feasible_batch(spec, U),
+        evaluate=lambda U: dubins_evaluate_batch(spec, U),
+        known_feasible=_find_feasible_controls(spec, extra=known_candidate),
     )
 
 
@@ -351,7 +342,8 @@ def _find_feasible_controls(spec: DubinsSpec, extra: Optional[Array] = None) -> 
     """Pick a certified-feasible turn-rate sequence, or fail loudly.
 
     Tries (in order) a caller-supplied candidate, no turning, and constant
-    turns at graded fractions of the rate limit in both directions.
+    turns at graded fractions of the rate limit in both directions; all of
+    them are evaluated as one batch and the first feasible one is returned.
     """
     T = spec.horizon
     candidates = []
@@ -361,9 +353,8 @@ def _find_feasible_controls(spec: DubinsSpec, extra: Optional[Array] = None) -> 
     for frac in (0.25, 0.5, 0.75, 1.0):
         candidates.append(np.full(T, frac * spec.w_max))
         candidates.append(np.full(T, -frac * spec.w_max))
-    for cand in candidates:
-        if cand.shape == (T,) and bool(dubins_feasible_batch(spec, cand[None, :])[0]):
-            return cand
-    raise InfeasibleProblemError(
-        "no feasible control sequence found from the current state"
-    )
+    candidates = [cand for cand in candidates if cand.shape == (T,)]
+    flags = dubins_evaluate_batch(spec, np.array(candidates))[1]
+    if not flags.any():
+        raise InfeasibleProblemError("no feasible control sequence found from the current state")
+    return candidates[int(np.argmax(flags))]

@@ -22,7 +22,7 @@ from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.optimize import Bounds, LinearConstraint, minimize, nnls
 
 from .errors import ConvergenceError, InfeasibleProblemError, NotSpdError
-from .problems import LqrSpec
+from .problems import LqrSpec, lqr_response
 
 Array = np.ndarray
 
@@ -94,25 +94,17 @@ class QpSolution:
 def lift(spec: LqrSpec) -> QpProblem:
     """Eliminate states from an LqrSpec, yielding the equivalent QP.
 
-    With x = (x_1..x_T) stacked, x = M u + b where block (t, j) of M is
-    A^(t-1-j) B for j < t and b stacks the free response A^t x0.  Then
+    With x = (x_1..x_T) stacked, x = M u + b is the response map of
+    `problems.lqr_response` (block (t, j) of M is A^(t-1-j) B for j < t, b
+    stacks the free response A^t x0), the same map the LQR batch evaluator
+    rolls samples through.  Then
 
         J(u) = 1/2 u'(M'Qbar M + Rbar)u + (M'Qbar b)'u + 1/2 b'Qbar b,
 
     and the state box becomes the linear range constraint on M u.
     """
-    n, m, T = spec.state_dim, spec.control_dim, spec.horizon
-    powers = [np.eye(n)]
-    for _ in range(T):
-        powers.append(spec.a @ powers[-1])
-
-    big_m = np.zeros((T * n, T * m))
-    b = np.empty(T * n)
-    for t in range(1, T + 1):
-        b[(t - 1) * n : t * n] = powers[t] @ spec.x0
-        for j in range(t):
-            big_m[(t - 1) * n : t * n, j * m : (j + 1) * m] = powers[t - 1 - j] @ spec.b
-
+    T = spec.horizon
+    big_m, b = lqr_response(spec)
     q_bar = np.kron(np.eye(T), spec.q)
     r_bar = np.kron(np.eye(T), spec.r)
     q_qp = big_m.T @ q_bar @ big_m + r_bar

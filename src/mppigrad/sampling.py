@@ -224,9 +224,12 @@ def draw(
 
 
 def evaluate(batch: SampleBatch, problem: TrajectoryProblem) -> SampleBatch:
-    """Fill in costs and feasibility flags for every sample, in place."""
-    batch.costs = problem.batch_objective(batch.samples)
-    batch.feasible_flags = problem.batch_feasible(batch.samples)
+    """Fill in costs and feasibility flags for every sample, in place.
+
+    One call of the problem's batch evaluator scores the whole batch, so the
+    samples are rolled out once.
+    """
+    batch.costs, batch.feasible_flags = problem.evaluate_batch(batch.samples)
     return batch
 
 

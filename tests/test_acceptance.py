@@ -444,11 +444,8 @@ def test_criterion_10_bias_probe(announce):
         horizon=1,
         initial_state=np.zeros(1),
         dynamics=lambda x, u: x,
-        objective=lambda u: float(0.5 * q * u[0] ** 2 + c * u[0]),
-        feasible=lambda u: bool(abs(u[0]) <= 3.0),
+        evaluate=lambda U: (f0(U), np.abs(U[:, 0]) <= 3.0),
         known_feasible=np.zeros(1),
-        objective_batch=f0,
-        feasible_batch=lambda U: np.abs(U[:, 0]) <= 3.0,
     )
     mom = analysis.tilted_moments_quadrature(f0, [-3.0], [3.0], policy, analysis.GridSpec(rel_tol=1e-12))
     exact = -tau / sigma2 * (mom.mean - policy.mean)

@@ -300,11 +300,8 @@ def quadratic_problem(q, c, feasible_radius=np.inf):
         horizon=1,
         initial_state=np.zeros(1),
         dynamics=lambda x, u: x,
-        objective=lambda u: float(batch(u[None, :])[0]),
-        feasible=lambda u: bool(np.linalg.norm(u) <= feasible_radius),
+        evaluate=lambda U: (batch(U), np.linalg.norm(U, axis=1) <= feasible_radius),
         known_feasible=np.zeros(n),
-        objective_batch=batch,
-        feasible_batch=lambda U: np.linalg.norm(U, axis=1) <= feasible_radius,
     )
 
 
@@ -359,10 +356,8 @@ def test_bias_probe_is_unbiased_for_constant_cost():
     # plain sample average: zero bias up to the trial CI
     prob = TrajectoryProblem(
         control_dim=1, horizon=2, initial_state=np.zeros(1),
-        dynamics=lambda x, u: x, objective=lambda u: 1.0,
-        feasible=lambda u: True, known_feasible=np.zeros(2),
-        objective_batch=lambda U: np.ones(U.shape[0]),
-        feasible_batch=lambda U: np.ones(U.shape[0], bool),
+        dynamics=lambda x, u: x, known_feasible=np.zeros(2),
+        evaluate=lambda U: (np.ones(U.shape[0]), np.ones(U.shape[0], bool)),
     )
     policy = GaussianPolicy(np.array([0.3, -0.1]), 0.8, tau=1.0)
     rows = analysis.bias_probe(prob, policy, np.zeros(2), n_list=[100, 1000], trials=200, seed=11)

@@ -242,6 +242,17 @@ def test_lqr_fd_record_obeys_the_evaluation_budget(tiny_lqr_records):
     assert fd.summary["min_gap"] <= fd.rows[0]["gap"]
 
 
+def test_summaries_report_worst_ess_and_retries(tiny_lqr_records, tmp_path):
+    _, records = tiny_lqr_records
+    rec = next(r for r in records if r.cell.get("eta") == 1.0)
+    assert rec.summary["ess_min"] == min(row["ess"] for row in rec.rows)
+    assert rec.summary["retries"] == 0
+    dubins = run_dubins(load_config(write_cfg(tmp_path, TINY_DUBINS)))[0]
+    # a closed-loop row holds the mean ESS of its step's inner iterations
+    assert 1.0 <= dubins.summary["ess_min"] <= min(row["ess"] for row in dubins.rows)
+    assert isinstance(dubins.summary["retries"], int) and dubins.summary["retries"] >= 0
+
+
 def test_lqr_rule_cells_resolve_the_step_size(tmp_path):
     path = write_cfg(tmp_path, TINY_LQR.replace("eta: [1.0]", "eta: [rule]"))
     records = run_lqr(load_config(path))

@@ -27,11 +27,8 @@ def box_problem_1d(width, objective=lambda u: float(u[0] ** 2)):
         horizon=1,
         initial_state=np.zeros(1),
         dynamics=lambda x, u: x + u,
-        objective=objective,
-        feasible=lambda u: bool(abs(u[0]) <= width),
+        evaluate=lambda U: (np.array([objective(row) for row in U]), np.abs(U[:, 0]) <= width),
         known_feasible=np.zeros(1),
-        objective_batch=lambda U: np.array([objective(row) for row in U]),
-        feasible_batch=lambda U: np.abs(U[:, 0]) <= width,
     )
 
 
@@ -349,8 +346,7 @@ def test_fixed_point_dynamics_keep_state_constant():
             horizon=4,
             initial_state=x0 if state is None else state,
             dynamics=lambda x, u: x,  # parked: controls are ignored
-            objective=lambda u: float(u @ u),
-            feasible=lambda u: True,
+            evaluate=lambda U: (np.einsum("ij,ij->i", U, U), np.ones(U.shape[0], bool)),
             known_feasible=np.zeros(4),
         )
 
@@ -419,6 +415,20 @@ def test_sampler_abort_flags_partial_trace():
     assert trace.unsafe
     assert "infeasible" in trace.abort_reason
     assert len(trace.steps) == 0
+
+
+def test_closed_loop_step_totals_retries_and_worst_ess():
+    # the first inner iteration needs two retries (see the retry test above)
+    policy = GaussianPolicy(np.array([0.5]), 0.01, tau=1.0)
+    cfg = PgdConfig(k=3, n_samples=64, max_retries=5, inflation=2.0)
+    trace = receding_horizon(
+        lambda state, candidate: box_problem_1d(0.2), policy, cfg, sim_steps=1, seed=1,
+        stage_cost=lambda x, u: 0.0,
+    )
+    _, inner = run(box_problem_1d(0.2), policy, cfg, seed=1)
+    step = trace.steps[0]
+    assert step.retries == sum(r.retries for r in inner.records) >= 2
+    assert step.ess_min == inner.column("ess").min()
 
 
 def test_clip_control_is_applied():

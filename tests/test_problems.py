@@ -1,5 +1,7 @@
 """Problem definitions: rollouts, costs, feasibility, and the two benchmarks."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,20 @@ from mppigrad.problems import (
     DubinsSpec,
     LqrSpec,
     double_integrator,
+    dubins_clear,
+    dubins_evaluate_batch,
     dubins_problem,
+    dubins_stage_cost,
     lqr_problem,
+    lqr_stage_cost,
     rollout,
 )
+
+
+def stepwise_cost(problem, stage_cost, u):
+    """Reference cost: the dynamics stepped one transition at a time."""
+    controls = u.reshape(problem.horizon, problem.control_dim)
+    return sum(stage_cost(x, c) for x, c in zip(rollout(problem, u)[1:], controls))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +90,7 @@ def test_rollout_is_deterministic_bitwise():
 
 def test_lqr_zero_control_cost_62_5():
     spec = double_integrator()
-    assert problems.lqr_objective(spec, np.zeros(10)) == pytest.approx(62.5, abs=1e-12)
+    assert lqr_problem(spec).objective(np.zeros(10)) == pytest.approx(62.5, abs=1e-12)
 
 
 def test_lqr_zero_state_zero_control_costs_nothing():
@@ -94,7 +106,7 @@ def test_lqr_zero_state_zero_control_costs_nothing():
         x_min=[-5.0, -1.0],
         x_max=[5.0, 1.0],
     )
-    assert problems.lqr_objective(spec, np.zeros(10)) == 0.0
+    assert lqr_problem(spec).objective(np.zeros(10)) == 0.0
 
 
 def test_lqr_objective_matches_qp_lift_on_random_u():
@@ -104,7 +116,8 @@ def test_lqr_objective_matches_qp_lift_on_random_u():
     lifted = qp.lift(spec)
     rng = np.random.default_rng(11)
     u = rng.uniform(-1.0, 1.0, size=(100, 10))
-    direct = problems.lqr_objective_batch(spec, u)
+    prob = lqr_problem(spec)
+    direct = np.array([stepwise_cost(prob, partial(lqr_stage_cost, spec), row) for row in u])
     quad = 0.5 * np.einsum("ij,jk,ik->i", u, lifted.q, u) + u @ lifted.c + lifted.constant
     np.testing.assert_allclose(direct, quad, rtol=1e-10, atol=1e-10)
 
@@ -132,9 +145,62 @@ def test_lqr_batch_paths_agree_with_scalar_paths():
         assert prob.feasible(row) == flag
 
 
+def test_lqr_one_pass_evaluator_matches_stepwise_rollout():
+    # uniform draws from the control box: many rows break the state bounds
+    spec = double_integrator()
+    prob = lqr_problem(spec)
+    rng = np.random.default_rng(23)
+    U = rng.uniform(spec.u_min[0], spec.u_max[0], size=(400, 10))
+    costs, flags = prob.evaluate_batch(U)
+    stage = partial(lqr_stage_cost, spec)
+    expected_costs = [stepwise_cost(prob, stage, row) for row in U]
+    expected_flags = []
+    for row in U:
+        states = rollout(prob, row)[1:]
+        in_box = np.all((row >= spec.u_min) & (row <= spec.u_max))
+        expected_flags.append(in_box and np.all((states >= spec.x_min) & (states <= spec.x_max)))
+    np.testing.assert_allclose(costs, expected_costs, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(flags, expected_flags)
+    assert 0.05 < flags.mean() < 0.5
+
+
 # ---------------------------------------------------------------------------
 # Dubins objective / feasibility
 # ---------------------------------------------------------------------------
+
+
+def test_dubins_one_pass_evaluator_matches_stepwise_rollout():
+    spec = DubinsSpec()
+    prob = dubins_problem(spec)
+    rng = np.random.default_rng(29)
+    W = rng.uniform(-spec.w_max, spec.w_max, size=(300, 20))
+    W[::5, 7] = 1.02 * spec.w_max  # every fifth row breaks the rate bound
+    costs, flags = prob.evaluate_batch(W)
+    stage = partial(dubins_stage_cost, spec)
+    expected_costs = [stepwise_cost(prob, stage, row) for row in W]
+    expected_flags = [
+        np.all(np.abs(row) <= spec.w_max)
+        and all(dubins_clear(spec, x) for x in rollout(prob, row)[1:])
+        for row in W
+    ]
+    np.testing.assert_allclose(costs, expected_costs, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(flags, expected_flags)
+    assert 0.1 < flags.mean() < 0.8
+
+
+def test_feasible_search_picks_the_first_feasible_candidate_in_order():
+    # the obstacle sits ahead and a little left: no turning collides, and
+    # several constant turns clear it, so the search order decides the pick
+    spec = DubinsSpec(obstacles=np.array([[-0.3, 2.0, 1.0]]), horizon=10)
+    blocked = np.zeros(10)
+    candidates = [blocked, np.zeros(10)] + [
+        np.full(10, sign * frac * spec.w_max) for frac in (0.25, 0.5, 0.75, 1.0) for sign in (1, -1)
+    ]
+    one_at_a_time = [bool(dubins_evaluate_batch(spec, c[None, :])[1][0]) for c in candidates]
+    assert not one_at_a_time[0] and sum(one_at_a_time) > 1
+    first = candidates[one_at_a_time.index(True)]
+    prob = dubins_problem(spec, known_candidate=blocked)
+    np.testing.assert_array_equal(prob.known_feasible, first)
 
 
 def test_dubins_parked_at_target_costs_nothing():
@@ -144,26 +210,26 @@ def test_dubins_parked_at_target_costs_nothing():
         target=np.array([6.0, 6.0, 0.0]),
         obstacles=np.empty((0, 3)),
     )
-    cost = problems.dubins_objective_batch(spec, np.zeros((1, 20)))[0]
+    cost = dubins_evaluate_batch(spec, np.zeros((1, 20)))[0][0]
     assert cost == 0.0
 
 
 def test_dubins_single_step_control_term():
     spec = DubinsSpec(horizon=1, obstacles=np.empty((0, 3)))
     w0 = 0.7
-    cost = problems.dubins_objective_batch(spec, np.array([[w0]]))[0]
+    cost = dubins_evaluate_batch(spec, np.array([[w0]]))[0][0]
     state = problems.dubins_states_batch(spec, np.array([[w0]]))[0, 0]
     err = state - spec.target
     expected = err**2 @ spec.q_weights + 0.001 * w0**2
     assert cost == pytest.approx(expected, rel=1e-12)
     # and the control term is really in there
-    assert cost - problems.dubins_objective_batch(spec, np.zeros((1, 1)))[0] != 0.0
+    assert cost - dubins_evaluate_batch(spec, np.zeros((1, 1)))[0][0] != 0.0
 
 
 def test_dubins_obstacle_hit_is_infeasible():
     # one obstacle sitting directly on the straight-ahead path
     spec = DubinsSpec(obstacles=np.array([[0.0, 2.0, 0.5]]))
-    flags = problems.dubins_feasible_batch(spec, np.zeros((1, 20)))
+    flags = dubins_evaluate_batch(spec, np.zeros((1, 20)))[1]
     assert not flags[0]
 
 
@@ -171,7 +237,7 @@ def test_dubins_turn_rate_bound_is_checked():
     spec = DubinsSpec(obstacles=np.empty((0, 3)))
     w = np.zeros((1, 20))
     w[0, 4] = spec.w_max * 1.01
-    assert not problems.dubins_feasible_batch(spec, w)[0]
+    assert not dubins_evaluate_batch(spec, w)[1][0]
 
 
 def test_feasibility_monotone_under_obstacle_removal():
@@ -179,8 +245,8 @@ def test_feasibility_monotone_under_obstacle_removal():
     reduced = DubinsSpec(obstacles=full.obstacles[:-2])
     rng = np.random.default_rng(19)
     W = rng.uniform(-full.w_max, full.w_max, size=(200, 20))
-    with_all = problems.dubins_feasible_batch(full, W)
-    with_fewer = problems.dubins_feasible_batch(reduced, W)
+    with_all = dubins_evaluate_batch(full, W)[1]
+    with_fewer = dubins_evaluate_batch(reduced, W)[1]
     # removing obstacles can only enlarge the feasible set
     assert np.all(with_fewer >= with_all)
 
@@ -214,8 +280,7 @@ def test_trajectory_problem_rejects_infeasible_certificate():
             horizon=2,
             initial_state=np.zeros(1),
             dynamics=lambda x, u: x + u,
-            objective=lambda u: float(u @ u),
-            feasible=lambda u: False,
+            evaluate=lambda U: (np.einsum("ij,ij->i", U, U), np.zeros(U.shape[0], bool)),
             known_feasible=np.zeros(2),
         )
 
@@ -227,8 +292,7 @@ def test_trajectory_problem_rejects_nonfinite_objective_on_certificate():
             horizon=2,
             initial_state=np.zeros(1),
             dynamics=lambda x, u: x + u,
-            objective=lambda u: float("inf"),
-            feasible=lambda u: True,
+            evaluate=lambda U: (np.full(U.shape[0], np.inf), np.ones(U.shape[0], bool)),
             known_feasible=np.zeros(2),
         )
 
@@ -276,7 +340,7 @@ def test_dubins_problem_feasible_search_uses_candidate():
     # right turn is feasible and should be adopted as the certificate
     spec = DubinsSpec(obstacles=np.array([[0.0, 2.0, 1.0]]), horizon=10)
     candidate = np.full(10, -0.9 * spec.w_max)
-    assert problems.dubins_feasible_batch(spec, candidate[None, :])[0]
+    assert dubins_evaluate_batch(spec, candidate[None, :])[1][0]
     prob = dubins_problem(spec, known_candidate=candidate)
     np.testing.assert_array_equal(prob.known_feasible, candidate)
 

@@ -8,7 +8,7 @@ from scipy.optimize import Bounds, LinearConstraint, minimize
 
 from mppigrad import qp
 from mppigrad.errors import ConvergenceError, InfeasibleProblemError, NotSpdError
-from mppigrad.problems import LqrSpec, double_integrator
+from mppigrad.problems import LqrSpec, double_integrator, lqr_problem, lqr_stage_cost, rollout
 
 
 def _spec_t1():
@@ -60,14 +60,19 @@ def test_lift_zero_dynamics_reduces_to_control_penalty():
 
 
 def test_lift_identity_on_random_controls():
-    from mppigrad.problems import lqr_objective_batch
-
+    # the direct side steps the dynamics, sharing nothing with the lift's M
     spec = double_integrator()
     lifted = qp.lift(spec)
     assert lifted.q.shape == (10, 10)
     rng = np.random.default_rng(2)
     u = rng.uniform(-1.0, 1.0, size=(100, 10))
-    direct = lqr_objective_batch(spec, u)
+    prob = lqr_problem(spec)
+    direct = np.array(
+        [
+            sum(lqr_stage_cost(spec, x, c) for x, c in zip(rollout(prob, row)[1:], row[:, None]))
+            for row in u
+        ]
+    )
     quad = 0.5 * np.einsum("ij,jk,ik->i", u, lifted.q, u) + u @ lifted.c + lifted.constant
     np.testing.assert_allclose(
         np.abs(direct - quad), 0.0, atol=1e-9 * (1.0 + np.abs(direct).max())
@@ -75,14 +80,12 @@ def test_lift_identity_on_random_controls():
 
 
 def test_lift_states_match_affine_map():
-    from mppigrad.problems import _lqr_states_batch
-
     spec = double_integrator()
     lifted = qp.lift(spec)
     rng = np.random.default_rng(8)
     u = rng.uniform(-1, 1, 10)
     stacked = lifted.lin_mat @ u + lifted.free_response
-    rolled = _lqr_states_batch(spec, u[None, :])[0].ravel()
+    rolled = rollout(lqr_problem(spec), u)[1:].ravel()
     np.testing.assert_allclose(stacked, rolled, atol=1e-12)
 
 
