@@ -128,7 +128,7 @@ class QuadraticOracle:
         return hessian_f_gaussian(self._at(mean), self.tilted_cov)
 
     def l_sigma(self) -> float:
-        return l_sigma_quadratic(self._template._cov_param(), self.q, self._template.tau).l_sigma
+        return l_sigma_quadratic(self._template.cov_matrix(), self.q, self._template.tau).l_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +176,7 @@ def _tilted_grid_pass(f0, box_lo, box_hi, policy: GaussianPolicy, cells: int) ->
         pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
         weights = np.outer(w0, w1).ravel()
 
-    diff = pts - policy.mean
-    quad = np.einsum("ij,ij->i", diff, policy.solve(diff))
-    if policy.kind == "scalar":
-        logdet = d * np.log(policy._sigma2)
-    elif policy.kind == "diag":
-        logdet = float(np.log(policy._diag).sum())
-    else:
-        logdet = 2.0 * float(np.log(np.diag(policy._chol)).sum())
-    log_pi = -0.5 * (quad + logdet + d * np.log(2 * np.pi))
-    log_g = log_pi - np.asarray(f0(pts), dtype=float) / policy.tau
+    log_g = policy.log_density(pts) - np.asarray(f0(pts), dtype=float) / policy.tau
 
     shift = float(log_g.max())
     density = weights * np.exp(log_g - shift)
@@ -270,15 +261,8 @@ class QuadratureOracle:
     def tilted_mean(self, mean: Array) -> Array:
         return self._moments(mean).mean
 
-    def tilted_cov(self, mean: Array) -> Array:
-        return self._moments(mean).cov
-
     def free_energy(self, mean: Array) -> float:
         return -self._template.tau * self._moments(mean).log_z
-
-    def grad(self, mean: Array) -> Array:
-        policy = self._template.with_mean(mean)
-        return -policy.tau * policy.solve(self.tilted_mean(mean) - policy.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +369,10 @@ def l_sigma_diameter_bound(cov, box_lo, box_hi) -> DiameterBound:
         raise ValueError("box upper bounds must dominate lower bounds")
     edges = box_hi - box_lo
     d = box_lo.shape[0]
-    policy = GaussianPolicy(np.zeros(d), cov, 1.0)
-    lam_min, _ = policy.cov_eig_range()
+    lam_min, _ = GaussianPolicy(np.zeros(d), cov, 1.0).cov_eig_range()  # validates cov
     d2_euclid = float(edges @ edges)
-    if policy.kind in ("scalar", "diag"):
-        diag = np.full(d, policy._sigma2) if policy.kind == "scalar" else policy._diag
-        d2_metric = float((edges**2 / diag).sum())
+    if np.ndim(cov) < 2:  # scalar or diagonal Sigma
+        d2_metric = float((edges**2 / np.asarray(cov, dtype=float)).sum())
         route = "diagonal_exact"
     else:
         d2_metric = d2_euclid / lam_min
@@ -570,7 +552,7 @@ def gibbs_identity_check(
     rho_vals = rho_vals / mass
 
     f_vals = np.asarray(f0(pts), dtype=float)
-    log_pi = np.array([policy.log_density(p) for p in pts])
+    log_pi = policy.log_density(pts)
     log_tilt_un = log_pi - f_vals / tau
     shift = log_tilt_un.max()
     z = float(w @ np.exp(log_tilt_un - shift))

@@ -130,17 +130,40 @@ def _validate_resolved(experiment: str, resolved: Dict[str, Any]) -> None:
     for key, values in resolved.get("grid", {}).items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid entry {key!r} must be a non-empty list")
+    if experiment == "theory":
+        return
+    for key in ("sigma2", "tau"):
+        for value in resolved.get("grid", {}).get(key, [resolved["sampling"][key]]):
+            if not isinstance(value, (int, float)) or value <= 0:
+                raise ConfigError(f"sampling.{key} must be positive, got {value!r}")
     if experiment == "lqr":
-        for key in ("sigma2", "tau"):
-            if key in resolved.get("grid", {}):
-                continue
-            if resolved["sampling"][key] <= 0:
-                raise ConfigError(f"sampling.{key} must be positive")
         for eta in resolved["grid"].get("eta", [resolved["optimizer"].get("eta", 1.0)]):
             if eta != "rule" and (not isinstance(eta, (int, float)) or eta <= 0):
                 raise ConfigError(f"eta cell {eta!r} must be positive or the string 'rule'")
     if experiment == "dubins" and resolved.get("sim_steps", 0) < 1:
         raise ConfigError("sim_steps must be >= 1")
+    _check_builds(experiment, resolved)
+
+
+def _check_builds(experiment: str, resolved: Dict[str, Any]) -> None:
+    """Build the problem spec and optimizer configs that the run will build.
+
+    Their constructors own the value checks (horizon, matrix shapes, time
+    step, an odd sample count under antithetic sampling, ...), so a bad value
+    fails here as a ConfigError instead of a traceback from a worker thread.
+    """
+    from . import dubins, lqr  # local: both runner modules import this one
+
+    try:
+        if experiment == "lqr":
+            lqr._build_spec(resolved["problem"])
+            lqr._pgd_config(resolved["optimizer"], eta=1.0)  # eta cells are checked above
+        else:
+            dubins.build_spec(resolved["problem"])
+            for k in resolved.get("grid", {}).get("k", [1]):
+                dubins._pgd_config(resolved["optimizer"], k)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {experiment} config: {exc}") from exc
 
 
 def load_config(

@@ -36,11 +36,8 @@ def build_spec(problem_cfg: Dict[str, Any]) -> DubinsSpec:
     return DubinsSpec(**kwargs)
 
 
-def _one_cell(spec: DubinsSpec, cfg: RunConfig, k_inner: int, seed: int) -> RunRecord:
-    t_start = time.perf_counter()
-    opt_cfg = cfg.section("optimizer")
-    sampling_cfg = cfg.section("sampling")
-    pgd = PgdConfig(
+def _pgd_config(opt_cfg: Dict[str, Any], k_inner: int) -> PgdConfig:
+    return PgdConfig(
         eta=float(opt_cfg["eta"]),
         k=int(k_inner),
         n_samples=int(opt_cfg["n_samples"]),
@@ -48,6 +45,12 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, k_inner: int, seed: int) -> RunR
         eps_stat=float(opt_cfg["eps_stat"]),
         max_retries=int(opt_cfg["max_retries"]),
     )
+
+
+def _one_cell(spec: DubinsSpec, cfg: RunConfig, k_inner: int, seed: int) -> RunRecord:
+    t_start = time.perf_counter()
+    sampling_cfg = cfg.section("sampling")
+    pgd = _pgd_config(cfg.section("optimizer"), k_inner)
     policy = GaussianPolicy(
         np.zeros(spec.horizon), float(sampling_cfg["sigma2"]), float(sampling_cfg["tau"])
     )

@@ -35,6 +35,17 @@ def _build_spec(problem_cfg: Dict[str, Any]) -> LqrSpec:
     return dataclasses.replace(base, **{k: np.asarray(v, dtype=float) for k, v in overrides.items()})
 
 
+def _pgd_config(opt_cfg: Dict[str, Any], eta: float) -> PgdConfig:
+    return PgdConfig(
+        eta=eta,
+        k=int(opt_cfg["iterations"]),
+        n_samples=int(opt_cfg["n_samples"]),
+        antithetic=bool(opt_cfg["antithetic"]),
+        eps_stat=float(opt_cfg["eps_stat"]),
+        max_retries=int(opt_cfg["max_retries"]),
+    )
+
+
 def _solve_oracle(lifted: qp.QpProblem) -> tuple[float, qp.QpSolution]:
     solution = qp.solve_verified(lifted)
     return solution.f_star + lifted.constant, solution
@@ -50,22 +61,13 @@ def _one_cell(
 ) -> RunRecord:
     t_start = time.perf_counter()
     problem = lqr_problem(spec)
-    opt_cfg = cfg.section("optimizer")
     sigma2, tau = float(cell["sigma2"]), float(cell["tau"])
     smooth = analysis.l_sigma_quadratic(sigma2, lifted.q, tau)
     if cell["eta"] == "rule":
         eta, rule = step_size_rule(smooth.l_sigma), "one_over_l_sigma"
     else:
         eta, rule = float(cell["eta"]), "fixed"
-    iterations = int(opt_cfg["iterations"])
-    pgd = PgdConfig(
-        eta=eta,
-        k=iterations,
-        n_samples=int(opt_cfg["n_samples"]),
-        antithetic=bool(opt_cfg["antithetic"]),
-        eps_stat=float(opt_cfg["eps_stat"]),
-        max_retries=int(opt_cfg["max_retries"]),
-    )
+    pgd = _pgd_config(cfg.section("optimizer"), eta)
     policy = GaussianPolicy(np.zeros(problem.n_controls), sigma2, tau)
     record = RunRecord(
         experiment="lqr", cell=dict(cell), seed=seed, config_snapshot=cfg.snapshot()

@@ -136,11 +136,10 @@ def _gibbs_checks() -> List[CheckRow]:
     box = ([-4.0], [4.0])
 
     def tilt_density(pts):
-        log_pi = np.array([policy.log_density(p) for p in pts])
-        return np.exp(log_pi - f0(pts) / policy.tau)
+        return np.exp(policy.log_density(pts) - f0(pts) / policy.tau)
 
     def pi_restricted(pts):
-        return np.exp(np.array([policy.log_density(p) for p in pts]))
+        return np.exp(policy.log_density(pts))
 
     def shifted_gaussian(pts):
         return np.exp(-0.5 * (pts[:, 0] - 0.8) ** 2 / 0.3)

@@ -1,20 +1,21 @@
 """Preconditioned gradient iteration on the smoothed objective.
 
 One step draws a batch from the current Gaussian policy, forms self-normalized
-weights, and moves the mean along the estimated preconditioned gradient.  With
-the natural preconditioner (Sigma/tau) the step is the relaxed update
-mu <- (1-eta) mu + eta * (weighted sample mean); at eta = 1 it reduces exactly
-to the classical weighted-mean update.  An exact mode replaces the Monte Carlo
-tilted mean with an oracle so the descent inequality can be checked without
-sampling noise, and a receding-horizon driver turns the one-shot optimizer
-into a closed-loop controller.
+weights, and moves the mean along the estimated preconditioned gradient.  The
+preconditioner is the natural one, Sigma/tau, the only one under which the
+paper recovers MPPI: the step is the relaxed update
+mu <- (1-eta) mu + eta * (weighted sample mean), and at eta = 1 it reduces
+exactly to the classical weighted-mean update.  An exact mode replaces the
+Monte Carlo tilted mean with an oracle so the descent inequality can be
+checked without sampling noise, and a receding-horizon driver turns the
+one-shot optimizer into a closed-loop controller.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -32,23 +33,19 @@ from .sampling import (
 
 Array = np.ndarray
 
-SIGMA_OVER_TAU = "sigma_over_tau"
-
-
 @dataclass(frozen=True)
 class PgdConfig:
-    """Step size, preconditioner, and sampling budget for the iteration.
+    """Step size and sampling budget for the iteration.
 
-    `preconditioner` is either the string "sigma_over_tau" (the natural
-    choice, under which the update is covariance-free) or an explicit SPD
-    matrix.  `eps_stat` > 0 enables early stopping once the preconditioned
-    gradient norm, averaged over `stat_window` iterations, falls below it.
+    The preconditioner is always the natural one, P = Sigma/tau, under which
+    the update is covariance-free and eta = 1 is the classical MPPI update.
+    `eps_stat` > 0 enables early stopping once the preconditioned gradient
+    norm, averaged over `stat_window` iterations, falls below it.
     """
 
     eta: float = 1.0
     k: int = 1
     n_samples: int = 1000
-    preconditioner: Union[str, Array] = SIGMA_OVER_TAU
     eps_stat: float = 0.0
     stat_window: int = 5
     antithetic: bool = True
@@ -62,21 +59,10 @@ class PgdConfig:
             raise ValueError("iteration count must be >= 1")
         if self.n_samples < 2:
             raise ValueError("need at least 2 samples per iteration")
+        if self.antithetic and self.n_samples % 2:
+            raise ValueError(f"antithetic sampling needs an even n_samples, got {self.n_samples}")
         if self.max_retries < 0 or self.inflation <= 1.0:
             raise ValueError("retries must be >= 0 and inflation factor > 1")
-        if isinstance(self.preconditioner, str):
-            if self.preconditioner != SIGMA_OVER_TAU:
-                raise ValueError(f"unknown preconditioner tag {self.preconditioner!r}")
-        else:
-            p = np.asarray(self.preconditioner, dtype=float)
-            if p.ndim != 2 or not np.allclose(p, p.T, atol=1e-10):
-                raise ValueError("explicit preconditioner must be a symmetric matrix")
-            np.linalg.cholesky(p)  # SPD or raise
-            object.__setattr__(self, "preconditioner", p)
-
-    @property
-    def natural_preconditioner(self) -> bool:
-        return isinstance(self.preconditioner, str)
 
 
 @dataclass
@@ -109,21 +95,16 @@ def grad_estimate(policy: GaussianPolicy, batch: SampleBatch, summary: WeightSum
     return -policy.tau * policy.solve(delta)
 
 
-def _grad_norm_p(policy: GaussianPolicy, config: PgdConfig, grad: Array) -> float:
-    """Norm |g|_P = sqrt(g' P g) under the configured preconditioner."""
-    if config.natural_preconditioner:
-        return float(np.sqrt(max(grad @ policy.cov_mul(grad) / policy.tau, 0.0)))
-    return float(np.sqrt(max(grad @ (config.preconditioner @ grad), 0.0)))
+def _grad_norm_p(policy: GaussianPolicy, grad: Array) -> float:
+    """Norm |g|_P = sqrt(g' P g) under the natural preconditioner P = Sigma/tau."""
+    return float(np.sqrt(max(grad @ policy.cov_mul(grad) / policy.tau, 0.0)))
 
 
-def _apply_update(policy: GaussianPolicy, config: PgdConfig, wmean: Array) -> Array:
-    if config.natural_preconditioner:
-        if config.eta == 1.0:
-            return wmean.copy()  # bitwise the classical weighted-mean update
-        return (1.0 - config.eta) * policy.mean + config.eta * wmean
-    delta = wmean - policy.mean
-    step = config.preconditioner @ (policy.tau * policy.solve(delta))
-    return policy.mean + config.eta * step
+def _apply_update(policy: GaussianPolicy, eta: float, wmean: Array) -> Array:
+    """mu - eta P grad with P = Sigma/tau, i.e. (1 - eta) mu + eta * wmean."""
+    if eta == 1.0:
+        return wmean.copy()  # bitwise the classical weighted-mean update
+    return (1.0 - eta) * policy.mean + eta * wmean
 
 
 def _sample_weighted(
@@ -168,12 +149,12 @@ def pgd_step(
     t0 = time.perf_counter()
     sampler, batch, summary, retries = _sample_weighted(problem, policy, config, seed, iteration)
     grad = grad_estimate(sampler, batch, summary)
-    new_mean = _apply_update(sampler, config, weighted_mean(batch, summary))
+    new_mean = _apply_update(sampler, config.eta, weighted_mean(batch, summary))
     flags = batch.feasible_flags
     record = IterationRecord(
         k=iteration,
         mean=policy.mean.copy(),
-        grad_norm_p=_grad_norm_p(sampler, config, grad),
+        grad_norm_p=_grad_norm_p(sampler, grad),
         ess=summary.effective_sample_size,
         acceptance=summary.acceptance_rate,
         best_cost=float(batch.costs[flags].min()),
@@ -234,7 +215,7 @@ def run_exact(oracle, policy: GaussianPolicy, config: PgdConfig) -> tuple[Gaussi
         t0 = time.perf_counter()
         m = oracle.tilted_mean(policy.mean)
         grad = -policy.tau * policy.solve(m - policy.mean)
-        norm_p = _grad_norm_p(policy, config, grad)
+        norm_p = _grad_norm_p(policy, grad)
         trace.records.append(
             IterationRecord(
                 k=k,
@@ -247,7 +228,7 @@ def run_exact(oracle, policy: GaussianPolicy, config: PgdConfig) -> tuple[Gaussi
                 ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-        policy = policy.with_mean(_apply_update(policy, config, m))
+        policy = policy.with_mean(_apply_update(policy, config.eta, m))
         if config.eps_stat > 0 and norm_p <= config.eps_stat:
             break
     return policy, trace

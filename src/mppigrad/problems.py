@@ -35,7 +35,7 @@ class TrajectoryProblem:
     `evaluate` maps an (N, d*T) array of flat control sequences to their
     costs, shape (N,), and their hard feasibility flags, shape (N,): control
     bounds and any state constraints, checked at the discrete states
-    x_1..x_T.  Every other view (`evaluate_batch`, `objective`, `feasible`,
+    x_1..x_T.  Every other view (`evaluate_batch`, `objective`,
     `batch_objective`, `batch_feasible`) is derived from that one call, so a
     batch is rolled out once.  A certified feasible control sequence must be
     supplied at construction so the weighted-sampling machinery is never
@@ -78,9 +78,6 @@ class TrajectoryProblem:
 
     def objective(self, controls: Array) -> float:
         return float(self.batch_objective(_check_controls(controls, self.n_controls)[None, :])[0])
-
-    def feasible(self, controls: Array) -> bool:
-        return bool(self.batch_feasible(_check_controls(controls, self.n_controls)[None, :])[0])
 
 
 def rollout(problem: TrajectoryProblem, controls: Array) -> Array:

@@ -43,7 +43,6 @@ class QpProblem:
     lin_lo: Optional[Array] = None
     lin_hi: Optional[Array] = None
     constant: float = 0.0
-    free_response: Optional[Array] = None
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -67,8 +66,6 @@ class QpProblem:
             object.__setattr__(self, "lin_mat", a)
             object.__setattr__(self, "lin_lo", lo)
             object.__setattr__(self, "lin_hi", hi)
-        if self.free_response is not None:
-            object.__setattr__(self, "free_response", np.asarray(self.free_response, dtype=float))
 
     @property
     def dim(self) -> int:
@@ -120,7 +117,6 @@ def lift(spec: LqrSpec) -> QpProblem:
         lin_lo=np.tile(spec.x_min, T) - b,
         lin_hi=np.tile(spec.x_max, T) - b,
         constant=float(0.5 * b @ q_bar @ b),
-        free_response=b,
     )
 
 

@@ -9,7 +9,7 @@ with max-subtraction, which is exact for the normalized quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -41,7 +41,8 @@ class GaussianPolicy:
 
     The covariance may be a positive scalar (sigma^2 I), a positive vector
     (diagonal), or a full SPD matrix; solves and square-root products use the
-    cheapest representation available.
+    cheapest representation available.  The representation is private: other
+    modules go through the methods below.
     """
 
     def __init__(self, mean: Array, cov: CovLike, tau: float):
@@ -59,14 +60,14 @@ class GaussianPolicy:
         if cov_arr.ndim == 0:
             if cov_arr <= 0:
                 raise NotSpdError("scalar covariance must be positive")
-            self.kind = "scalar"
+            self._kind = "scalar"
             self._sigma2 = float(cov_arr)
         elif cov_arr.ndim == 1:
             if cov_arr.shape[0] != d:
                 raise DimensionMismatchError(d, cov_arr.shape[0], "diagonal covariance")
             if (cov_arr <= 0).any():
                 raise NotSpdError("diagonal covariance must be strictly positive")
-            self.kind = "diag"
+            self._kind = "diag"
             self._diag = cov_arr.copy()
         elif cov_arr.ndim == 2:
             if cov_arr.shape != (d, d):
@@ -77,7 +78,7 @@ class GaussianPolicy:
                 self._chol = np.linalg.cholesky(cov_arr)
             except np.linalg.LinAlgError as exc:
                 raise NotSpdError(f"covariance is not positive definite: {exc}") from exc
-            self.kind = "full"
+            self._kind = "full"
             self._full = cov_arr.copy()
         else:
             raise ValueError("covariance must be scalar, vector, or matrix")
@@ -89,34 +90,34 @@ class GaussianPolicy:
         return self.mean.shape[0]
 
     def cov_matrix(self) -> Array:
-        if self.kind == "scalar":
+        if self._kind == "scalar":
             return self._sigma2 * np.eye(self.dim)
-        if self.kind == "diag":
+        if self._kind == "diag":
             return np.diag(self._diag)
         return self._full.copy()
 
     def cov_eig_range(self) -> tuple[float, float]:
         """(smallest, largest) eigenvalue of Sigma."""
-        if self.kind == "scalar":
+        if self._kind == "scalar":
             return self._sigma2, self._sigma2
-        if self.kind == "diag":
+        if self._kind == "diag":
             return float(self._diag.min()), float(self._diag.max())
         w = np.linalg.eigvalsh(self._full)
         return float(w[0]), float(w[-1])
 
     def sqrt_mul(self, z: Array) -> Array:
         """Rows of z mapped through a square root of Sigma (z @ L^T)."""
-        if self.kind == "scalar":
+        if self._kind == "scalar":
             return np.sqrt(self._sigma2) * z
-        if self.kind == "diag":
+        if self._kind == "diag":
             return z * np.sqrt(self._diag)
         return z @ self._chol.T
 
     def cov_mul(self, v: Array) -> Array:
         """Sigma v (single vector or rows of an (n, dim) array)."""
-        if self.kind == "scalar":
+        if self._kind == "scalar":
             return self._sigma2 * v
-        if self.kind == "diag":
+        if self._kind == "diag":
             return self._diag * v
         return v @ self._full.T if v.ndim == 2 else self._full @ v
 
@@ -126,37 +127,35 @@ class GaussianPolicy:
         Accepts a single vector or an (n, dim) stack of row vectors (the
         scalar/diagonal representations broadcast; the full one transposes).
         """
-        if self.kind == "scalar":
+        if self._kind == "scalar":
             return v / self._sigma2
-        if self.kind == "diag":
+        if self._kind == "diag":
             return v / self._diag
         if v.ndim == 1:
             return np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, v))
         return np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, v.T)).T
 
-    def score(self, u: Array) -> Array:
-        """Gradient of log-density in the mean: Sigma^{-1}(u - mean)."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != self.mean.shape:
-            raise DimensionMismatchError(self.dim, int(u.size), "score argument")
-        return self.solve(u - self.mean)
+    def logdet(self) -> float:
+        """log det Sigma."""
+        if self._kind == "scalar":
+            return self.dim * np.log(self._sigma2)
+        if self._kind == "diag":
+            return float(np.log(self._diag).sum())
+        return 2.0 * float(np.log(np.diag(self._chol)).sum())
 
-    def log_density(self, u: Array) -> float:
-        diff = np.asarray(u, dtype=float) - self.mean
-        quad = float(diff @ self.solve(diff))
-        if self.kind == "scalar":
-            logdet = self.dim * np.log(self._sigma2)
-        elif self.kind == "diag":
-            logdet = float(np.log(self._diag).sum())
-        else:
-            logdet = 2.0 * float(np.log(np.diag(self._chol)).sum())
-        return -0.5 * (quad + logdet + self.dim * np.log(2.0 * np.pi))
+    def log_density(self, u: Array) -> Union[float, Array]:
+        """log N(u; mean, Sigma) of one point, or of each row of an (n, dim) array."""
+        u = np.asarray(u, dtype=float)
+        diff = np.atleast_2d(u) - self.mean
+        quad = np.einsum("ij,ij->i", diff, self.solve(diff))
+        log_pi = -0.5 * (quad + self.logdet() + self.dim * np.log(2.0 * np.pi))
+        return float(log_pi[0]) if u.ndim == 1 else log_pi
 
     # -- derived policies ----------------------------------------------------
 
     def _cov_param(self) -> CovLike:
         return {"scalar": lambda: self._sigma2, "diag": lambda: self._diag, "full": lambda: self._full}[
-            self.kind
+            self._kind
         ]()
 
     def with_mean(self, mean: Array) -> "GaussianPolicy":
@@ -179,7 +178,6 @@ class SampleBatch:
     antithetic: bool = False
     costs: Optional[Array] = None
     feasible_flags: Optional[Array] = None
-    log_weights: Optional[Array] = None
 
     @property
     def n(self) -> int:
@@ -237,10 +235,8 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     """Self-normalized weights w_j ∝ exp(-cost_j/tau) over feasible samples.
 
     A sample whose cost is not finite counts as infeasible: one NaN or -inf
-    cost would otherwise make every weight NaN.  Also stores the raw
-    log-weights (-cost/tau, -inf when infeasible) on the batch.  Raises
-    AllInfeasibleError when no sample is feasible, leaving the retry decision
-    to the caller.
+    cost would otherwise make every weight NaN.  Raises AllInfeasibleError
+    when no sample is feasible, leaving the retry decision to the caller.
     """
     if batch.costs is None or batch.feasible_flags is None:
         raise ValueError("batch must be evaluated before weighing")
@@ -250,7 +246,6 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     if not flags.any():
         raise AllInfeasibleError(n, batch.iteration)
     log_w = np.where(flags, -costs / tau, _NEG_INF)
-    batch.log_weights = log_w
     shift = log_w[flags].max()
     raw = np.exp(log_w - shift)  # exp(-inf - shift) is exactly 0
     total = raw.sum()

@@ -184,8 +184,11 @@ def test_quadrature_oracle_gradient_matches_closed_form():
     sigma2, tau, q, c = 0.5, 2.0, 1.0, 0.3
     policy = GaussianPolicy(np.array([1.2]), sigma2, tau)
     oracle = analysis.QuadratureOracle(quadratic_batch(q, c), [-20.0], [20.0], policy, WIDE)
+    # the gradient is -tau Sigma^{-1} (tilted mean - mean), so the tilted means carry it
     np.testing.assert_allclose(
-        oracle.grad(policy.mean), analysis.grad_f_quadratic(policy, q, c), atol=1e-8
+        oracle.tilted_mean(policy.mean),
+        analysis.tilted_moments_quadratic(policy, q, c).mean,
+        atol=1e-8,
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +368,32 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, section, message",
+    [
+        ("dubins", "problem: {dt: -0.1}", "dt and w_max must be positive"),
+        ("lqr", "problem: {horizon: 0}", "horizon must be >= 1"),
+        ("lqr", "problem: {a: [[1.0]]}", "A must be (2,2)"),
+        ("dubins", "optimizer: {n_samples: 3}", "even n_samples"),
+        ("dubins", "sampling: {sigma2: -1.0}", "sampling.sigma2 must be positive"),
+        ("dubins", "sampling: {tau: abc}", "sampling.tau must be positive"),
+        ("lqr", "grid: {tau: [1.0, 0.0]}", "sampling.tau must be positive"),
+    ],
+    ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
+         "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid"],
+)
+def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
+    tmp_path, capsys, experiment, section, message
+):
+    path = write_cfg(tmp_path, f"version: 1\nexperiment: {experiment}\n{section}\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--experiment", experiment, "--config", str(path),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
 def test_cli_bad_grid_override(tmp_path):
     path = write_cfg(tmp_path, TINY_LQR)
     code = cli.main(
@@ -431,3 +458,21 @@ def test_cli_seed_and_grid_overrides_reach_the_run(tmp_path):
     assert (out / "dubins_k-2_seed5.csv").exists()
     snap = yaml.safe_load((out / "config_snapshot.yaml").read_text())
     assert snap["seeds"] == [5]
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+# ---------------------------------------------------------------------------
+
+
+def test_perfbench_tracer_finds_every_wrap_target(monkeypatch):
+    """Each layer the benchmark reports on still exists under the name it patches."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.close()

@@ -46,23 +46,13 @@ def test_config_rejects_bad_values():
         PgdConfig(k=0)
     with pytest.raises(ValueError):
         PgdConfig(n_samples=1)
-    with pytest.raises(ValueError, match="preconditioner"):
-        PgdConfig(preconditioner="identity")
-    with pytest.raises(ValueError, match="symmetric"):
-        PgdConfig(preconditioner=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(np.linalg.LinAlgError):
-        PgdConfig(preconditioner=np.array([[1.0, 0.0], [0.0, -1.0]]))
+    with pytest.raises(ValueError, match="even"):
+        PgdConfig(n_samples=7, antithetic=True)
+    assert PgdConfig(n_samples=7, antithetic=False).n_samples == 7
     with pytest.raises(ValueError):
         PgdConfig(inflation=1.0)
     with pytest.raises(ValueError):
         PgdConfig(max_retries=-1)
-
-
-def test_config_preconditioner_flavors():
-    assert PgdConfig().natural_preconditioner
-    explicit = PgdConfig(preconditioner=np.eye(3))
-    assert not explicit.natural_preconditioner
-    assert isinstance(explicit.preconditioner, np.ndarray)
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +154,18 @@ def test_vanishing_step_leaves_mean_in_place():
 
 
 def test_explicit_natural_preconditioner_matches_relaxed_form():
+    """The relaxed update is mu - eta P g with P = Sigma/tau written out as a matrix."""
     prob = lqr_problem(double_integrator())
     sigma2, tau, eta = 1e-4, 1.0, 0.7
     policy = GaussianPolicy(np.zeros(10), sigma2, tau)
-    relaxed = PgdConfig(eta=eta, n_samples=256)
-    explicit = PgdConfig(eta=eta, n_samples=256, preconditioner=sigma2 / tau * np.eye(10))
-    a, rec_a = pgd_step(prob, policy, relaxed, seed=6)
-    b, rec_b = pgd_step(prob, policy, explicit, seed=6)
-    np.testing.assert_allclose(a.mean, b.mean, atol=1e-12)
-    assert rec_a.grad_norm_p == pytest.approx(rec_b.grad_norm_p, rel=1e-10)
+    cfg = PgdConfig(eta=eta, n_samples=256)
+    new_policy, record = pgd_step(prob, policy, cfg, seed=6)
+    batch = draw(policy, 256, seed=6, iteration=0, antithetic=True)
+    batch.costs, batch.feasible_flags = prob.evaluate_batch(batch.samples)
+    g = grad_estimate(policy, batch, weigh(batch, tau))
+    p_mat = sigma2 / tau * np.eye(10)
+    np.testing.assert_allclose(new_policy.mean, policy.mean - eta * p_mat @ g, atol=1e-12)
+    assert record.grad_norm_p == pytest.approx(np.sqrt(g @ p_mat @ g), rel=1e-10)
 
 
 def test_record_carries_pre_update_iterate():
@@ -193,7 +186,7 @@ def test_retry_inflates_sampling_but_returns_original_covariance():
     cfg = PgdConfig(eta=1.0, n_samples=64, antithetic=True, max_retries=5, inflation=2.0)
     new_policy, record = pgd_step(prob, policy, cfg, seed=1)
     assert record.retries == 2
-    assert new_policy._sigma2 == 0.01  # inflation was sampling-only
+    assert new_policy.cov_eig_range() == (0.01, 0.01)  # inflation was sampling-only
     assert abs(new_policy.mean[0]) <= 0.2  # landed on a feasible mean
 
 

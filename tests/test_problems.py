@@ -125,12 +125,11 @@ def test_lqr_objective_matches_qp_lift_on_random_u():
 def test_lqr_feasibility_box_and_state_bounds():
     spec = double_integrator()
     prob = lqr_problem(spec)
-    assert prob.feasible(np.zeros(10))
     bad = np.zeros(10)
     bad[0] = 1.5  # violates |u| <= 1
-    assert not prob.feasible(bad)
     # constant max thrust drives velocity past the x_max bound of 1
-    assert not prob.feasible(np.ones(10))
+    flags = prob.batch_feasible(np.vstack([np.zeros(10), bad, np.ones(10)]))
+    np.testing.assert_array_equal(flags, [True, False, False])
 
 
 def test_lqr_batch_paths_agree_with_scalar_paths():
@@ -142,7 +141,7 @@ def test_lqr_batch_paths_agree_with_scalar_paths():
     batch_flags = prob.batch_feasible(U)
     for row, cost, flag in zip(U, batch_costs, batch_flags):
         assert prob.objective(row) == pytest.approx(cost, rel=1e-12)
-        assert prob.feasible(row) == flag
+        assert prob.batch_feasible(row[None, :])[0] == flag
 
 
 def test_lqr_one_pass_evaluator_matches_stepwise_rollout():

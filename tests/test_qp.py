@@ -8,7 +8,14 @@ from scipy.optimize import Bounds, LinearConstraint, minimize
 
 from mppigrad import qp
 from mppigrad.errors import ConvergenceError, InfeasibleProblemError, NotSpdError
-from mppigrad.problems import LqrSpec, double_integrator, lqr_problem, lqr_stage_cost, rollout
+from mppigrad.problems import (
+    LqrSpec,
+    double_integrator,
+    lqr_problem,
+    lqr_response,
+    lqr_stage_cost,
+    rollout,
+)
 
 
 def _spec_t1():
@@ -36,7 +43,9 @@ def test_lift_horizon_one_hand_formulas():
     lifted = qp.lift(spec)
     a, b, q, r = spec.a, spec.b, spec.q, spec.r
     np.testing.assert_allclose(lifted.lin_mat, b, atol=1e-15)
-    np.testing.assert_allclose(lifted.free_response, a @ spec.x0, atol=1e-15)
+    # the state band is shifted by the free response A x0
+    np.testing.assert_allclose(lifted.lin_lo, spec.x_min - a @ spec.x0, atol=1e-15)
+    np.testing.assert_allclose(lifted.lin_hi, spec.x_max - a @ spec.x0, atol=1e-15)
     np.testing.assert_allclose(lifted.q, b.T @ q @ b + r, atol=1e-14)
     np.testing.assert_allclose(lifted.c, b.T @ q @ (a @ spec.x0), atol=1e-14)
 
@@ -84,7 +93,7 @@ def test_lift_states_match_affine_map():
     lifted = qp.lift(spec)
     rng = np.random.default_rng(8)
     u = rng.uniform(-1, 1, 10)
-    stacked = lifted.lin_mat @ u + lifted.free_response
+    stacked = lifted.lin_mat @ u + lqr_response(spec)[1]
     rolled = rollout(lqr_problem(spec), u)[1:].ravel()
     np.testing.assert_allclose(stacked, rolled, atol=1e-12)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mppigrad import sampling
 from mppigrad.errors import AllInfeasibleError, DimensionMismatchError, NotSpdError
@@ -49,7 +51,7 @@ def test_policy_representations_agree():
     pf = GaussianPolicy(mean, np.diag(diag), tau=2.0)
     u = np.array([1.0, 0.0, -2.0])
     np.testing.assert_allclose(pd.log_density(u), pf.log_density(u), rtol=1e-13)
-    np.testing.assert_allclose(pd.score(u), pf.score(u), rtol=1e-13)
+    np.testing.assert_allclose(pd.solve(u - mean), pf.solve(u - mean), rtol=1e-13)
     np.testing.assert_allclose(pd.cov_mul(u), pf.cov_mul(u), rtol=1e-13)
 
 
@@ -69,10 +71,12 @@ def test_policy_rejects_bad_covariance_and_temperature():
 
 
 def test_score_trivial_cases_and_fd():
+    """The u-gradient of log N(u; mu, S) is -S^{-1}(u - mu), minus the score in mu."""
     policy = GaussianPolicy(np.array([0.5, -0.3]), np.eye(2), tau=1.0)
-    np.testing.assert_array_equal(policy.score(policy.mean), np.zeros(2))
+    mode = policy.log_density(policy.mean)
+    assert mode == pytest.approx(-np.log(2.0 * np.pi), rel=1e-15)
     e1 = np.array([1.0, 0.0])
-    np.testing.assert_allclose(policy.score(policy.mean + e1), e1, atol=1e-15)
+    assert policy.log_density(policy.mean + e1) == pytest.approx(mode - 0.5, rel=1e-15)
 
     full = GaussianPolicy(
         np.array([0.1, 0.4]), np.array([[0.8, 0.25], [0.25, 0.5]]), tau=1.0
@@ -85,8 +89,35 @@ def test_score_trivial_cases_and_fd():
         up[i] += h
         dn[i] -= h
         fd[i] = (full.log_density(up) - full.log_density(dn)) / (2 * h)
-    # d/du log N(u; mu, S) = -S^{-1}(u - mu) = -score(u)
-    np.testing.assert_allclose(-full.score(u), fd, atol=1e-6)
+    np.testing.assert_allclose(-full.solve(u - full.mean), fd, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "cov",
+    [
+        0.7,
+        np.array([0.5, 2.0, 1.3]),
+        np.array([[0.8, 0.25, 0.1], [0.25, 0.5, 0.0], [0.1, 0.0, 1.1]]),
+    ],
+    ids=["scalar", "diag", "full"],
+)
+def test_log_density_batches_rows(cov):
+    policy = GaussianPolicy(np.array([0.3, -1.2, 0.7]), cov, tau=1.0)
+    pts = np.random.default_rng(11).standard_normal((9, 3))
+    batched = policy.log_density(pts)
+    assert batched.shape == (9,)
+    rowwise = np.array([policy.log_density(p) for p in pts])
+    assert all(isinstance(policy.log_density(p), float) for p in pts)
+    np.testing.assert_allclose(batched, rowwise, rtol=1e-14)
+    # and against the dense formula with an explicit inverse and determinant
+    sigma = policy.cov_matrix()
+    diff = pts - policy.mean
+    dense = -0.5 * (
+        np.einsum("ij,jk,ik->i", diff, np.linalg.inv(sigma), diff)
+        + np.linalg.slogdet(sigma)[1]
+        + 3 * np.log(2.0 * np.pi)
+    )
+    np.testing.assert_allclose(batched, dense, rtol=1e-12)
 
 
 def test_inflate_scales_covariance_only():
@@ -182,7 +213,6 @@ def test_non_finite_cost_counts_as_infeasible(bad):
     batch, s = _weighed(np.array([1.0, bad, 2.0, 3.0]))
     assert np.isfinite(s.normalized_weights).all()
     assert s.normalized_weights[1] == 0.0
-    assert batch.log_weights[1] == -np.inf
     assert s.acceptance_rate == 0.75
     _, clean = _weighed(np.array([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(s.normalized_weights[[0, 2, 3]], clean.normalized_weights)
@@ -260,13 +290,6 @@ def test_weighted_mean_stays_in_sample_hull():
     assert np.all(wm >= feas.min(axis=0) - 1e-12)
 
 
-def test_log_weights_stored_with_infeasible_sentinel():
-    batch, _ = _weighed(np.array([1.0, 2.0, 3.0]), flags=[True, False, True], tau=2.0)
-    np.testing.assert_array_equal(
-        batch.log_weights, [-0.5, -np.inf, -1.5]
-    )
-
-
 def test_conjugate_weighted_mean_within_mc_interval():
     """1-D quadratic tilt: weighted mean ~ tau*mu/(tau+sigma2) at N = 1e4."""
     sigma2, tau, mu = 0.5, 1.5, 2.0
@@ -288,3 +311,93 @@ def test_evaluate_fills_costs_and_flags():
     assert batch.costs.shape == (16,)
     assert batch.feasible_flags.dtype == bool
     np.testing.assert_allclose(batch.costs, prob.batch_objective(batch.samples))
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scored_batch(draw, max_n=40):
+    """Samples in up to 4 dims with bounded costs and at least one feasible row."""
+    n = draw(st.integers(2, max_n))
+    dim = draw(st.integers(1, 4))
+    costs = draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flags[draw(st.integers(0, n - 1))] = True
+    samples = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, dim))
+    tau = draw(st.floats(0.1, 10.0))
+    return samples, np.array(costs), np.array(flags), tau
+
+
+def _weigh_scored(samples, costs, flags, tau):
+    batch = SampleBatch(samples=samples, seed=0, iteration=0)
+    batch.costs = costs
+    batch.feasible_flags = flags
+    return batch, weigh(batch, tau)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_batch(), st.floats(-1e3, 1e3))
+def test_weights_are_invariant_to_a_cost_shift(case, shift):
+    samples, costs, flags, tau = case
+    _, s = _weigh_scored(samples, costs, flags, tau)
+    _, shifted = _weigh_scored(samples, costs + shift, flags, tau)
+    # -(c + a)/tau carries rounding of order eps (|c| + |a|) / tau <= 3e-11
+    np.testing.assert_allclose(shifted.normalized_weights, s.normalized_weights, atol=1e-10)
+    assert shifted.effective_sample_size == pytest.approx(s.effective_sample_size, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_batch())
+def test_weights_are_normalized_over_the_feasible_samples(case):
+    samples, costs, flags, tau = case
+    _, s = _weigh_scored(samples, costs, flags, tau)
+    w = s.normalized_weights
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert w.min() >= 0.0
+    assert np.all(w[~flags] == 0.0)
+    assert 1.0 - 1e-12 <= s.effective_sample_size <= flags.sum() * (1.0 + 1e-12)
+    assert s.acceptance_rate == flags.mean()
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_batch(), st.integers(0, 2**32 - 1))
+def test_weighted_mean_lies_in_the_hull_of_the_feasible_samples(case, seed):
+    """No supporting half-space of the feasible samples excludes the weighted mean."""
+    samples, costs, flags, tau = case
+    batch, s = _weigh_scored(samples, costs, flags, tau)
+    wm = weighted_mean(batch, s)
+    dim = samples.shape[1]
+    directions = np.vstack(
+        [np.eye(dim), -np.eye(dim), np.random.default_rng(seed).normal(size=(16, dim))]
+    )
+    support = (samples[flags] @ directions.T).max(axis=0)
+    scale = 1.0 + np.abs(samples).max() * np.abs(directions).sum(axis=1)
+    assert np.all(directions @ wm <= support + 1e-12 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 32),
+    st.integers(1, 5),
+    st.sampled_from(["scalar", "diag", "full"]),
+)
+def test_antithetic_rows_reflect_through_the_mean(seed, half, dim, kind):
+    rng = np.random.default_rng(seed)
+    mean = rng.uniform(-10.0, 10.0, dim)
+    if kind == "scalar":
+        cov = rng.uniform(0.01, 4.0)
+    elif kind == "diag":
+        cov = rng.uniform(0.01, 4.0, dim)
+    else:
+        root = rng.normal(size=(dim, dim))
+        cov = root @ root.T + 0.1 * np.eye(dim)
+    policy = GaussianPolicy(mean, cov, tau=1.0)
+    samples = draw(policy, 2 * half, seed=seed % 1000, iteration=3, antithetic=True).samples
+    offsets = samples - mean
+    # each row is mean + x rounded, so the offsets mirror up to eps * |row|
+    tol = 4e-16 * (np.abs(mean).max() + np.abs(offsets).max())
+    np.testing.assert_allclose(offsets[:half], -offsets[half:], rtol=0, atol=tol)
