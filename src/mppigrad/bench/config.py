@@ -156,7 +156,7 @@ def _check_builds(experiment: str, resolved: Dict[str, Any]) -> None:
 
     try:
         if experiment == "lqr":
-            lqr._build_spec(resolved["problem"])
+            spec = lqr._build_spec(resolved["problem"])
             lqr._pgd_config(resolved["optimizer"], eta=1.0)  # eta cells are checked above
         else:
             dubins.build_spec(resolved["problem"])
@@ -164,6 +164,26 @@ def _check_builds(experiment: str, resolved: Dict[str, Any]) -> None:
                 dubins._pgd_config(resolved["optimizer"], k)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {experiment} config: {exc}") from exc
+    if experiment == "lqr":
+        _check_fd(resolved["fd"], spec.horizon * spec.control_dim)
+
+
+def _check_fd(fd: Dict[str, Any], n_controls: int) -> None:
+    """Finite positive step sizes, and a budget for at least one FD iteration."""
+    for key in ("h", "alpha"):
+        try:
+            value = float(fd[key])
+        except (TypeError, ValueError):
+            value = float("nan")
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"fd.{key} must be finite and positive, got {fd[key]!r}")
+    budget = fd["budget_evals"]
+    # one projected FD iteration costs n_controls + 1 evaluations
+    if not isinstance(budget, int) or budget < n_controls + 1:
+        raise ConfigError(
+            f"fd.budget_evals must be an integer >= {n_controls + 1} "
+            f"(one FD iteration), got {budget!r}"
+        )
 
 
 def load_config(

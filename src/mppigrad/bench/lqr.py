@@ -46,15 +46,19 @@ def _pgd_config(opt_cfg: Dict[str, Any], eta: float) -> PgdConfig:
     )
 
 
-def _solve_oracle(lifted: qp.QpProblem) -> tuple[float, qp.QpSolution]:
+def _solve_oracle(lifted: qp.QpProblem) -> Dict[str, float]:
+    """The optimal trajectory cost and the weak-duality gap that certifies it."""
     solution = qp.solve_verified(lifted)
-    return solution.f_star + lifted.constant, solution
+    return {
+        "f_star": solution.f_star + lifted.constant,
+        "oracle_duality_gap": solution.duality_gap,
+    }
 
 
 def _one_cell(
     spec: LqrSpec,
     lifted: qp.QpProblem,
-    f_star_total: float,
+    oracle: Dict[str, float],
     cfg: RunConfig,
     cell: Dict[str, Any],
     seed: int,
@@ -82,7 +86,7 @@ def _one_cell(
 
     means = np.array([r.mean for r in trace.records] + [final_policy.mean])
     costs, feasible = problem.evaluate_batch(means)
-    gaps = costs - f_star_total
+    gaps = costs - oracle["f_star"]
     n = pgd.n_samples
     for r, gap in zip(trace.records, gaps[:-1]):
         record.rows.append(
@@ -100,7 +104,7 @@ def _one_cell(
             {"iteration": r.k, "evaluations": (r.k + 1) * n, "gap": float(gap)}
         )
     record.summary = {
-        "f_star": f_star_total,
+        **oracle,
         "eta_resolved": eta,
         "rule": rule,
         "l_sigma": smooth.l_sigma,
@@ -120,7 +124,7 @@ def _one_cell(
 
 
 def _fd_record(
-    spec: LqrSpec, lifted: qp.QpProblem, f_star_total: float, cfg: RunConfig
+    spec: LqrSpec, lifted: qp.QpProblem, oracle: Dict[str, float], cfg: RunConfig
 ) -> RunRecord:
     t_start = time.perf_counter()
     fd_cfg = cfg.section("fd")
@@ -144,7 +148,7 @@ def _fd_record(
         record.flagged = True
         record.flag_reason = f"projection failure: {err}"
         return record
-    gaps = trace.costs - f_star_total
+    gaps = trace.costs - oracle["f_star"]
     per = trace.evals_per_iteration
     nan = float("nan")
     for k, gap in enumerate(gaps):
@@ -161,7 +165,7 @@ def _fd_record(
         )
         record.plot_rows.append({"iteration": k, "evaluations": k * per, "gap": float(gap)})
     record.summary = {
-        "f_star": f_star_total,
+        **oracle,
         "h": float(fd_cfg["h"]),
         "alpha": float(fd_cfg["alpha"]),
         # projected gradient descent on the quadratic diverges above 2
@@ -178,14 +182,14 @@ def _fd_record(
 def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     """All grid cells (concurrently) plus the optional FD baseline record.
 
-    The QP oracle is solved once by two independent methods before any cell
-    runs; an oracle failure flags every record (the CLI maps that to its
-    oracle-failure exit code).
+    The QP oracle is solved once and certified by weak duality before any
+    cell runs; an oracle failure returns one flagged record in place of all
+    others (the CLI maps that to its oracle-failure exit code).
     """
     spec = _build_spec(cfg.section("problem"))
     lifted = qp.lift(spec)
     try:
-        f_star_total, _ = _solve_oracle(lifted)
+        oracle = _solve_oracle(lifted)
     except (ConvergenceError, InfeasibleProblemError, NotSpdError) as err:
         bad = RunRecord(
             experiment="lqr",
@@ -208,9 +212,9 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     with ThreadPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
         records = list(
             pool.map(
-                lambda job: _one_cell(spec, lifted, f_star_total, cfg, job[0], job[1]), jobs
+                lambda job: _one_cell(spec, lifted, oracle, cfg, job[0], job[1]), jobs
             )
         )
     if cfg.section("fd").get("enabled", False):
-        records.append(_fd_record(spec, lifted, f_star_total, cfg))
+        records.append(_fd_record(spec, lifted, oracle, cfg))
     return records

@@ -1,5 +1,6 @@
 """Benchmark harness: config handling, record emission, runners, CLI."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from mppigrad import qp
 from mppigrad.bench import cli
 from mppigrad.bench.config import RunConfig, load_config, parse_grid_override
 from mppigrad.bench.dubins import run_dubins
@@ -270,6 +272,30 @@ def test_lqr_oracle_failure_is_flagged(tmp_path):
     assert "oracle" in records[0].flag_reason
 
 
+def test_lqr_uncertified_oracle_is_flagged(tmp_path, monkeypatch):
+    honest = qp.solve_reference
+
+    def doubled_multipliers(prob):
+        sol = honest(prob)
+        return dataclasses.replace(sol, lam=2.0 * sol.lam)
+
+    monkeypatch.setattr(qp, "solve_reference", doubled_multipliers)
+    records = run_lqr(load_config(write_cfg(tmp_path, TINY_LQR)))
+    assert len(records) == 1
+    assert records[0].flagged
+    assert records[0].cell == {"method": "oracle"}
+    assert "qp oracle failure" in records[0].flag_reason
+    assert "not certified" in records[0].flag_reason
+
+
+def test_lqr_summaries_carry_the_oracle_duality_gap(tiny_lqr_records):
+    cfg, records = tiny_lqr_records
+    # the fixture solves the desk problem's QP
+    assert cfg.section("problem") == load_config("configs/lqr.yaml").section("problem")
+    for rec in records:
+        assert abs(rec.summary["oracle_duality_gap"]) <= 1e-9
+
+
 def test_lqr_singular_q_oracle_failure_is_flagged(tmp_path):
     records = run_lqr(load_config(write_cfg(tmp_path, SINGULAR_Q_LQR)))
     assert len(records) == 1
@@ -378,9 +404,13 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
         ("dubins", "sampling: {sigma2: -1.0}", "sampling.sigma2 must be positive"),
         ("dubins", "sampling: {tau: abc}", "sampling.tau must be positive"),
         ("lqr", "grid: {tau: [1.0, 0.0]}", "sampling.tau must be positive"),
+        ("lqr", "fd: {enabled: true, h: 0.0}", "fd.h must be finite and positive"),
+        ("lqr", "fd: {alpha: abc}", "fd.alpha must be finite and positive"),
+        ("lqr", "fd: {budget_evals: 5}", "fd.budget_evals must be an integer >= 11"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
-         "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid"],
+         "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
+         "lqr_fd_zero_h", "lqr_fd_non_numeric_alpha", "lqr_fd_budget_below_one_iteration"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message

@@ -1,5 +1,7 @@
 """QP lift, verified reference solve, and feasible-set projection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,8 +139,14 @@ def test_solve_diagonal_matches_clipped_analytic_solution():
 def test_reference_solution_on_benchmark_is_feasible_and_verified():
     lifted = qp.lift(double_integrator())
     sol = qp.solve_verified(lifted)
+    ref = qp.solve_reference(lifted)
     assert lifted.violation(sol.u_star) <= 1e-8
     assert sol.kkt_residual <= 1e-8
+    # the certificate returns the reference solution unchanged
+    np.testing.assert_array_equal(sol.u_star, ref.u_star)
+    assert sol.f_star == ref.f_star
+    assert np.isnan(ref.duality_gap) and abs(sol.duality_gap) <= 1e-9
+    assert sol.lam.shape == (qp._stack(lifted)[1].size,) and sol.lam.min() >= 0.0
     # state constraints are genuinely active here: the unconstrained minimum
     # would violate the velocity band
     unconstrained = np.linalg.solve(lifted.q, -lifted.c)
@@ -158,6 +166,78 @@ def test_solver_agrees_with_external_route_on_benchmark():
         options={"ftol": 1e-14, "maxiter": 2000},
     )
     assert abs(ref.f_star - res.fun) <= 1e-6 * (1.0 + abs(ref.f_star))
+
+
+def _trust_constr_value(prob):
+    """f* by scipy's interior trust-region method, which does not use `_stack`.
+
+    The default barrier schedule stops up to 3e-5 (relative) above f* on the
+    random problems below; a small starting barrier and `barrier_tol` keep it
+    within 3e-7 on them.
+    """
+    constraints = []
+    if prob.lin_mat is not None:
+        constraints.append(LinearConstraint(prob.lin_mat, prob.lin_lo, prob.lin_hi))
+    res = minimize(
+        prob.value,
+        np.clip(np.zeros(prob.dim), prob.lb, prob.ub),
+        jac=lambda v: prob.q @ v + prob.c,
+        hess=lambda v: prob.q,
+        bounds=Bounds(prob.lb, prob.ub),
+        constraints=constraints,
+        method="trust-constr",
+        options={"gtol": 1e-12, "xtol": 1e-14, "maxiter": 5000,
+                 "initial_barrier_parameter": 1e-4, "barrier_tol": 1e-12},
+    )
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("horizon", [10, 30])
+def test_reference_agrees_with_trust_constr_on_benchmark(horizon):
+    lifted = qp.lift(double_integrator(horizon=horizon))
+    f_ref = qp.solve_reference(lifted).f_star
+    assert abs(f_ref - _trust_constr_value(lifted)) <= 1e-6 * (1.0 + abs(f_ref))
+
+
+def test_reference_agrees_with_trust_constr_on_random_definite_qps():
+    """Boxes and bands with some infinite bounds, checked by a route without `_stack`."""
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        root = rng.normal(size=(n, n))
+        a = rng.normal(size=(m, n))
+        lb, ub = -rng.uniform(0.2, 2.0, n), rng.uniform(0.2, 2.0, n)
+        center = a @ rng.uniform(lb, ub)
+        lin_lo, lin_hi = center - rng.uniform(0.0, 1.0, m), center + rng.uniform(0.1, 1.0, m)
+        lb[rng.random(n) < 0.3] = -np.inf
+        ub[rng.random(n) < 0.3] = np.inf
+        lin_lo[rng.random(m) < 0.3] = -np.inf
+        lin_hi[rng.random(m) < 0.3] = np.inf
+        prob = qp.QpProblem(
+            q=root @ root.T + 0.1 * np.eye(n), c=rng.normal(scale=3.0, size=n),
+            lb=lb, ub=ub, lin_mat=a, lin_lo=lin_lo, lin_hi=lin_hi,
+        )
+        sol = qp.solve_verified(prob)
+        assert abs(sol.f_star - _trust_constr_value(prob)) <= 1e-6 * (1.0 + abs(sol.f_star))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda sol: dataclasses.replace(sol, u_star=sol.u_star + 1e-3),
+        lambda sol: dataclasses.replace(sol, lam=2.0 * sol.lam),
+        lambda sol: dataclasses.replace(sol, lam=np.full_like(sol.lam, np.nan)),
+    ],
+    ids=["shifted_u", "doubled_lam", "nan_lam"],
+)
+def test_certificate_rejects_a_wrong_solution(monkeypatch, corrupt):
+    lifted = qp.lift(double_integrator())
+    honest = qp.solve_reference
+    monkeypatch.setattr(qp, "solve_reference", lambda prob: corrupt(honest(prob)))
+    with pytest.raises(ConvergenceError, match="not certified") as err:
+        qp.solve_verified(lifted)
+    assert err.value.best.shape == (10,)
+    assert not err.value.residual <= 1e-6
 
 
 def test_infeasible_linear_constraints_detected():
