@@ -16,13 +16,15 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    AllInfeasibleError,
     DimensionMismatchError,
     NotSpdError,
     QuadratureError,
     UnsupportedProblemError,
 )
+from .optimizer import grad_estimate
 from .problems import TrajectoryProblem
-from .sampling import GaussianPolicy, batch_rng
+from .sampling import GaussianPolicy, SampleBatch, batch_rng, weigh
 
 Array = np.ndarray
 
@@ -479,7 +481,9 @@ def bias_probe(
     Within a trial the same base normals serve every N (prefix subsets), so
     the comparison across sample sizes uses common random numbers.  Plain
     i.i.d. draws (no antithetic coupling) keep the per-trial estimators
-    exchangeable.  Trials whose prefix has no feasible sample are dropped.
+    exchangeable.  Each prefix is weighed and turned into a gradient as the
+    optimizer does it (`weigh`, `grad_estimate`); trials whose prefix has no
+    feasible sample are dropped.
     """
     n_list = sorted(int(n) for n in n_list)
     n_max = n_list[-1]
@@ -490,15 +494,13 @@ def bias_probe(
         z = rng.standard_normal((n_max, policy.dim))
         samples = policy.mean + policy.sqrt_mul(z)
         costs, flags = problem.evaluate_batch(samples)
-        log_w_full = np.where(flags, -costs / policy.tau, -np.inf)
         for n in n_list:
-            log_w = log_w_full[:n]
-            if not np.isfinite(log_w).any():
+            prefix = SampleBatch(samples[:n], seed, trial, costs=costs[:n], feasible_flags=flags[:n])
+            try:
+                summary = weigh(prefix, policy.tau)
+            except AllInfeasibleError:
                 continue
-            w = np.exp(log_w - log_w.max())
-            w /= w.sum()
-            ghat = -policy.tau * policy.solve(w @ samples[:n] - policy.mean)
-            estimates[n].append(ghat)
+            estimates[n].append(grad_estimate(policy, prefix, summary))
     rows = []
     for n in n_list:
         g = np.array(estimates[n])

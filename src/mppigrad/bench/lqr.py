@@ -10,6 +10,7 @@ baseline is run at an equal objective-evaluation budget.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List
@@ -19,7 +20,7 @@ import numpy as np
 from .. import analysis, qp
 from ..errors import AllInfeasibleError, ConvergenceError, InfeasibleProblemError, NotSpdError
 from ..optimizer import PgdConfig, run, step_size_rule
-from ..problems import LqrSpec, double_integrator, lqr_problem
+from ..problems import LqrSpec, TrajectoryProblem, double_integrator, lqr_problem
 from ..sampling import GaussianPolicy
 from .config import RunConfig
 from .records import RunRecord
@@ -30,8 +31,6 @@ def _build_spec(problem_cfg: Dict[str, Any]) -> LqrSpec:
     overrides = {k: v for k, v in problem_cfg.items() if k != "horizon"}
     if not overrides:
         return base
-    import dataclasses
-
     return dataclasses.replace(base, **{k: np.asarray(v, dtype=float) for k, v in overrides.items()})
 
 
@@ -56,7 +55,7 @@ def _solve_oracle(lifted: qp.QpProblem) -> Dict[str, float]:
 
 
 def _one_cell(
-    spec: LqrSpec,
+    problem: TrajectoryProblem,
     lifted: qp.QpProblem,
     oracle: Dict[str, float],
     cfg: RunConfig,
@@ -64,7 +63,6 @@ def _one_cell(
     seed: int,
 ) -> RunRecord:
     t_start = time.perf_counter()
-    problem = lqr_problem(spec)
     sigma2, tau = float(cell["sigma2"]), float(cell["tau"])
     smooth = analysis.l_sigma_quadratic(sigma2, lifted.q, tau)
     if cell["eta"] == "rule":
@@ -124,11 +122,10 @@ def _one_cell(
 
 
 def _fd_record(
-    spec: LqrSpec, lifted: qp.QpProblem, oracle: Dict[str, float], cfg: RunConfig
+    problem: TrajectoryProblem, lifted: qp.QpProblem, oracle: Dict[str, float], cfg: RunConfig
 ) -> RunRecord:
     t_start = time.perf_counter()
     fd_cfg = cfg.section("fd")
-    problem = lqr_problem(spec)
     budget = int(fd_cfg["budget_evals"])
     iters = budget // (problem.n_controls + 1)
     projector = qp.FeasibleSetProjector(lifted)
@@ -201,6 +198,7 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
         )
         return [bad]
 
+    problem = lqr_problem(spec)  # frozen, and `evaluate` is pure: the threads share it
     sampling_cfg = cfg.section("sampling")
     cells = [
         {"sigma2": float(s2), "tau": float(tau), "eta": eta}
@@ -212,9 +210,9 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     with ThreadPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
         records = list(
             pool.map(
-                lambda job: _one_cell(spec, lifted, oracle, cfg, job[0], job[1]), jobs
+                lambda job: _one_cell(problem, lifted, oracle, cfg, job[0], job[1]), jobs
             )
         )
     if cfg.section("fd").get("enabled", False):
-        records.append(_fd_record(spec, lifted, oracle, cfg))
+        records.append(_fd_record(problem, lifted, oracle, cfg))
     return records

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import AllInfeasibleError, InfeasibleProblemError
+from .errors import AllInfeasibleError, InfeasibleProblemError, UnsupportedProblemError
 from .problems import TrajectoryProblem
 from .sampling import (
     GaussianPolicy,
@@ -204,8 +204,6 @@ def run_exact(oracle, policy: GaussianPolicy, config: PgdConfig) -> tuple[Gaussi
     """
     for attr in ("tilted_mean", "free_energy"):
         if not hasattr(oracle, attr):
-            from .errors import UnsupportedProblemError
-
             raise UnsupportedProblemError(
                 f"oracle of type {type(oracle).__name__} lacks {attr}(); "
                 "exact mode needs a closed-form or quadrature oracle"
@@ -304,7 +302,7 @@ def receding_horizon(
     for s in range(sim_steps):
         t0 = time.perf_counter()
         try:
-            problem = family(state, warm) if state is not None else family(None, warm)
+            problem = family(state, warm)
         except InfeasibleProblemError as err:
             trace.unsafe = True
             trace.abort_reason = f"step {s}: {err}"

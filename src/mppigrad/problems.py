@@ -23,7 +23,7 @@ def _check_controls(u: Array, expected: int, what: str = "control sequence") -> 
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.shape[0] != expected:
         raise DimensionMismatchError(expected, int(u.size), what)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError(f"{what} contains non-finite entries")
     return u
 
@@ -39,7 +39,9 @@ class TrajectoryProblem:
     `batch_objective`, `batch_feasible`) is derived from that one call, so a
     batch is rolled out once.  A certified feasible control sequence must be
     supplied at construction so the weighted-sampling machinery is never
-    started on an empty feasible set.
+    started on an empty feasible set.  `known_feasible` may also stack
+    candidate rows in order of preference: one call scores them all, and the
+    first feasible row is kept as the certificate.
     """
 
     control_dim: int
@@ -51,14 +53,16 @@ class TrajectoryProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=float))
-        kf = _check_controls(self.known_feasible, self.n_controls, "known-feasible sequence")
-        object.__setattr__(self, "known_feasible", kf)
-        (cost,), (ok,) = self.evaluate_batch(kf[None, :])
-        if not ok:
+        rows = np.atleast_2d(self.known_feasible)
+        stack = np.array([_check_controls(r, self.n_controls, "known-feasible row") for r in rows])
+        costs, flags = self.evaluate_batch(stack)
+        if not flags.any():
             raise InfeasibleProblemError(
-                "registered known-feasible control sequence fails the feasibility check"
+                "no registered known-feasible control sequence passes the feasibility check"
             )
-        if not np.isfinite(cost):
+        first = int(np.argmax(flags))
+        object.__setattr__(self, "known_feasible", stack[first])
+        if not np.isfinite(costs[first]):
             raise ValueError("objective is not finite on the known-feasible sequence")
 
     @property
@@ -169,8 +173,8 @@ def lqr_response(spec: LqrSpec) -> Tuple[Array, Array]:
     """The stacked states x = (x_1..x_T) as the affine map x = M u + b.
 
     Block (t, j) of M is A^(t-1-j) B for j < t, and b stacks the free
-    response A^t x0.  The batch evaluator of `lqr_problem` and the QP lift
-    (`qp.lift`) both read the states through this map.
+    response A^t x0.  `qp.lift` builds the lifted quadratic and the state
+    band from it; the LQR evaluator reads both through the lift.
     """
     n, m, T = spec.state_dim, spec.control_dim, spec.horizon
     powers = [np.eye(n)]
@@ -187,36 +191,33 @@ def lqr_response(spec: LqrSpec) -> Tuple[Array, Array]:
 
 
 def lqr_problem(spec: LqrSpec) -> TrajectoryProblem:
-    """The LQR problem, evaluated in one pass per batch through the response map.
+    """The LQR problem as a view of its QP lift (`qp.lift`).
 
-    M', the block-diagonal stage matrices and the tiled bounds are built once
-    here; a batch U then costs one GEMM X = U M' + b plus two row-wise
-    quadratic forms (plain 2-D products, which beat batched 3-D products and
-    three-operand einsum at these sizes).
+    The trajectory cost is exactly 1/2 u'Q_qp u + c'u + constant, and the
+    constraint set is the lift's control box plus lin_lo <= M u <= lin_hi, so
+    the cost formula and the bounds exist only in the lift.  A batch U costs
+    one product with Q_qp and one with M' (for the state band); Q_qp is used
+    as it is, never factored, so a positive semidefinite R stays admissible.
     """
-    T = spec.horizon
-    big_m, b = lqr_response(spec)
-    m_t = np.ascontiguousarray(big_m.T)
-    q_bar, r_bar = np.kron(np.eye(T), spec.q), np.kron(np.eye(T), spec.r)
-    u_lo, u_hi = np.tile(spec.u_min, T), np.tile(spec.u_max, T)
-    x_lo, x_hi = np.tile(spec.x_min, T), np.tile(spec.x_max, T)
+    from .qp import lift  # local: qp imports this module
+
+    lifted = lift(spec)
 
     def evaluate(controls: Array) -> Tuple[Array, Array]:
-        x = controls @ m_t + b
-        state_cost = np.einsum("ij,ij->i", x @ q_bar, x)
-        control_cost = np.einsum("ij,ij->i", controls @ r_bar, controls)
-        costs = 0.5 * (state_cost + control_cost)
-        ok = ((controls >= u_lo) & (controls <= u_hi)).all(axis=1)
-        ok &= ((x >= x_lo) & (x <= x_hi)).all(axis=1)
+        quad = np.einsum("ij,ij->i", controls @ lifted.q, controls)
+        costs = 0.5 * quad + controls @ lifted.c + lifted.constant
+        band = controls @ lifted.lin_mat.T
+        ok = ((controls >= lifted.lb) & (controls <= lifted.ub)).all(axis=1)
+        ok &= ((band >= lifted.lin_lo) & (band <= lifted.lin_hi)).all(axis=1)
         return costs, ok
 
     return TrajectoryProblem(
         control_dim=spec.control_dim,
-        horizon=T,
+        horizon=spec.horizon,
         initial_state=spec.x0,
         dynamics=lambda x, u: spec.a @ x + spec.b @ u,
         evaluate=evaluate,
-        known_feasible=np.zeros(spec.control_dim * T),
+        known_feasible=np.zeros(lifted.dim),
     )
 
 
@@ -336,11 +337,12 @@ def dubins_problem(spec: DubinsSpec, known_candidate: Optional[Array] = None) ->
 
 
 def _find_feasible_controls(spec: DubinsSpec, extra: Optional[Array] = None) -> Array:
-    """Pick a certified-feasible turn-rate sequence, or fail loudly.
+    """Candidate turn-rate sequences, in the order the certificate search tries them.
 
-    Tries (in order) a caller-supplied candidate, no turning, and constant
-    turns at graded fractions of the rate limit in both directions; all of
-    them are evaluated as one batch and the first feasible one is returned.
+    A caller-supplied candidate (when it has the right shape and finite
+    entries), no turning, then constant turns at graded fractions of the rate
+    limit in both directions.  `TrajectoryProblem` scores the stack in one
+    batch and keeps the first feasible row, or fails loudly.
     """
     T = spec.horizon
     candidates = []
@@ -350,8 +352,4 @@ def _find_feasible_controls(spec: DubinsSpec, extra: Optional[Array] = None) -> 
     for frac in (0.25, 0.5, 0.75, 1.0):
         candidates.append(np.full(T, frac * spec.w_max))
         candidates.append(np.full(T, -frac * spec.w_max))
-    candidates = [cand for cand in candidates if cand.shape == (T,)]
-    flags = dubins_evaluate_batch(spec, np.array(candidates))[1]
-    if not flags.any():
-        raise InfeasibleProblemError("no feasible control sequence found from the current state")
-    return candidates[int(np.argmax(flags))]
+    return np.array([c for c in candidates if c.shape == (T,) and np.isfinite(c).all()])

@@ -101,12 +101,13 @@ def lift(spec: LqrSpec) -> QpProblem:
 
     With x = (x_1..x_T) stacked, x = M u + b is the response map of
     `problems.lqr_response` (block (t, j) of M is A^(t-1-j) B for j < t, b
-    stacks the free response A^t x0), the same map the LQR batch evaluator
-    rolls samples through.  Then
+    stacks the free response A^t x0).  Then
 
         J(u) = 1/2 u'(M'Qbar M + Rbar)u + (M'Qbar b)'u + 1/2 b'Qbar b,
 
-    and the state box becomes the linear range constraint on M u.
+    and the state box becomes the linear range constraint on M u.  This is
+    the only place the LQR cost and constraint set are written down:
+    `problems.lqr_problem` evaluates samples through the returned QP.
     """
     T = spec.horizon
     big_m, b = lqr_response(spec)

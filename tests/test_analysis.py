@@ -387,6 +387,28 @@ def test_bias_probe_detects_small_sample_bias():
     assert large.bias_norm < small.bias_norm / 5.0
 
 
+def test_bias_probe_counts_a_nan_cost_as_infeasible():
+    # rows above 1.5 cost NaN while flagged feasible; the probe must give
+    # exactly what it gives when those rows are flagged infeasible instead
+    policy = GaussianPolicy(np.array([1.0]), 0.5, tau=0.25)
+    batch = quadratic_batch(2.0, 0.5)
+    nan_costs = lambda U: (np.where(U[:, 0] > 1.5, np.nan, batch(U)), np.abs(U[:, 0]) <= 3.0)
+    flagged = lambda U: (batch(U), (np.abs(U[:, 0]) <= 3.0) & (U[:, 0] <= 1.5))
+    probes = [
+        analysis.bias_probe(
+            TrajectoryProblem(
+                control_dim=1, horizon=1, initial_state=np.zeros(1),
+                dynamics=lambda x, u: x, known_feasible=np.zeros(1), evaluate=evaluate,
+            ),
+            policy, np.array([0.1]), n_list=[20, 200], trials=100, seed=3,
+        )
+        for evaluate in (nan_costs, flagged)
+    ]
+    for row in probes[0]:
+        assert np.isfinite(row.bias_norm) and np.isfinite(row.ci_half_width)
+    assert probes[0] == probes[1]
+
+
 # ---------------------------------------------------------------------------
 # variational identity
 # ---------------------------------------------------------------------------

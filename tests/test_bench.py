@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +234,37 @@ def test_lqr_gap_column_starts_at_the_zero_control_cost(tiny_lqr_records):
     assert rec.summary["infeasible_mean_iterations"] == []
     for row, plot in zip(rec.rows, rec.plot_rows):
         assert plot["evaluations"] == (row["k"] + 1) * 200
+
+
+SHARED_LQR = """
+version: 1
+experiment: lqr
+seeds: [0, 1, 2, 3]
+optimizer: {n_samples: 64, iterations: 8}
+grid: {eta: [1.0, rule]}
+fd: {enabled: false}
+"""
+
+
+def test_lqr_cells_sharing_one_problem_match_a_serial_run(tmp_path):
+    # eight cells on eight threads (more than the cores) share one problem
+    # object; with a short switch interval each record must still equal the
+    # one-worker run's
+    cfg = load_config(write_cfg(tmp_path, SHARED_LQR))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_lqr(cfg, max_workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = run_lqr(cfg, max_workers=1)
+
+    def deterministic(rec):
+        rows = [{k: v for k, v in row.items() if k != "ms"} for row in rec.rows]
+        return rec.name, rows, {k: v for k, v in rec.summary.items() if k != "runtime_seconds"}
+
+    assert len(threaded) == 8
+    assert [deterministic(r) for r in threaded] == [deterministic(r) for r in serial]
 
 
 def test_lqr_fd_record_obeys_the_evaluation_budget(tiny_lqr_records):
@@ -506,3 +540,15 @@ def test_perfbench_tracer_finds_every_wrap_target(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.close()
+
+
+def test_each_module_imports_in_a_fresh_interpreter():
+    """An import cycle shows only in an interpreter that has imported nothing yet."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    for module in ("mppigrad.problems", "mppigrad.qp", "mppigrad.analysis", "mppigrad.bench.cli"):
+        done = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, f"import {module} failed:\n{done.stderr}"

@@ -122,6 +122,30 @@ def test_lqr_objective_matches_qp_lift_on_random_u():
     np.testing.assert_allclose(direct, quad, rtol=1e-10, atol=1e-10)
 
 
+def test_lqr_problem_builds_when_the_lifted_hessian_is_singular():
+    # two identical inputs and R = 0: Q_qp cannot tell them apart, so it is
+    # singular; the evaluator must not need a factor of it
+    from mppigrad import qp
+
+    spec = LqrSpec(
+        a=[[1.0, 1.0], [0.0, 1.0]],
+        b=[[0.5, 0.5], [1.0, 1.0]],
+        q=[[2.0, 0.0], [0.0, 2.0]],
+        r=np.zeros((2, 2)),
+        x0=[1.0, 0.0],
+        horizon=4,
+        u_min=[-1.0, -1.0],
+        u_max=[1.0, 1.0],
+        x_min=[-5.0, -1.0],
+        x_max=[5.0, 1.0],
+    )
+    assert np.linalg.eigvalsh(qp.lift(spec).q).min() < 1e-10
+    prob = lqr_problem(spec)
+    U = np.random.default_rng(2).uniform(-0.3, 0.3, size=(20, 8))
+    expected = [stepwise_cost(prob, partial(lqr_stage_cost, spec), row) for row in U]
+    np.testing.assert_allclose(prob.batch_objective(U), expected, rtol=1e-12, atol=1e-14)
+
+
 def test_lqr_feasibility_box_and_state_bounds():
     spec = double_integrator()
     prob = lqr_problem(spec)
@@ -272,28 +296,46 @@ def test_dubins_clear_single_state():
 # ---------------------------------------------------------------------------
 
 
+def square_problem(evaluate, known_feasible):
+    return problems.TrajectoryProblem(
+        control_dim=1,
+        horizon=2,
+        initial_state=np.zeros(1),
+        dynamics=lambda x, u: x + u,
+        evaluate=evaluate,
+        known_feasible=known_feasible,
+    )
+
+
 def test_trajectory_problem_rejects_infeasible_certificate():
-    with pytest.raises(InfeasibleProblemError):
-        problems.TrajectoryProblem(
-            control_dim=1,
-            horizon=2,
-            initial_state=np.zeros(1),
-            dynamics=lambda x, u: x + u,
-            evaluate=lambda U: (np.einsum("ij,ij->i", U, U), np.zeros(U.shape[0], bool)),
-            known_feasible=np.zeros(2),
-        )
+    never = lambda U: (np.einsum("ij,ij->i", U, U), np.zeros(U.shape[0], bool))
+    for certificate in (np.zeros(2), np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 2.0]])):
+        with pytest.raises(InfeasibleProblemError):
+            square_problem(never, certificate)
 
 
 def test_trajectory_problem_rejects_nonfinite_objective_on_certificate():
     with pytest.raises(ValueError, match="finite"):
-        problems.TrajectoryProblem(
-            control_dim=1,
-            horizon=2,
-            initial_state=np.zeros(1),
-            dynamics=lambda x, u: x + u,
-            evaluate=lambda U: (np.full(U.shape[0], np.inf), np.ones(U.shape[0], bool)),
-            known_feasible=np.zeros(2),
-        )
+        square_problem(lambda U: (np.full(U.shape[0], np.inf), np.ones(U.shape[0], bool)), np.zeros(2))
+    # a stack: the first row is infeasible, the first feasible one costs +inf,
+    # and a finite feasible row after it does not rescue the certificate
+    stack = np.array([[5.0, 5.0], [1.0, 1.0], [0.0, 0.0]])
+    evaluate = lambda U: (np.where(U[:, 0] == 1.0, np.inf, 0.0), U[:, 0] < 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        square_problem(evaluate, stack)
+    np.testing.assert_array_equal(square_problem(evaluate, stack[[0, 2]]).known_feasible, [0.0, 0.0])
+
+
+def test_dubins_build_scores_its_certificate_once(monkeypatch):
+    calls = []
+    real = problems.dubins_evaluate_batch
+    monkeypatch.setattr(
+        problems, "dubins_evaluate_batch", lambda spec, U: calls.append(len(U)) or real(spec, U)
+    )
+    for candidate in (None, np.zeros(20)):
+        calls.clear()
+        dubins_problem(DubinsSpec(), known_candidate=candidate)
+        assert len(calls) == 1
 
 
 def test_lqr_spec_validates_stage_matrices():
@@ -342,6 +384,10 @@ def test_dubins_problem_feasible_search_uses_candidate():
     assert dubins_evaluate_batch(spec, candidate[None, :])[1][0]
     prob = dubins_problem(spec, known_candidate=candidate)
     np.testing.assert_array_equal(prob.known_feasible, candidate)
+    # a non-finite or misshapen candidate is skipped, not an error
+    default = dubins_problem(spec).known_feasible
+    for bad in (np.full(10, np.nan), np.zeros(3)):
+        np.testing.assert_array_equal(dubins_problem(spec, known_candidate=bad).known_feasible, default)
 
 
 def test_dubins_problem_raises_when_boxed_in():
