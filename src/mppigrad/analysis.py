@@ -495,7 +495,7 @@ def bias_probe(
         samples = policy.mean + policy.sqrt_mul(z)
         costs, flags = problem.evaluate_batch(samples)
         for n in n_list:
-            prefix = SampleBatch(samples[:n], seed, trial, costs=costs[:n], feasible_flags=flags[:n])
+            prefix = SampleBatch(samples[:n], trial, costs=costs[:n], feasible_flags=flags[:n])
             try:
                 summary = weigh(prefix, policy.tau)
             except AllInfeasibleError:

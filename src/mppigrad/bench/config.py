@@ -16,6 +16,7 @@ import numpy as np
 import yaml
 
 from ..errors import ConfigError
+from ..optimizer import PgdConfig
 from ..problems import DEFAULT_OBSTACLES
 
 SCHEMA_VERSION = 1
@@ -110,6 +111,22 @@ class RunConfig:
         )
 
 
+def pgd_config(optimizer: Dict[str, Any], eta: Any, k: Any) -> PgdConfig:
+    """One job's optimizer settings: its own step size and iteration count, the rest shared."""
+    return PgdConfig(
+        eta=float(eta),
+        k=int(k),
+        n_samples=int(optimizer["n_samples"]),
+        antithetic=bool(optimizer["antithetic"]),
+        eps_stat=float(optimizer["eps_stat"]),
+        max_retries=int(optimizer["max_retries"]),
+    )
+
+
+def _finite_positive(value: Any) -> bool:
+    return isinstance(value, (int, float)) and 0 < value < np.inf  # NaN fails both bounds
+
+
 def _validate(doc: Dict[str, Any]) -> None:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
@@ -134,11 +151,11 @@ def _validate_resolved(experiment: str, resolved: Dict[str, Any]) -> None:
         return
     for key in ("sigma2", "tau"):
         for value in resolved.get("grid", {}).get(key, [resolved["sampling"][key]]):
-            if not isinstance(value, (int, float)) or value <= 0:
+            if not _finite_positive(value):
                 raise ConfigError(f"sampling.{key} must be positive, got {value!r}")
     if experiment == "lqr":
         for eta in resolved["grid"].get("eta", [resolved["optimizer"].get("eta", 1.0)]):
-            if eta != "rule" and (not isinstance(eta, (int, float)) or eta <= 0):
+            if eta != "rule" and not _finite_positive(eta):
                 raise ConfigError(f"eta cell {eta!r} must be positive or the string 'rule'")
     if experiment == "dubins" and resolved.get("sim_steps", 0) < 1:
         raise ConfigError("sim_steps must be >= 1")
@@ -155,13 +172,14 @@ def _check_builds(experiment: str, resolved: Dict[str, Any]) -> None:
     from . import dubins, lqr  # local: both runner modules import this one
 
     try:
+        optimizer = resolved["optimizer"]
         if experiment == "lqr":
             spec = lqr._build_spec(resolved["problem"])
-            lqr._pgd_config(resolved["optimizer"], eta=1.0)  # eta cells are checked above
+            pgd_config(optimizer, 1.0, optimizer["iterations"])  # eta cells are checked above
         else:
             dubins.build_spec(resolved["problem"])
             for k in resolved.get("grid", {}).get("k", [1]):
-                dubins._pgd_config(resolved["optimizer"], k)
+                pgd_config(optimizer, optimizer["eta"], k)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {experiment} config: {exc}") from exc
     if experiment == "lqr":

@@ -17,40 +17,24 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..optimizer import PgdConfig, receding_horizon
+from ..optimizer import receding_horizon
 from ..problems import DubinsSpec, dubins_clear, dubins_problem, dubins_stage_cost
 from ..sampling import GaussianPolicy
-from .config import RunConfig
+from .config import RunConfig, pgd_config
 from .records import RunRecord
 
 Array = np.ndarray
 
 
 def build_spec(problem_cfg: Dict[str, Any]) -> DubinsSpec:
-    kwargs = dict(problem_cfg)
-    for key in ("x0", "target", "q_weights", "obstacles"):
-        if key in kwargs:
-            kwargs[key] = np.asarray(kwargs[key], dtype=float)
-    if "obstacles" in kwargs and kwargs["obstacles"].size == 0:
-        kwargs["obstacles"] = np.empty((0, 3))
-    return DubinsSpec(**kwargs)
-
-
-def _pgd_config(opt_cfg: Dict[str, Any], k_inner: int) -> PgdConfig:
-    return PgdConfig(
-        eta=float(opt_cfg["eta"]),
-        k=int(k_inner),
-        n_samples=int(opt_cfg["n_samples"]),
-        antithetic=bool(opt_cfg["antithetic"]),
-        eps_stat=float(opt_cfg["eps_stat"]),
-        max_retries=int(opt_cfg["max_retries"]),
-    )
+    return DubinsSpec(**problem_cfg)  # the spec converts its arrays itself
 
 
 def _one_cell(spec: DubinsSpec, cfg: RunConfig, k_inner: int, seed: int) -> RunRecord:
     t_start = time.perf_counter()
     sampling_cfg = cfg.section("sampling")
-    pgd = _pgd_config(cfg.section("optimizer"), k_inner)
+    opt_cfg = cfg.section("optimizer")
+    pgd = pgd_config(opt_cfg, opt_cfg["eta"], k_inner)
     policy = GaussianPolicy(
         np.zeros(spec.horizon), float(sampling_cfg["sigma2"]), float(sampling_cfg["tau"])
     )

@@ -19,30 +19,17 @@ import numpy as np
 
 from .. import analysis, qp
 from ..errors import AllInfeasibleError, ConvergenceError, InfeasibleProblemError, NotSpdError
-from ..optimizer import PgdConfig, run, step_size_rule
+from ..optimizer import run, step_size_rule
 from ..problems import LqrSpec, TrajectoryProblem, double_integrator, lqr_problem
 from ..sampling import GaussianPolicy
-from .config import RunConfig
+from .config import RunConfig, pgd_config
 from .records import RunRecord
 
 
 def _build_spec(problem_cfg: Dict[str, Any]) -> LqrSpec:
     base = double_integrator(horizon=int(problem_cfg.get("horizon", 10)))
     overrides = {k: v for k, v in problem_cfg.items() if k != "horizon"}
-    if not overrides:
-        return base
-    return dataclasses.replace(base, **{k: np.asarray(v, dtype=float) for k, v in overrides.items()})
-
-
-def _pgd_config(opt_cfg: Dict[str, Any], eta: float) -> PgdConfig:
-    return PgdConfig(
-        eta=eta,
-        k=int(opt_cfg["iterations"]),
-        n_samples=int(opt_cfg["n_samples"]),
-        antithetic=bool(opt_cfg["antithetic"]),
-        eps_stat=float(opt_cfg["eps_stat"]),
-        max_retries=int(opt_cfg["max_retries"]),
-    )
+    return dataclasses.replace(base, **overrides)  # LqrSpec converts its arrays itself
 
 
 def _solve_oracle(lifted: qp.QpProblem) -> Dict[str, float]:
@@ -69,7 +56,8 @@ def _one_cell(
         eta, rule = step_size_rule(smooth.l_sigma), "one_over_l_sigma"
     else:
         eta, rule = float(cell["eta"]), "fixed"
-    pgd = _pgd_config(cfg.section("optimizer"), eta)
+    opt_cfg = cfg.section("optimizer")
+    pgd = pgd_config(opt_cfg, eta, opt_cfg["iterations"])
     policy = GaussianPolicy(np.zeros(problem.n_controls), sigma2, tau)
     record = RunRecord(
         experiment="lqr", cell=dict(cell), seed=seed, config_snapshot=cfg.snapshot()

@@ -161,7 +161,7 @@ def _weight_checks() -> List[CheckRow]:
     flags = np.ones(4, dtype=bool)
 
     def summary_for(tau, costs_in):
-        batch = SampleBatch(samples=samples, seed=0, iteration=0)
+        batch = SampleBatch(samples=samples, iteration=0)
         batch.costs = costs_in
         batch.feasible_flags = flags
         return weigh(batch, tau)

@@ -33,6 +33,10 @@ from .sampling import (
 
 Array = np.ndarray
 
+STAT_WINDOW = 5  # iterations averaged by the stationarity stop
+INFLATION = 2.0  # covariance factor per all-infeasible retry
+
+
 @dataclass(frozen=True)
 class PgdConfig:
     """Step size and sampling budget for the iteration.
@@ -40,20 +44,18 @@ class PgdConfig:
     The preconditioner is always the natural one, P = Sigma/tau, under which
     the update is covariance-free and eta = 1 is the classical MPPI update.
     `eps_stat` > 0 enables early stopping once the preconditioned gradient
-    norm, averaged over `stat_window` iterations, falls below it.
+    norm, averaged over `STAT_WINDOW` iterations, falls below it.
     """
 
     eta: float = 1.0
     k: int = 1
     n_samples: int = 1000
     eps_stat: float = 0.0
-    stat_window: int = 5
     antithetic: bool = True
     max_retries: int = 5
-    inflation: float = 2.0
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not 0 < self.eta < np.inf:  # also false for NaN
             raise ValueError(f"step size must be positive, got {self.eta}")
         if self.k < 1:
             raise ValueError("iteration count must be >= 1")
@@ -61,8 +63,8 @@ class PgdConfig:
             raise ValueError("need at least 2 samples per iteration")
         if self.antithetic and self.n_samples % 2:
             raise ValueError(f"antithetic sampling needs an even n_samples, got {self.n_samples}")
-        if self.max_retries < 0 or self.inflation <= 1.0:
-            raise ValueError("retries must be >= 0 and inflation factor > 1")
+        if self.max_retries < 0:
+            raise ValueError("retries must be >= 0")
 
 
 @dataclass
@@ -90,14 +92,14 @@ class OptimizerTrace:
 
 
 def grad_estimate(policy: GaussianPolicy, batch: SampleBatch, summary: WeightSummary) -> Array:
-    """Plug-in gradient -tau * Sigma^{-1} (weighted sample mean - mean)."""
+    """Plug-in gradient -tau * Sigma^{-1} (weighted sample mean - mean), for `bias_probe`."""
     delta = weighted_mean(batch, summary) - policy.mean
     return -policy.tau * policy.solve(delta)
 
 
-def _grad_norm_p(policy: GaussianPolicy, grad: Array) -> float:
-    """Norm |g|_P = sqrt(g' P g) under the natural preconditioner P = Sigma/tau."""
-    return float(np.sqrt(max(grad @ policy.cov_mul(grad) / policy.tau, 0.0)))
+def _grad_norm_p(policy: GaussianPolicy, delta: Array) -> float:
+    """|g|_P for g = -tau Sigma^{-1} delta and P = Sigma/tau: sqrt(tau delta' Sigma^{-1} delta)."""
+    return float(np.sqrt(max(policy.tau * (delta @ policy.solve(delta)), 0.0)))
 
 
 def _apply_update(policy: GaussianPolicy, eta: float, wmean: Array) -> Array:
@@ -122,14 +124,11 @@ def _sample_weighted(
         )
         evaluate(batch, problem)
         try:
-            summary = weigh(batch, sampler.tau)
+            return sampler, batch, weigh(batch, sampler.tau), retry
         except AllInfeasibleError:
             if retry == config.max_retries:
                 raise
-            sampler = sampler.inflate(config.inflation)
-            continue
-        return sampler, batch, summary, retry
-    raise AssertionError("unreachable")
+            sampler = sampler.inflate(INFLATION)
 
 
 def pgd_step(
@@ -142,19 +141,19 @@ def pgd_step(
     """One sampled preconditioned step; returns the updated policy and record.
 
     On an all-infeasible batch the draw is retried (new counter-based stream)
-    with covariance inflated by the configured factor; the inflated covariance
+    with covariance inflated by the factor `INFLATION`; the inflated covariance
     applies to that step's sampling only — the returned policy keeps the
     original covariance.
     """
     t0 = time.perf_counter()
     sampler, batch, summary, retries = _sample_weighted(problem, policy, config, seed, iteration)
-    grad = grad_estimate(sampler, batch, summary)
-    new_mean = _apply_update(sampler, config.eta, weighted_mean(batch, summary))
+    wmean = weighted_mean(batch, summary)
+    new_mean = _apply_update(policy, config.eta, wmean)
     flags = batch.feasible_flags
     record = IterationRecord(
         k=iteration,
         mean=policy.mean.copy(),
-        grad_norm_p=_grad_norm_p(sampler, grad),
+        grad_norm_p=_grad_norm_p(sampler, wmean - policy.mean),
         ess=summary.effective_sample_size,
         acceptance=summary.acceptance_rate,
         best_cost=float(batch.costs[flags].min()),
@@ -184,8 +183,8 @@ def run(
             policy, record = pgd_step(problem, policy, config, seed, iter_offset + k)
             record.k = k
             trace.records.append(record)
-            if config.eps_stat > 0 and len(trace) >= config.stat_window:
-                recent = trace.column("grad_norm_p")[-config.stat_window :]
+            if config.eps_stat > 0 and len(trace) >= STAT_WINDOW:
+                recent = trace.column("grad_norm_p")[-STAT_WINDOW:]
                 if float(recent.mean()) <= config.eps_stat:
                     break
     except AllInfeasibleError as err:
@@ -212,8 +211,7 @@ def run_exact(oracle, policy: GaussianPolicy, config: PgdConfig) -> tuple[Gaussi
     for k in range(config.k):
         t0 = time.perf_counter()
         m = oracle.tilted_mean(policy.mean)
-        grad = -policy.tau * policy.solve(m - policy.mean)
-        norm_p = _grad_norm_p(policy, grad)
+        norm_p = _grad_norm_p(policy, m - policy.mean)
         trace.records.append(
             IterationRecord(
                 k=k,

@@ -9,6 +9,7 @@ with max-subtraction, which is exact for the normalized quantities.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -39,36 +40,30 @@ def batch_rng(seed: int, iteration: int = 0, retry: int = 0) -> np.random.Genera
 class GaussianPolicy:
     """N(mean, Sigma) over flat control sequences, with temperature tau.
 
-    The covariance may be a positive scalar (sigma^2 I), a positive vector
-    (diagonal), or a full SPD matrix; solves and square-root products use the
-    cheapest representation available.  The representation is private: other
-    modules go through the methods below.
+    A positive scalar (sigma^2 I) or vector (diagonal) covariance is kept as
+    the vector of variances, so square-root products and solves are
+    elementwise; a full SPD matrix is kept with its Cholesky factor.  The
+    representation is private: other modules go through the methods below.
     """
 
     def __init__(self, mean: Array, cov: CovLike, tau: float):
         self.mean = np.asarray(mean, dtype=float).copy()
         if self.mean.ndim != 1:
             raise ValueError("mean must be a flat vector")
-        if tau <= 0:
+        if not 0 < tau < np.inf:  # also false for NaN
             raise ValueError(f"temperature must be positive, got {tau}")
         self.tau = float(tau)
-        self._init_cov(cov)
-
-    def _init_cov(self, cov: CovLike):
         d = self.mean.shape[0]
         cov_arr = np.asarray(cov, dtype=float)
-        if cov_arr.ndim == 0:
-            if cov_arr <= 0:
-                raise NotSpdError("scalar covariance must be positive")
-            self._kind = "scalar"
-            self._sigma2 = float(cov_arr)
-        elif cov_arr.ndim == 1:
-            if cov_arr.shape[0] != d:
+        if not np.isfinite(cov_arr).all():
+            raise NotSpdError("covariance must be finite")
+        self._chol = None  # set only for a full matrix
+        if cov_arr.ndim < 2:
+            if cov_arr.ndim == 1 and cov_arr.shape[0] != d:
                 raise DimensionMismatchError(d, cov_arr.shape[0], "diagonal covariance")
             if (cov_arr <= 0).any():
-                raise NotSpdError("diagonal covariance must be strictly positive")
-            self._kind = "diag"
-            self._diag = cov_arr.copy()
+                raise NotSpdError("variances must be strictly positive")
+            self._cov = np.full(d, cov_arr)  # sigma^2 I or the diagonal, as variances
         elif cov_arr.ndim == 2:
             if cov_arr.shape != (d, d):
                 raise DimensionMismatchError(d * d, cov_arr.size, "covariance matrix")
@@ -78,8 +73,7 @@ class GaussianPolicy:
                 self._chol = np.linalg.cholesky(cov_arr)
             except np.linalg.LinAlgError as exc:
                 raise NotSpdError(f"covariance is not positive definite: {exc}") from exc
-            self._kind = "full"
-            self._full = cov_arr.copy()
+            self._cov = cov_arr.copy()
         else:
             raise ValueError("covariance must be scalar, vector, or matrix")
 
@@ -90,57 +84,33 @@ class GaussianPolicy:
         return self.mean.shape[0]
 
     def cov_matrix(self) -> Array:
-        if self._kind == "scalar":
-            return self._sigma2 * np.eye(self.dim)
-        if self._kind == "diag":
-            return np.diag(self._diag)
-        return self._full.copy()
+        return np.diag(self._cov) if self._chol is None else self._cov.copy()
 
     def cov_eig_range(self) -> tuple[float, float]:
         """(smallest, largest) eigenvalue of Sigma."""
-        if self._kind == "scalar":
-            return self._sigma2, self._sigma2
-        if self._kind == "diag":
-            return float(self._diag.min()), float(self._diag.max())
-        w = np.linalg.eigvalsh(self._full)
-        return float(w[0]), float(w[-1])
+        w = self._cov if self._chol is None else np.linalg.eigvalsh(self._cov)
+        return float(w.min()), float(w.max())
 
     def sqrt_mul(self, z: Array) -> Array:
         """Rows of z mapped through a square root of Sigma (z @ L^T)."""
-        if self._kind == "scalar":
-            return np.sqrt(self._sigma2) * z
-        if self._kind == "diag":
-            return z * np.sqrt(self._diag)
+        if self._chol is None:
+            return z * np.sqrt(self._cov)
         return z @ self._chol.T
-
-    def cov_mul(self, v: Array) -> Array:
-        """Sigma v (single vector or rows of an (n, dim) array)."""
-        if self._kind == "scalar":
-            return self._sigma2 * v
-        if self._kind == "diag":
-            return self._diag * v
-        return v @ self._full.T if v.ndim == 2 else self._full @ v
 
     def solve(self, v: Array) -> Array:
         """Sigma^{-1} v without forming the inverse.
 
         Accepts a single vector or an (n, dim) stack of row vectors (the
-        scalar/diagonal representations broadcast; the full one transposes).
+        variance vector broadcasts; the Cholesky solves transpose).
         """
-        if self._kind == "scalar":
-            return v / self._sigma2
-        if self._kind == "diag":
-            return v / self._diag
-        if v.ndim == 1:
-            return np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, v))
+        if self._chol is None:
+            return v / self._cov
         return np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, v.T)).T
 
     def logdet(self) -> float:
         """log det Sigma."""
-        if self._kind == "scalar":
-            return self.dim * np.log(self._sigma2)
-        if self._kind == "diag":
-            return float(np.log(self._diag).sum())
+        if self._chol is None:
+            return float(np.log(self._cov).sum())
         return 2.0 * float(np.log(np.diag(self._chol)).sum())
 
     def log_density(self, u: Array) -> Union[float, Array]:
@@ -153,18 +123,18 @@ class GaussianPolicy:
 
     # -- derived policies ----------------------------------------------------
 
-    def _cov_param(self) -> CovLike:
-        return {"scalar": lambda: self._sigma2, "diag": lambda: self._diag, "full": lambda: self._full}[
-            self._kind
-        ]()
-
     def with_mean(self, mean: Array) -> "GaussianPolicy":
-        return GaussianPolicy(mean, self._cov_param(), self.tau)
+        """The same policy moved to a mean of the same length; shares the validated covariance."""
+        mean = np.asarray(mean, dtype=float)
+        if mean.shape != self.mean.shape:
+            raise DimensionMismatchError(self.dim, mean.size, "mean")
+        moved = copy.copy(self)
+        moved.mean = mean.copy()
+        return moved
 
     def inflate(self, factor: float) -> "GaussianPolicy":
         """Same mean and temperature with covariance scaled by `factor`."""
-        cov = self._cov_param()
-        return GaussianPolicy(self.mean, cov * factor, self.tau)
+        return GaussianPolicy(self.mean, self._cov * factor, self.tau)
 
 
 @dataclass
@@ -172,10 +142,8 @@ class SampleBatch:
     """One iteration's worth of samples plus (once evaluated) their scores."""
 
     samples: Array
-    seed: int
     iteration: int
     retry: int = 0
-    antithetic: bool = False
     costs: Optional[Array] = None
     feasible_flags: Optional[Array] = None
 
@@ -216,9 +184,7 @@ def draw(
     else:
         z = rng.standard_normal((n, policy.dim))
     samples = policy.mean + policy.sqrt_mul(z)
-    return SampleBatch(
-        samples=samples, seed=seed, iteration=iteration, retry=retry, antithetic=antithetic
-    )
+    return SampleBatch(samples=samples, iteration=iteration, retry=retry)
 
 
 def evaluate(batch: SampleBatch, problem: TrajectoryProblem) -> SampleBatch:

@@ -441,10 +441,14 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
         ("lqr", "fd: {enabled: true, h: 0.0}", "fd.h must be finite and positive"),
         ("lqr", "fd: {alpha: abc}", "fd.alpha must be finite and positive"),
         ("lqr", "fd: {budget_evals: 5}", "fd.budget_evals must be an integer >= 11"),
+        ("lqr", "sampling: {sigma2: .nan}", "sampling.sigma2 must be positive"),
+        ("lqr", "grid: {eta: [.nan]}", "must be positive or the string 'rule'"),
+        ("lqr", "grid: {tau: [.inf]}", "sampling.tau must be positive"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
-         "lqr_fd_zero_h", "lqr_fd_non_numeric_alpha", "lqr_fd_budget_below_one_iteration"],
+         "lqr_fd_zero_h", "lqr_fd_non_numeric_alpha", "lqr_fd_budget_below_one_iteration",
+         "lqr_nan_sigma2", "lqr_nan_eta_in_grid", "lqr_inf_tau_in_grid"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mppigrad import analysis
+from mppigrad import analysis, optimizer
 from mppigrad.errors import AllInfeasibleError, UnsupportedProblemError
 from mppigrad.optimizer import (
     PgdConfig,
@@ -42,6 +42,9 @@ def test_config_rejects_bad_values():
         PgdConfig(eta=0.0)
     with pytest.raises(ValueError, match="step size"):
         PgdConfig(eta=-0.5)
+    for bad_eta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="step size"):
+            PgdConfig(eta=bad_eta)
     with pytest.raises(ValueError):
         PgdConfig(k=0)
     with pytest.raises(ValueError):
@@ -49,8 +52,6 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError, match="even"):
         PgdConfig(n_samples=7, antithetic=True)
     assert PgdConfig(n_samples=7, antithetic=False).n_samples == 7
-    with pytest.raises(ValueError):
-        PgdConfig(inflation=1.0)
     with pytest.raises(ValueError):
         PgdConfig(max_retries=-1)
 
@@ -63,7 +64,7 @@ def test_config_rejects_bad_values():
 def test_grad_zero_when_weighted_mean_is_mean():
     policy = GaussianPolicy(np.array([0.7, -0.2]), 0.5, tau=1.3)
     offsets = np.array([[1.0, 0.5], [-1.0, -0.5]])
-    batch = SampleBatch(samples=policy.mean + offsets, seed=0, iteration=0)
+    batch = SampleBatch(samples=policy.mean + offsets, iteration=0)
     batch.costs = np.zeros(2)
     batch.feasible_flags = np.ones(2, bool)
     s = weigh(batch, policy.tau)
@@ -168,6 +169,19 @@ def test_explicit_natural_preconditioner_matches_relaxed_form():
     assert record.grad_norm_p == pytest.approx(np.sqrt(g @ p_mat @ g), rel=1e-10)
 
 
+def test_step_forms_the_weighted_mean_once(monkeypatch):
+    calls = []
+
+    def counted(batch, summary):
+        calls.append(batch.iteration)
+        return weighted_mean(batch, summary)
+
+    monkeypatch.setattr(optimizer, "weighted_mean", counted)
+    policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
+    pgd_step(lqr_problem(double_integrator()), policy, PgdConfig(n_samples=64), seed=0)
+    assert calls == [0]
+
+
 def test_record_carries_pre_update_iterate():
     prob = lqr_problem(double_integrator())
     mu0 = np.full(10, 0.01)
@@ -183,7 +197,7 @@ def test_retry_inflates_sampling_but_returns_original_covariance():
     # infeasible and inflation is needed (seed frozen after measuring retries)
     prob = box_problem_1d(0.2)
     policy = GaussianPolicy(np.array([0.5]), 0.01, tau=1.0)
-    cfg = PgdConfig(eta=1.0, n_samples=64, antithetic=True, max_retries=5, inflation=2.0)
+    cfg = PgdConfig(eta=1.0, n_samples=64, antithetic=True, max_retries=5)
     new_policy, record = pgd_step(prob, policy, cfg, seed=1)
     assert record.retries == 2
     assert new_policy.cov_eig_range() == (0.01, 0.01)  # inflation was sampling-only
@@ -229,7 +243,7 @@ def test_run_single_step_equals_pgd_step():
 def test_windowed_stationarity_stop():
     prob = lqr_problem(double_integrator())
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
-    cfg = PgdConfig(k=50, n_samples=64, eps_stat=1e9, stat_window=5)
+    cfg = PgdConfig(k=50, n_samples=64, eps_stat=1e9)
     _, trace = run(prob, policy, cfg, seed=0)
     assert len(trace) == 5  # the absurd tolerance trips at the first window
 
@@ -413,7 +427,7 @@ def test_sampler_abort_flags_partial_trace():
 def test_closed_loop_step_totals_retries_and_worst_ess():
     # the first inner iteration needs two retries (see the retry test above)
     policy = GaussianPolicy(np.array([0.5]), 0.01, tau=1.0)
-    cfg = PgdConfig(k=3, n_samples=64, max_retries=5, inflation=2.0)
+    cfg = PgdConfig(k=3, n_samples=64, max_retries=5)
     trace = receding_horizon(
         lambda state, candidate: box_problem_1d(0.2), policy, cfg, sim_steps=1, seed=1,
         stage_cost=lambda x, u: 0.0,

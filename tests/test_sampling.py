@@ -24,7 +24,7 @@ def _weighed(costs, flags=None, tau=1.0, samples=None):
     n = costs.shape[0]
     if samples is None:
         samples = np.zeros((n, 1))
-    batch = SampleBatch(samples=samples, seed=0, iteration=0)
+    batch = SampleBatch(samples=samples, iteration=0)
     batch.costs = costs
     batch.feasible_flags = np.ones(n, bool) if flags is None else np.asarray(flags, bool)
     return batch, weigh(batch, tau)
@@ -52,7 +52,6 @@ def test_policy_representations_agree():
     u = np.array([1.0, 0.0, -2.0])
     np.testing.assert_allclose(pd.log_density(u), pf.log_density(u), rtol=1e-13)
     np.testing.assert_allclose(pd.solve(u - mean), pf.solve(u - mean), rtol=1e-13)
-    np.testing.assert_allclose(pd.cov_mul(u), pf.cov_mul(u), rtol=1e-13)
 
 
 def test_policy_rejects_bad_covariance_and_temperature():
@@ -68,6 +67,31 @@ def test_policy_rejects_bad_covariance_and_temperature():
         GaussianPolicy(np.zeros(2), 1.0, tau=0.0)
     with pytest.raises(DimensionMismatchError):
         GaussianPolicy(np.zeros(2), np.ones(3), tau=1.0)
+    for bad_cov in (np.nan, np.inf, np.array([1.0, np.nan])):
+        with pytest.raises(NotSpdError):
+            GaussianPolicy(np.zeros(2), bad_cov, tau=1.0)
+    for bad_tau in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            GaussianPolicy(np.zeros(2), 1.0, tau=bad_tau)
+
+
+def test_scalar_and_variance_vector_draw_and_solve_bitwise_alike():
+    scalar = GaussianPolicy(np.array([0.3, -1.2, 0.7]), 1e-4, tau=1.0)
+    vector = GaussianPolicy(scalar.mean, np.full(3, 1e-4), tau=1.0)
+    a, b = draw(scalar, 64, seed=5, antithetic=True), draw(vector, 64, seed=5, antithetic=True)
+    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(scalar.solve(a.samples), vector.solve(a.samples))
+
+
+@pytest.mark.parametrize(
+    "cov", [0.5, np.array([0.5, 2.0]), np.array([[0.8, 0.25], [0.25, 0.5]])],
+    ids=["scalar", "diag", "full"],
+)
+def test_with_mean_rejects_a_mean_of_another_length(cov):
+    policy = GaussianPolicy(np.zeros(2), cov, tau=1.0)
+    assert np.array_equal(policy.with_mean([1.0, 2.0]).mean, [1.0, 2.0])
+    with pytest.raises(DimensionMismatchError):
+        policy.with_mean(np.zeros(3))
 
 
 def test_score_trivial_cases_and_fd():
@@ -199,7 +223,7 @@ def test_single_feasible_sample_dominates():
 
 
 def test_all_infeasible_raises():
-    batch = SampleBatch(samples=np.zeros((4, 1)), seed=0, iteration=7)
+    batch = SampleBatch(samples=np.zeros((4, 1)), iteration=7)
     batch.costs = np.ones(4)
     batch.feasible_flags = np.zeros(4, bool)
     with pytest.raises(AllInfeasibleError) as err:
@@ -226,7 +250,7 @@ def test_all_non_finite_costs_raise_all_infeasible():
 
 
 def test_unevaluated_batch_rejected():
-    batch = SampleBatch(samples=np.zeros((4, 1)), seed=0, iteration=0)
+    batch = SampleBatch(samples=np.zeros((4, 1)), iteration=0)
     with pytest.raises(ValueError, match="evaluated"):
         weigh(batch, 1.0)
 
@@ -332,7 +356,7 @@ def scored_batch(draw, max_n=40):
 
 
 def _weigh_scored(samples, costs, flags, tau):
-    batch = SampleBatch(samples=samples, seed=0, iteration=0)
+    batch = SampleBatch(samples=samples, iteration=0)
     batch.costs = costs
     batch.feasible_flags = flags
     return batch, weigh(batch, tau)
