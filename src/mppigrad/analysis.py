@@ -1,16 +1,20 @@
 """Exact oracles and theory checks for the smoothed objective.
 
-Everything here is deterministic: closed-form Gibbs-tilt statistics for
-quadratic costs, Simpson quadrature for arbitrary 1-D/2-D costs on boxes,
-the objective's Hessian and its preconditioned form, smoothness constants
-(closed form, diameter bound, numeric), the projected finite-difference
-baseline, the estimator bias probe, and the variational identity check.
-These are the second routes that the sampled optimizer is validated against.
+Everything here is deterministic.  The free energy, gradient and Hessian
+of the objective are statistics of one Gibbs tilt, kept in one record,
+`TiltMoments` (mean, covariance, log Z), with two exact routes: closed form
+for quadratic costs (`QuadraticOracle`) and Simpson quadrature for arbitrary
+1-D/2-D costs on boxes (`QuadratureOracle`).  Exact mode (`run_exact`) takes
+any oracle with `moments(mean) -> TiltMoments`.  Also here: the
+preconditioned Hessian, smoothness constants (closed form, diameter bound,
+numeric), the projected finite-difference baseline, the estimator bias
+probe, and the variational identity check.  These are the second routes that
+the sampled optimizer is validated against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -30,112 +34,89 @@ Array = np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for quadratic costs (unconstrained tilt)
+# The Gibbs tilt and its two exact routes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TiltedGaussian:
-    """Gaussian statistics of the tilt pi(u) exp(-f0(u)/tau) for quadratic f0."""
+class TiltMoments:
+    """Mean, covariance and log normalizer of the tilt pi(u) exp(-f0(u)/tau) on the feasible set."""
 
-    precision: Array
     mean: Array
     cov: Array
+    log_z: float
 
 
-def _as_quadratic(q, c, d: int) -> tuple[Array, Array]:
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if q.shape != (d, d) or c.shape != (d,):
-        raise DimensionMismatchError(d, q.shape[0], "quadratic cost")
-    if not np.allclose(q, q.T, atol=1e-10):
-        raise ValueError("quadratic cost matrix must be symmetric")
-    return q, c
+class TiltOracle:
+    """Exact-mode oracle: free energy, gradient and Hessian read off one tilt record.
 
-
-def tilted_moments_quadratic(policy: GaussianPolicy, q, c) -> TiltedGaussian:
-    """Exact tilt of N(mean, Sigma) by exp(-(u'Qu/2 + c'u)/tau).
-
-    Posterior precision Sigma^{-1} + Q/tau, posterior mean solving it against
-    Sigma^{-1} mean - c/tau.  The covariance does not depend on the mean.
+    Subclasses set `policy` (fixed covariance and temperature; each method's
+    mean argument is the iterate) and implement `moments(mean) -> TiltMoments`.
     """
-    d = policy.dim
-    q, c = _as_quadratic(q, c, d)
-    sigma = policy.cov_matrix()
-    sigma_inv = np.linalg.inv(sigma)
-    lam = sigma_inv + q / policy.tau
-    lam = 0.5 * (lam + lam.T)
-    if np.linalg.eigvalsh(lam).min() <= 0:
-        raise NotSpdError("tilted precision is not positive definite")
-    cov = np.linalg.inv(lam)
-    cov = 0.5 * (cov + cov.T)
-    mean = cov @ (sigma_inv @ policy.mean - c / policy.tau)
-    return TiltedGaussian(precision=lam, mean=mean, cov=cov)
+
+    def tilted_mean(self, mean: Array) -> Array:
+        return self.moments(mean).mean
+
+    def free_energy(self, mean: Array) -> float:
+        return -self.policy.tau * self.moments(mean).log_z
+
+    def grad(self, mean: Array) -> Array:
+        """-tau Sigma^{-1} (tilted mean - mean)."""
+        return -self.policy.tau * self.policy.solve(self.tilted_mean(mean) - mean)
+
+    def hessian(self, mean: Array) -> Array:
+        return hessian_f_gaussian(self.policy, self.moments(mean).cov)
 
 
-def free_energy_quadratic(policy: GaussianPolicy, q, c) -> float:
-    """Closed-form -tau log Z for a quadratic cost without constraints.
+class QuadraticOracle(TiltOracle):
+    """Closed-form tilt for f0(u) = u'Qu/2 + c'u without constraints.
 
-    log Z = 1/2 h' Lam^{-1} h - 1/2 mu' Sigma^{-1} mu - 1/2 logdet(Sigma Lam)
-    with Lam = Sigma^{-1} + Q/tau and h = Sigma^{-1} mu - c/tau.
-    """
-    d = policy.dim
-    q, c = _as_quadratic(q, c, d)
-    tau = policy.tau
-    sigma = policy.cov_matrix()
-    sigma_inv = np.linalg.inv(sigma)
-    lam = sigma_inv + q / tau
-    h = sigma_inv @ policy.mean - c / tau
-    sign, logdet = np.linalg.slogdet(sigma @ lam)
-    if sign <= 0:
-        raise NotSpdError("Sigma * Lambda has nonpositive determinant")
-    log_z = 0.5 * float(h @ np.linalg.solve(lam, h)) - 0.5 * float(
-        policy.mean @ (sigma_inv @ policy.mean)
-    ) - 0.5 * float(logdet)
-    return -tau * log_z
-
-
-def grad_f_quadratic(policy: GaussianPolicy, q, c) -> Array:
-    """Exact gradient -tau Sigma^{-1}(tilted mean - mean) for quadratic f0."""
-    tilt = tilted_moments_quadratic(policy, q, c)
-    return -policy.tau * policy.solve(tilt.mean - policy.mean)
-
-
-class QuadraticOracle:
-    """Exact tilted-mean / free-energy oracle for run_exact on quadratics.
-
-    Covariance and temperature come from the template policy; the mean
-    argument of each method is the iterate.
+    The tilted precision is Lam = Sigma^{-1} + Q/tau.  Sigma^{-1}, Lam, the
+    tilt covariance Lam^{-1} and log det(Sigma Lam) do not depend on the
+    mean, so they are formed once here.
     """
 
     def __init__(self, policy: GaussianPolicy, q, c):
-        self._template = policy
-        self.q, self.c = _as_quadratic(q, c, policy.dim)
-        tilt = tilted_moments_quadratic(policy, self.q, self.c)
-        self.tilted_cov = tilt.cov  # mean-independent
+        d = policy.dim
+        q = np.atleast_2d(np.asarray(q, dtype=float))
+        c = np.atleast_1d(np.asarray(c, dtype=float))
+        if q.shape != (d, d) or c.shape != (d,):
+            raise DimensionMismatchError(d, q.shape[0], "quadratic cost")
+        if not np.allclose(q, q.T, atol=1e-10):
+            raise ValueError("quadratic cost matrix must be symmetric")
+        self.policy = policy
+        sigma = policy.cov_matrix()
+        self._sigma_inv = np.linalg.inv(sigma)
+        lam = self._sigma_inv + q / policy.tau
+        lam = 0.5 * (lam + lam.T)
+        if np.linalg.eigvalsh(lam).min() <= 0:
+            raise NotSpdError("tilted precision is not positive definite")
+        cov = np.linalg.inv(lam)
+        self.tilted_cov = 0.5 * (cov + cov.T)
+        self.tilted_cov.setflags(write=False)  # every moments() record shares it
+        self._c_over_tau = c / policy.tau
+        # Sigma and Lam are both SPD here, so the determinant is positive
+        self._logdet = float(np.linalg.slogdet(sigma @ lam)[1])
 
-    def _at(self, mean: Array) -> GaussianPolicy:
-        return self._template.with_mean(mean)
+    def moments(self, mean: Array) -> TiltMoments:
+        """Tilted mean Lam^{-1} h with h = Sigma^{-1} mu - c/tau, and log Z.
 
-    def tilted_mean(self, mean: Array) -> Array:
-        return tilted_moments_quadratic(self._at(mean), self.q, self.c).mean
-
-    def free_energy(self, mean: Array) -> float:
-        return free_energy_quadratic(self._at(mean), self.q, self.c)
-
-    def grad(self, mean: Array) -> Array:
-        return grad_f_quadratic(self._at(mean), self.q, self.c)
-
-    def hessian(self, mean: Array) -> Array:
-        return hessian_f_gaussian(self._at(mean), self.tilted_cov)
+        log Z = h' Lam^{-1} h / 2 - mu' Sigma^{-1} mu / 2 - log det(Sigma Lam) / 2.
+        """
+        mu = self.policy.with_mean(mean).mean  # checks the length
+        s = self._sigma_inv @ mu
+        h = s - self._c_over_tau
+        tilted = self.tilted_cov @ h
+        log_z = 0.5 * float(h @ tilted) - 0.5 * float(mu @ s) - 0.5 * self._logdet
+        return TiltMoments(mean=tilted, cov=self.tilted_cov, log_z=log_z)
 
     def l_sigma(self) -> float:
-        return l_sigma_quadratic(self._template.cov_matrix(), self.q, self._template.tau).l_sigma
+        return _curvature_norm(self.policy, self.tilted_cov)
 
 
-# ---------------------------------------------------------------------------
-# Quadrature oracle (1-D / 2-D boxes)
-# ---------------------------------------------------------------------------
+def tilted_moments_quadratic(policy: GaussianPolicy, q, c) -> TiltMoments:
+    """Exact tilt of N(mean, Sigma) by exp(-(u'Qu/2 + c'u)/tau) at the policy's mean."""
+    return QuadraticOracle(policy, q, c).moments(policy.mean)
 
 
 @dataclass(frozen=True)
@@ -148,14 +129,6 @@ class GridSpec:
     max_cells_2d: int = 2**12
 
 
-@dataclass(frozen=True)
-class QuadratureMoments:
-    mean: Array
-    cov: Array
-    log_z: float
-    cells_per_axis: int
-
-
 def _simpson_weights(lo: float, hi: float, cells: int) -> tuple[Array, Array]:
     nodes = np.linspace(lo, hi, cells + 1)
     w = np.ones(cells + 1)
@@ -165,32 +138,33 @@ def _simpson_weights(lo: float, hi: float, cells: int) -> tuple[Array, Array]:
     return nodes, w
 
 
-def _tilted_grid_pass(f0, box_lo, box_hi, policy: GaussianPolicy, cells: int) -> QuadratureMoments:
-    d = policy.dim
-    if d == 1:
-        nodes, w = _simpson_weights(box_lo[0], box_hi[0], cells)
-        pts = nodes[:, None]
-        weights = w
-    else:
-        n0, w0 = _simpson_weights(box_lo[0], box_hi[0], cells)
-        n1, w1 = _simpson_weights(box_lo[1], box_hi[1], cells)
-        g0, g1 = np.meshgrid(n0, n1, indexing="ij")
-        pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
-        weights = np.outer(w0, w1).ravel()
+def _simpson_tilt(log_pi: Array, f_vals: Array, tau: float, weights: Array):
+    """Log tilt log pi - f0/tau on Simpson nodes, node masses, their sum z0, and log Z.
 
-    log_g = policy.log_density(pts) - np.asarray(f0(pts), dtype=float) / policy.tau
-
+    The masses are weights * exp(log tilt - max), so z0 = Z exp(-max) cannot overflow.
+    """
+    log_g = log_pi - f_vals / tau
     shift = float(log_g.max())
     density = weights * np.exp(log_g - shift)
     z0 = float(density.sum())
     if z0 <= 0:
         raise QuadratureError("integrand vanished on the whole grid", last_estimate=float("nan"))
+    return log_g, density, z0, shift + np.log(z0)
+
+
+def _tilted_grid_pass(f0, box_lo, box_hi, policy: GaussianPolicy, cells: int) -> TiltMoments:
+    nodes, weights = _simpson_weights(box_lo[0], box_hi[0], cells)
+    pts = nodes[:, None]
+    if policy.dim == 2:  # tensor grid, first axis slowest
+        n1, w1 = _simpson_weights(box_lo[1], box_hi[1], cells)
+        pts = np.column_stack([np.repeat(nodes, n1.size), np.tile(n1, nodes.size)])
+        weights = np.outer(weights, w1).ravel()
+    f_vals = np.asarray(f0(pts), dtype=float)
+    _, density, z0, log_z = _simpson_tilt(policy.log_density(pts), f_vals, policy.tau, weights)
     mean = (density @ pts) / z0
     centered = pts - mean
     cov = (density[:, None] * centered).T @ centered / z0
-    return QuadratureMoments(
-        mean=mean, cov=0.5 * (cov + cov.T), log_z=shift + np.log(z0), cells_per_axis=cells
-    )
+    return TiltMoments(mean=mean, cov=0.5 * (cov + cov.T), log_z=log_z)
 
 
 def tilted_moments_quadrature(
@@ -199,7 +173,7 @@ def tilted_moments_quadrature(
     box_hi,
     policy: GaussianPolicy,
     grid: GridSpec = GridSpec(),
-) -> QuadratureMoments:
+) -> TiltMoments:
     """Simpson moments of the constrained tilt on a 1-D/2-D box.
 
     `f0` must accept an (n, d) array of points and return n costs.  The cell
@@ -245,7 +219,7 @@ def free_energy_quadrature(
     return -policy.tau * tilted_moments_quadrature(f0, box_lo, box_hi, policy, grid).log_z
 
 
-class QuadratureOracle:
+class QuadratureOracle(TiltOracle):
     """Exact-mode oracle backed by quadrature; works for any smooth 1-D/2-D f0."""
 
     def __init__(self, f0, box_lo, box_hi, policy: GaussianPolicy, grid: GridSpec = GridSpec()):
@@ -253,18 +227,12 @@ class QuadratureOracle:
         self.box_lo = box_lo
         self.box_hi = box_hi
         self.grid = grid
-        self._template = policy
+        self.policy = policy
 
-    def _moments(self, mean: Array) -> QuadratureMoments:
+    def moments(self, mean: Array) -> TiltMoments:
         return tilted_moments_quadrature(
-            self.f0, self.box_lo, self.box_hi, self._template.with_mean(mean), self.grid
+            self.f0, self.box_lo, self.box_hi, self.policy.with_mean(mean), self.grid
         )
-
-    def tilted_mean(self, mean: Array) -> Array:
-        return self._moments(mean).mean
-
-    def free_energy(self, mean: Array) -> float:
-        return -self._template.tau * self._moments(mean).log_z
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +240,16 @@ class QuadratureOracle:
 # ---------------------------------------------------------------------------
 
 
+def _tilt_cov_arg(policy: GaussianPolicy, cov_tilt) -> Array:
+    cov_tilt = np.atleast_2d(np.asarray(cov_tilt, dtype=float))
+    if cov_tilt.shape != (policy.dim, policy.dim):
+        raise DimensionMismatchError(policy.dim**2, cov_tilt.size, "tilted covariance")
+    return cov_tilt
+
+
 def hessian_f_gaussian(policy: GaussianPolicy, cov_tilt: Array) -> Array:
     """Hessian in the mean: tau * Sigma^{-1} (Sigma - Cov_tilt) Sigma^{-1}."""
-    cov_tilt = np.atleast_2d(np.asarray(cov_tilt, dtype=float))
-    d = policy.dim
-    if cov_tilt.shape != (d, d):
-        raise DimensionMismatchError(d * d, cov_tilt.size, "tilted covariance")
+    cov_tilt = _tilt_cov_arg(policy, cov_tilt)
     sigma_inv = np.linalg.inv(policy.cov_matrix())
     h = policy.tau * (sigma_inv - sigma_inv @ cov_tilt @ sigma_inv)
     return 0.5 * (h + h.T)
@@ -285,15 +257,12 @@ def hessian_f_gaussian(policy: GaussianPolicy, cov_tilt: Array) -> Array:
 
 def preconditioned_hessian(policy: GaussianPolicy, cov_tilt: Array) -> Array:
     """I - Sigma^{-1/2} Cov_tilt Sigma^{-1/2}: temperature-free curvature."""
-    cov_tilt = np.atleast_2d(np.asarray(cov_tilt, dtype=float))
-    d = policy.dim
-    if cov_tilt.shape != (d, d):
-        raise DimensionMismatchError(d * d, cov_tilt.size, "tilted covariance")
+    cov_tilt = _tilt_cov_arg(policy, cov_tilt)
     w, v = np.linalg.eigh(policy.cov_matrix())
     if w.min() <= 0:
         raise NotSpdError("policy covariance is not positive definite")
     inv_sqrt = (v / np.sqrt(w)) @ v.T
-    m = np.eye(d) - inv_sqrt @ cov_tilt @ inv_sqrt
+    m = np.eye(policy.dim) - inv_sqrt @ cov_tilt @ inv_sqrt
     return 0.5 * (m + m.T)
 
 
@@ -318,10 +287,13 @@ def l_sigma_quadratic(cov, q, tau: float) -> SmoothnessEstimate:
     Sigma^{-1/2}, computed by symmetric eigendecomposition.
     """
     policy = GaussianPolicy(np.zeros(np.atleast_2d(np.asarray(q)).shape[0]), cov, tau)
-    tilt = tilted_moments_quadratic(policy, q, np.zeros(policy.dim))
-    m = preconditioned_hessian(policy, tilt.cov)
-    l = float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    return SmoothnessEstimate(l_sigma=l, method="closed_form_quadratic")
+    oracle = QuadraticOracle(policy, q, np.zeros(policy.dim))
+    return SmoothnessEstimate(l_sigma=oracle.l_sigma(), method="closed_form_quadratic")
+
+
+def _curvature_norm(policy: GaussianPolicy, cov_tilt: Array) -> float:
+    """Spectral norm of the preconditioned Hessian, by symmetric eigendecomposition."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(preconditioned_hessian(policy, cov_tilt)))))
 
 
 def l_sigma_scalar(sigma2: float, q, tau: float) -> float:
@@ -345,12 +317,11 @@ def l_sigma_numeric(
     quadratic closed form, which ignores it).  The supremum is over the
     supplied grid of means only — choose it to bracket the curvature peak.
     """
+    oracle = QuadratureOracle(f0, box_lo, box_hi, policy, grid)
     worst = 0.0
     for mean in mean_grid:
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        mom = tilted_moments_quadrature(f0, box_lo, box_hi, policy.with_mean(mean), grid)
-        m = preconditioned_hessian(policy.with_mean(mean), mom.cov)
-        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(m)))))
+        tilt = oracle.moments(np.atleast_1d(np.asarray(mean, dtype=float)))
+        worst = max(worst, _curvature_norm(policy, tilt.cov))
     return SmoothnessEstimate(l_sigma=worst, method="numeric_hessian")
 
 
@@ -555,11 +526,8 @@ def gibbs_identity_check(
 
     f_vals = np.asarray(f0(pts), dtype=float)
     log_pi = policy.log_density(pts)
-    log_tilt_un = log_pi - f_vals / tau
-    shift = log_tilt_un.max()
-    z = float(w @ np.exp(log_tilt_un - shift))
-    log_z = shift + np.log(z)
-    log_tilt = log_tilt_un - log_z  # normalized Gibbs tilt on the box
+    log_g, _, _, log_z = _simpson_tilt(log_pi, f_vals, tau, w)
+    log_tilt = log_g - log_z  # normalized Gibbs tilt on the box
 
     support = rho_vals > 0
     def expect(vals: Array) -> float:

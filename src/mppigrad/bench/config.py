@@ -123,8 +123,13 @@ def pgd_config(optimizer: Dict[str, Any], eta: Any, k: Any) -> PgdConfig:
     )
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # YAML true is an int subclass
+
+
 def _finite_positive(value: Any) -> bool:
-    return isinstance(value, (int, float)) and 0 < value < np.inf  # NaN fails both bounds
+    numeric = _is_int(value) or isinstance(value, float)
+    return numeric and 0 < value < np.inf  # NaN fails both bounds
 
 
 def _validate(doc: Dict[str, Any]) -> None:
@@ -140,7 +145,7 @@ def _validate(doc: Dict[str, Any]) -> None:
 
 def _validate_resolved(experiment: str, resolved: Dict[str, Any]) -> None:
     seeds = resolved.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise ConfigError("seeds must be a non-empty list of integers")
     if min(seeds) < 0:  # the Philox counter streams take only non-negative keys
         raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
@@ -157,7 +162,8 @@ def _validate_resolved(experiment: str, resolved: Dict[str, Any]) -> None:
         for eta in resolved["grid"].get("eta", [resolved["optimizer"].get("eta", 1.0)]):
             if eta != "rule" and not _finite_positive(eta):
                 raise ConfigError(f"eta cell {eta!r} must be positive or the string 'rule'")
-    if experiment == "dubins" and resolved.get("sim_steps", 0) < 1:
+    steps = resolved.get("sim_steps", 1)
+    if experiment == "dubins" and not (_is_int(steps) and steps >= 1):
         raise ConfigError("sim_steps must be >= 1")
     _check_builds(experiment, resolved)
 

@@ -40,29 +40,27 @@ def _grad_hessian_checks(inject_bug: bool) -> List[CheckRow]:
 
     h = 0.01
     g_fd = (f_hat(0.4 + h) - f_hat(0.4 - h)) / (2 * h)
-    g_exact = float(analysis.grad_f_quadratic(policy, q, c)[0])
+    oracle = analysis.QuadraticOracle(policy, q, c)
+    g_exact = float(oracle.grad(policy.mean)[0])
     if inject_bug:
         g_exact = -g_exact
     rows = [check_row("gradient_vs_quadrature_fd", g_exact, g_fd, 1e-5)]
 
     hh = 0.05
     h_fd = (f_hat(0.4 + hh) - 2 * f_hat(0.4) + f_hat(0.4 - hh)) / hh**2
-    tilt = analysis.tilted_moments_quadratic(policy, q, c)
-    h_exact = float(analysis.hessian_f_gaussian(policy, tilt.cov)[0, 0])
+    h_exact = float(oracle.hessian(policy.mean)[0, 0])
     rows.append(check_row("hessian_vs_quadrature_fd", h_exact, h_fd, 1e-4))
 
     # temperature cancellation: P^{1/2} H P^{1/2} vs I - S^{-1/2} Cov S^{-1/2}
     worst = 0.0
     for tau in (0.3, 0.9, 17.0):
         pol = GaussianPolicy([0.1, -0.2], np.array([[0.6, 0.1], [0.1, 0.3]]), tau)
-        tilt2 = analysis.tilted_moments_quadratic(
-            pol, np.array([[2.0, 0.4], [0.4, 1.1]]), np.zeros(2)
-        )
-        hess = analysis.hessian_f_gaussian(pol, tilt2.cov)
+        pol_oracle = analysis.QuadraticOracle(pol, np.array([[2.0, 0.4], [0.4, 1.1]]), np.zeros(2))
+        hess = pol_oracle.hessian(pol.mean)
         w, v = np.linalg.eigh(pol.cov_matrix() / tau)
         p_half = (v * np.sqrt(w)) @ v.T
         via_hessian = p_half @ hess @ p_half
-        direct = analysis.preconditioned_hessian(pol, tilt2.cov)
+        direct = analysis.preconditioned_hessian(pol, pol_oracle.tilted_cov)
         worst = max(worst, float(np.max(np.abs(via_hessian - direct))))
     rows.append(check_row("temperature_cancellation", 0.0, worst, 1e-12, relative=False))
     return rows

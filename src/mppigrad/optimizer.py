@@ -63,8 +63,8 @@ class PgdConfig:
             raise ValueError("need at least 2 samples per iteration")
         if self.antithetic and self.n_samples % 2:
             raise ValueError(f"antithetic sampling needs an even n_samples, got {self.n_samples}")
-        if self.max_retries < 0:
-            raise ValueError("retries must be >= 0")
+        if not 0 <= self.max_retries <= 255:  # the Philox key keeps 8 bits for the retry index
+            raise ValueError(f"max_retries must be in [0, 255], got {self.max_retries}")
 
 
 @dataclass
@@ -194,24 +194,23 @@ def run(
 
 
 def run_exact(oracle, policy: GaussianPolicy, config: PgdConfig) -> tuple[GaussianPolicy, OptimizerTrace]:
-    """Deterministic iteration using an exact tilted-mean oracle.
+    """Deterministic iteration using an exact tilt oracle.
 
-    `oracle` must expose tilted_mean(mean) and free_energy(mean) for the
-    policy's fixed covariance and temperature (see the analysis module).  The
-    trace records the exact free energy and exact preconditioned gradient
-    norm at each iterate, which is what the descent-inequality checks consume.
+    `oracle.moments(mean)` gives the tilted mean and log Z for the policy's
+    fixed covariance and temperature (see the analysis module); it is called
+    once per iterate.  The trace records the exact free energy -tau log Z and
+    the exact preconditioned gradient norm, which the descent checks consume.
     """
-    for attr in ("tilted_mean", "free_energy"):
-        if not hasattr(oracle, attr):
-            raise UnsupportedProblemError(
-                f"oracle of type {type(oracle).__name__} lacks {attr}(); "
-                "exact mode needs a closed-form or quadrature oracle"
-            )
+    if not hasattr(oracle, "moments"):
+        raise UnsupportedProblemError(
+            f"oracle of type {type(oracle).__name__} lacks moments(), which gives the "
+            "tilted_mean and log Z; exact mode needs a closed-form or quadrature oracle"
+        )
     trace = OptimizerTrace()
     for k in range(config.k):
         t0 = time.perf_counter()
-        m = oracle.tilted_mean(policy.mean)
-        norm_p = _grad_norm_p(policy, m - policy.mean)
+        tilt = oracle.moments(policy.mean)
+        norm_p = _grad_norm_p(policy, tilt.mean - policy.mean)
         trace.records.append(
             IterationRecord(
                 k=k,
@@ -220,11 +219,11 @@ def run_exact(oracle, policy: GaussianPolicy, config: PgdConfig) -> tuple[Gaussi
                 ess=float("nan"),
                 acceptance=float("nan"),
                 best_cost=float("nan"),
-                free_energy=float(oracle.free_energy(policy.mean)),
+                free_energy=float(-policy.tau * tilt.log_z),
                 ms=(time.perf_counter() - t0) * 1e3,
             )
         )
-        policy = policy.with_mean(_apply_update(policy, config.eta, m))
+        policy = policy.with_mean(_apply_update(policy, config.eta, tilt.mean))
         if config.eps_stat > 0 and norm_p <= config.eps_stat:
             break
     return policy, trace

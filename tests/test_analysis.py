@@ -69,14 +69,14 @@ def test_gradient_matches_fd_of_closed_form_free_energy():
     q = np.array([[2.0, 0.4], [0.4, 1.5]])
     c = np.array([0.3, -0.7])
     policy = GaussianPolicy(np.array([0.8, -0.4]), np.array([[0.9, 0.2], [0.2, 0.6]]), 1.3)
-    g = analysis.grad_f_quadratic(policy, q, c)
+    g = analysis.QuadraticOracle(policy, q, c).grad(policy.mean)
     h = 1e-6
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
         fd = (
-            analysis.free_energy_quadratic(policy.with_mean(policy.mean + e), q, c)
-            - analysis.free_energy_quadratic(policy.with_mean(policy.mean - e), q, c)
+            analysis.QuadraticOracle(policy, q, c).free_energy(policy.mean + e)
+            - analysis.QuadraticOracle(policy, q, c).free_energy(policy.mean - e)
         ) / (2 * h)
         assert g[i] == pytest.approx(fd, abs=1e-7)
 
@@ -84,7 +84,9 @@ def test_gradient_matches_fd_of_closed_form_free_energy():
 def test_gradient_vanishes_at_the_unconstrained_optimum():
     policy = GaussianPolicy(np.zeros(2), 1.0, tau=2.0)
     np.testing.assert_allclose(
-        analysis.grad_f_quadratic(policy, np.diag([1.0, 3.0]), np.zeros(2)), 0.0, atol=1e-14
+        analysis.QuadraticOracle(policy, np.diag([1.0, 3.0]), np.zeros(2)).grad(policy.mean),
+        0.0,
+        atol=1e-14,
     )
 
 
@@ -133,7 +135,8 @@ def test_quadrature_matches_closed_form_on_a_wide_box_1d():
     np.testing.assert_allclose(mom.mean, exact.mean, atol=1e-8)
     np.testing.assert_allclose(mom.cov, exact.cov, atol=1e-8)
     f = analysis.free_energy_quadrature(quadratic_batch(q, c), [-25.0], [25.0], policy, WIDE)
-    assert f == pytest.approx(analysis.free_energy_quadratic(policy, q, c), abs=1e-8)
+    exact_f = analysis.QuadraticOracle(policy, q, c).free_energy(policy.mean)
+    assert f == pytest.approx(exact_f, abs=1e-8)
 
 
 def test_quadrature_matches_closed_form_on_a_wide_box_2d():
@@ -146,6 +149,7 @@ def test_quadrature_matches_closed_form_on_a_wide_box_2d():
     exact = analysis.tilted_moments_quadratic(policy, q, c)
     np.testing.assert_allclose(mom.mean, exact.mean, atol=1e-6)
     np.testing.assert_allclose(mom.cov, exact.cov, atol=1e-6)
+    assert mom.log_z == pytest.approx(exact.log_z, abs=1e-6)
 
 
 def test_truncation_shrinks_the_tilt_variance():

@@ -444,11 +444,22 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
         ("lqr", "sampling: {sigma2: .nan}", "sampling.sigma2 must be positive"),
         ("lqr", "grid: {eta: [.nan]}", "must be positive or the string 'rule'"),
         ("lqr", "grid: {tau: [.inf]}", "sampling.tau must be positive"),
+        # each case below would run (briefly) if the loader let the value through
+        ("dubins", "optimizer: {max_retries: 256}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
+         "max_retries must be in [0, 255]"),
+        ("lqr", "seeds: [true]\noptimizer: {n_samples: 200, iterations: 2}\ngrid: {eta: [1.0]}",
+         "seeds must be a non-empty list of integers"),
+        ("lqr", "sampling: {sigma2: true, tau: true}\noptimizer: {n_samples: 200, iterations: 2}\n"
+         "grid: {eta: [1.0]}", "sampling.sigma2 must be positive"),
+        ("dubins", "sim_steps: true\ngrid: {k: [1]}\nseeds: [0]", "sim_steps must be >= 1"),
+        ("dubins", "sim_steps: abc", "sim_steps must be >= 1"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
          "lqr_fd_zero_h", "lqr_fd_non_numeric_alpha", "lqr_fd_budget_below_one_iteration",
-         "lqr_nan_sigma2", "lqr_nan_eta_in_grid", "lqr_inf_tau_in_grid"],
+         "lqr_nan_sigma2", "lqr_nan_eta_in_grid", "lqr_inf_tau_in_grid",
+         "dubins_max_retries_above_counter_range", "lqr_boolean_seed", "lqr_boolean_sigma2_and_tau",
+         "dubins_boolean_sim_steps", "dubins_text_sim_steps"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message

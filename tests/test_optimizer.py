@@ -54,6 +54,9 @@ def test_config_rejects_bad_values():
     assert PgdConfig(n_samples=7, antithetic=False).n_samples == 7
     with pytest.raises(ValueError):
         PgdConfig(max_retries=-1)
+    with pytest.raises(ValueError, match="max_retries"):  # the retry counter has 8 bits
+        PgdConfig(max_retries=256)
+    assert PgdConfig(max_retries=255).max_retries == 255
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +304,35 @@ def test_exact_mode_needs_an_oracle():
     policy = GaussianPolicy(np.zeros(1), 1.0, tau=1.0)
     with pytest.raises(UnsupportedProblemError, match="tilted_mean"):
         run_exact(object(), policy, PgdConfig(n_samples=2))
+
+
+def test_exact_mode_stops_at_the_first_stationary_iterate():
+    policy = GaussianPolicy(np.array([3.0]), 0.4, tau=1.1)
+    oracle = analysis.QuadraticOracle(policy, 1.0, 0.0)
+    _, full = run_exact(oracle, policy, PgdConfig(eta=1.0, k=50, n_samples=2))
+    norms = full.column("grad_norm_p")  # strictly decreasing: geometric decay
+    eps = 0.5 * (norms[9] + norms[10])
+    final, trace = run_exact(oracle, policy, PgdConfig(eta=1.0, k=50, n_samples=2, eps_stat=eps))
+    assert len(trace) == 11  # iterate 10 is the first with |g|_P <= eps_stat
+    np.testing.assert_array_equal(trace.column("grad_norm_p"), norms[:11])
+    # the step from the stopping iterate is still taken
+    np.testing.assert_array_equal(final.mean, full.records[11].mean)
+
+
+def test_exact_mode_reads_one_tilt_record_per_iterate(monkeypatch):
+    calls = []
+    quadrature = analysis.tilted_moments_quadrature
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "tilted_moments_quadrature", counting)
+    policy = GaussianPolicy(np.array([0.8]), 0.4, tau=0.9)
+    oracle = analysis.QuadratureOracle(lambda pts: 0.5 * pts[:, 0] ** 2, [-10.0], [10.0], policy)
+    _, trace = run_exact(oracle, policy, PgdConfig(eta=1.0, k=40, n_samples=2))
+    assert len(trace) == 40
+    assert len(calls) == 40
 
 
 def test_exact_mode_accepts_quadrature_oracle():
