@@ -112,14 +112,28 @@ class RunConfig:
 
 
 def pgd_config(optimizer: Dict[str, Any], eta: Any, k: Any) -> PgdConfig:
-    """One job's optimizer settings: its own step size and iteration count, the rest shared."""
+    """One job's optimizer settings: its own step size and iteration count, the rest shared.
+
+    Counts must be real integers and `antithetic` a real boolean: `int()` would
+    read YAML `true` as 1 and truncate 200.9, and `bool("false")` is True.
+    """
+    for name, value in (
+        ("iteration count", k),
+        ("optimizer.n_samples", optimizer["n_samples"]),
+        ("optimizer.max_retries", optimizer["max_retries"]),
+    ):
+        if not _is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    antithetic = optimizer["antithetic"]
+    if not isinstance(antithetic, bool):
+        raise ConfigError(f"optimizer.antithetic must be true or false, got {antithetic!r}")
     return PgdConfig(
         eta=float(eta),
-        k=int(k),
-        n_samples=int(optimizer["n_samples"]),
-        antithetic=bool(optimizer["antithetic"]),
+        k=k,
+        n_samples=optimizer["n_samples"],
+        antithetic=antithetic,
         eps_stat=float(optimizer["eps_stat"]),
-        max_retries=int(optimizer["max_retries"]),
+        max_retries=optimizer["max_retries"],
     )
 
 

@@ -90,6 +90,7 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, k_inner: int, seed: int) -> RunR
         "acceptance_rate": trace.acceptance_rate,
         "ess_min": min((s.ess_min for s in trace.steps), default=float("nan")),
         "retries": sum(s.retries for s in trace.steps),
+        "nonfinite_costs": sum(s.nonfinite for s in trace.steps),
         "safe": bool(clear and not trace.unsafe),
         "terminal_position_error": terminal_err,
         "steps_completed": len(trace.steps),

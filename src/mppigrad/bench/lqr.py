@@ -101,6 +101,7 @@ def _one_cell(
         "mean_acceptance": float(trace.column("acceptance").mean()),
         "ess_min": float(trace.column("ess").min()),
         "retries": int(sum(r.retries for r in trace.records)),
+        "nonfinite_costs": sum(r.nonfinite for r in trace.records),
         "infeasible_mean_iterations": [int(i) for i in np.nonzero(~feasible)[0]],
         "iterations": len(trace),
         "evaluations": len(trace) * n,

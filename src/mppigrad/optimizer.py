@@ -78,6 +78,7 @@ class IterationRecord:
     free_energy: float
     ms: float
     retries: int = 0
+    nonfinite: int = 0  # samples of the weighed batch whose cost is NaN or infinite
 
 
 @dataclass
@@ -149,17 +150,18 @@ def pgd_step(
     sampler, batch, summary, retries = _sample_weighted(problem, policy, config, seed, iteration)
     wmean = weighted_mean(batch, summary)
     new_mean = _apply_update(policy, config.eta, wmean)
-    flags = batch.feasible_flags
+    finite = np.isfinite(batch.costs)  # `weigh` counts the rest as infeasible
     record = IterationRecord(
         k=iteration,
         mean=policy.mean.copy(),
         grad_norm_p=_grad_norm_p(sampler, wmean - policy.mean),
         ess=summary.effective_sample_size,
         acceptance=summary.acceptance_rate,
-        best_cost=float(batch.costs[flags].min()),
+        best_cost=float(batch.costs[batch.feasible_flags & finite].min()),
         free_energy=float(-sampler.tau * summary.log_mean_weight),
         ms=(time.perf_counter() - t0) * 1e3,
         retries=retries,
+        nonfinite=int(np.count_nonzero(~finite)),
     )
     return policy.with_mean(new_mean), record
 
@@ -253,6 +255,7 @@ class ClosedLoopStep:
     ms: float
     retries: int  # all-infeasible retries over the step's inner iterations
     ess_min: float  # smallest ESS over the step's inner iterations
+    nonfinite: int  # NaN or infinite costs over the step's inner iterations
     plan: Array = None  # the solved open-loop mean this step executed from
 
 
@@ -331,6 +334,7 @@ def receding_horizon(
                 ms=(time.perf_counter() - t0) * 1e3,
                 retries=sum(r.retries for r in inner.records),
                 ess_min=float(inner.column("ess").min()),
+                nonfinite=sum(r.nonfinite for r in inner.records),
                 plan=solved.mean.copy(),
             )
         )

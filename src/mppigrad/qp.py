@@ -11,6 +11,10 @@ reference solve becomes one after a Cholesky change of variables.  The
 reference value is certified by weak duality before it is trusted as an
 optimality-gap reference: the solver's multipliers give a lower bound on the
 optimum that shares only the problem data with the solver.
+
+scipy is imported only where a QP is solved (the LQR oracle and the FD
+projector), so loading a config, a Dubins run and the theory suite never pay
+for `scipy.linalg` or `scipy.optimize`.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
-from scipy.optimize import nnls
 
 from .errors import ConvergenceError, InfeasibleProblemError, NotSpdError
 from .problems import LqrSpec, lqr_response
@@ -141,6 +143,13 @@ def _stack(qp: QpProblem) -> Tuple[Array, Array]:
     return g[keep], h[keep]
 
 
+def nnls(a: Array, b: Array) -> Tuple[Array, float]:
+    """scipy's NNLS, min |a z - b| over z >= 0; `_ldp` calls it through this name."""
+    from scipy.optimize import nnls as scipy_nnls  # local: scipy.optimize loads only here
+
+    return scipy_nnls(a, b)
+
+
 def _ldp(g: Array, h: Array) -> Tuple[Array, Array]:
     """min |x| s.t. g x >= h; returns x and its multipliers lam.
 
@@ -180,6 +189,8 @@ def solve_reference(qp: QpProblem) -> QpSolution:
     when the constraints are inconsistent, and ConvergenceError when NNLS
     stops at its iteration cap.
     """
+    from scipy.linalg import LinAlgError, cholesky, solve_triangular  # local: see the module doc
+
     g, h = _stack(qp)
     try:
         r = cholesky(qp.q)

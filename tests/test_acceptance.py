@@ -429,6 +429,13 @@ def test_criterion_9_dubins_ordering(announce):
     )
 
 
+def test_desk_runs_count_no_nonfinite_costs(desk_lqr):
+    """Not a criterion: the desk problems have finite costs, so the count reads 0."""
+    records = desk_lqr[0] + run_dubins(load_config("configs/dubins.yaml"))
+    counts = [r.summary["nonfinite_costs"] for r in records if r.cell.get("method") != "fd"]
+    assert counts == [0] * 15  # 6 sampled LQR cells, 9 Dubins cells
+
+
 # ---------------------------------------------------------------------------
 # 10. self-normalized estimator bias shrinks with N
 # ---------------------------------------------------------------------------

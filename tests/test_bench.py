@@ -453,13 +453,25 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "grid: {eta: [1.0]}", "sampling.sigma2 must be positive"),
         ("dubins", "sim_steps: true\ngrid: {k: [1]}\nseeds: [0]", "sim_steps must be >= 1"),
         ("dubins", "sim_steps: abc", "sim_steps must be >= 1"),
+        ("lqr", "optimizer: {iterations: true}\ngrid: {eta: [1.0]}\nseeds: [0]",
+         "iteration count must be an integer, got True"),
+        ("lqr", "optimizer: {max_retries: true, n_samples: 200, iterations: 2}\n"
+         "grid: {eta: [1.0]}\nseeds: [0]", "optimizer.max_retries must be an integer, got True"),
+        ("lqr", "optimizer: {n_samples: 200.9, iterations: 2}\ngrid: {eta: [1.0]}\nseeds: [0]",
+         "optimizer.n_samples must be an integer, got 200.9"),
+        ("dubins", "grid: {k: [1.5]}\nsim_steps: 1\nseeds: [0]",
+         "iteration count must be an integer, got 1.5"),
+        ("dubins", "optimizer: {antithetic: 'false'}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
+         "optimizer.antithetic must be true or false, got 'false'"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
          "lqr_fd_zero_h", "lqr_fd_non_numeric_alpha", "lqr_fd_budget_below_one_iteration",
          "lqr_nan_sigma2", "lqr_nan_eta_in_grid", "lqr_inf_tau_in_grid",
          "dubins_max_retries_above_counter_range", "lqr_boolean_seed", "lqr_boolean_sigma2_and_tau",
-         "dubins_boolean_sim_steps", "dubins_text_sim_steps"],
+         "dubins_boolean_sim_steps", "dubins_text_sim_steps", "lqr_boolean_iterations",
+         "lqr_boolean_max_retries", "lqr_fractional_n_samples", "dubins_fractional_k_cell",
+         "dubins_text_antithetic"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message
@@ -567,3 +579,44 @@ def test_each_module_imports_in_a_fresh_interpreter():
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, f"import {module} failed:\n{done.stderr}"
+
+
+SCIPY_PROBE = """\
+import sys
+from mppigrad.bench.cli import main
+from mppigrad.bench.config import load_config
+from mppigrad.bench.dubins import build_spec
+from mppigrad.optimizer import PgdConfig, pgd_step
+from mppigrad.problems import dubins_problem
+from mppigrad.sampling import GaussianPolicy
+cfg = load_config("configs/dubins.yaml")
+problem = dubins_problem(build_spec(cfg.section("problem")))
+pgd_step(problem, GaussianPolicy(problem.known_feasible, 0.25, tau=4.0), PgdConfig(n_samples=64), 0)
+print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
+"""
+
+QP_PROBE = """\
+import sys
+from mppigrad import qp
+from mppigrad.problems import double_integrator
+assert "scipy.optimize" not in sys.modules
+print(qp.solve_verified(qp.lift(double_integrator())).duality_gap, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_where_a_qp_is_solved():
+    """Config loading and a Dubins step import no scipy; the first QP solve does."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    outputs = []
+    for probe in (SCIPY_PROBE, QP_PROBE):
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert outputs[0] == ["[]"], f"scipy loaded before any QP solve: {outputs[0]}"
+    gap, loaded = outputs[1]
+    assert abs(float(gap)) < 1e-6 and loaded == "True"

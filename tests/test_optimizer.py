@@ -216,6 +216,43 @@ def test_retries_exhausted_raises_with_trace():
     assert len(err.value.trace) == 0  # failed on the very first iteration
 
 
+def nan_share_problem():
+    """Cost u'u, except NaN on rows 1, 5, 9, ... and +inf on rows 3, 11, 19, ...
+
+    Rows 2, 6, 10, ... are flagged infeasible with a finite cost, so they
+    must not be counted.  The one-row known-feasible check sees row 0 only.
+    """
+
+    def evaluate(controls):
+        costs = np.einsum("ij,ij->i", controls, controls)
+        costs[1::4] = np.nan
+        costs[3::8] = np.inf
+        flags = np.ones(controls.shape[0], bool)
+        flags[2::4] = False
+        return costs, flags
+
+    return TrajectoryProblem(
+        control_dim=1, horizon=2, initial_state=np.zeros(1), dynamics=lambda x, u: x + u,
+        evaluate=evaluate, known_feasible=np.zeros(2),
+    )
+
+
+def test_records_count_the_nonfinite_costs_of_each_batch():
+    # 64 rows: 16 NaN (1::4) and 8 inf (3::8)
+    policy = GaussianPolicy(np.zeros(2), 0.1, tau=1.0)
+    _, trace = run(nan_share_problem(), policy, PgdConfig(k=3, n_samples=64), seed=0)
+    assert [r.nonfinite for r in trace.records] == [24, 24, 24]
+    assert all(np.isfinite(r.best_cost) for r in trace.records)  # weigh's mask, not NaN
+    steps = receding_horizon(
+        lambda state, candidate: nan_share_problem(), policy, PgdConfig(k=3, n_samples=64),
+        sim_steps=2, seed=0, stage_cost=lambda x, u: 0.0,
+    ).steps
+    assert [s.nonfinite for s in steps] == [72, 72]
+    _, clean = run(box_problem_1d(1.0), GaussianPolicy(np.zeros(1), 0.01, tau=1.0),
+                   PgdConfig(k=2, n_samples=16), seed=0)
+    assert [r.nonfinite for r in clean.records] == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
