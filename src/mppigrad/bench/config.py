@@ -8,6 +8,7 @@ fully resolved (re-runnable with no reference to the original file).
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -114,8 +115,9 @@ class RunConfig:
 def pgd_config(optimizer: Dict[str, Any], eta: Any, k: Any) -> PgdConfig:
     """One job's optimizer settings: its own step size and iteration count, the rest shared.
 
-    Counts must be real integers and `antithetic` a real boolean: `int()` would
-    read YAML `true` as 1 and truncate 200.9, and `bool("false")` is True.
+    Counts must be real integers, `eta` and `eps_stat` finite real numbers and
+    `antithetic` a real boolean: `int()` would read YAML `true` as 1 and
+    truncate 200.9, `float(True)` is 1.0, and `bool("false")` is True.
     """
     for name, value in (
         ("iteration count", k),
@@ -124,6 +126,9 @@ def pgd_config(optimizer: Dict[str, Any], eta: Any, k: Any) -> PgdConfig:
     ):
         if not _is_int(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("optimizer.eta", eta), ("optimizer.eps_stat", optimizer["eps_stat"])):
+        if not _finite_real(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
     antithetic = optimizer["antithetic"]
     if not isinstance(antithetic, bool):
         raise ConfigError(f"optimizer.antithetic must be true or false, got {antithetic!r}")
@@ -141,9 +146,12 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # YAML true is an int subclass
 
 
+def _finite_real(value: Any) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _finite_positive(value: Any) -> bool:
-    numeric = _is_int(value) or isinstance(value, float)
-    return numeric and 0 < value < np.inf  # NaN fails both bounds
+    return _finite_real(value) and value > 0
 
 
 def _validate(doc: Dict[str, Any]) -> None:
@@ -173,7 +181,8 @@ def _validate_resolved(experiment: str, resolved: Dict[str, Any]) -> None:
             if not _finite_positive(value):
                 raise ConfigError(f"sampling.{key} must be positive, got {value!r}")
     if experiment == "lqr":
-        for eta in resolved["grid"].get("eta", [resolved["optimizer"].get("eta", 1.0)]):
+        # the grid cells, and optimizer.eta: the cell when the grid has none
+        for eta in [*resolved["grid"].get("eta", []), resolved["optimizer"].get("eta", 1.0)]:
             if eta != "rule" and not _finite_positive(eta):
                 raise ConfigError(f"eta cell {eta!r} must be positive or the string 'rule'")
     steps = resolved.get("sim_steps", 1)

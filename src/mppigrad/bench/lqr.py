@@ -187,7 +187,7 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
         )
         return [bad]
 
-    problem = lqr_problem(spec)  # frozen, and `evaluate` is pure: the threads share it
+    problem = lqr_problem(spec, lifted)  # frozen, and `evaluate` is pure: the threads share it
     sampling_cfg = cfg.section("sampling")
     cells = [
         {"sigma2": float(s2), "tau": float(tau), "eta": eta}

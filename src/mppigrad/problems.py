@@ -10,11 +10,14 @@ constraint-checked (it is not controllable).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InfeasibleProblemError
+
+if TYPE_CHECKING:
+    from .qp import QpProblem
 
 Array = np.ndarray
 
@@ -53,8 +56,11 @@ class TrajectoryProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=float))
-        rows = np.atleast_2d(self.known_feasible)
-        stack = np.array([_check_controls(r, self.n_controls, "known-feasible row") for r in rows])
+        stack = np.atleast_2d(np.array(self.known_feasible, dtype=float))
+        if stack.ndim != 2 or stack.shape[1] != self.n_controls:
+            raise DimensionMismatchError(self.n_controls, int(stack[0].size), "known-feasible row")
+        if not np.isfinite(stack).all():
+            raise ValueError("known-feasible row contains non-finite entries")
         costs, flags = self.evaluate_batch(stack)
         if not flags.any():
             raise InfeasibleProblemError(
@@ -190,26 +196,37 @@ def lqr_response(spec: LqrSpec) -> Tuple[Array, Array]:
     return big_m, b
 
 
-def lqr_problem(spec: LqrSpec) -> TrajectoryProblem:
+def lqr_problem(spec: LqrSpec, lifted: Optional["QpProblem"] = None) -> TrajectoryProblem:
     """The LQR problem as a view of its QP lift (`qp.lift`).
 
     The trajectory cost is exactly 1/2 u'Q_qp u + c'u + constant, and the
     constraint set is the lift's control box plus lin_lo <= M u <= lin_hi, so
     the cost formula and the bounds exist only in the lift.  A batch U costs
-    one product with Q_qp and one with M' (for the state band); Q_qp is used
+    one product with Q_qp and one with M (for the state band); Q_qp is used
     as it is, never factored, so a positive semidefinite R stays admissible.
+    A caller that already holds `lift(spec)` passes it as `lifted`.
+
+    Feasibility is checked constraint-major: the box rows (U') and the band
+    rows (M U') fill one (n_box + n_band, N) array that is compared with the
+    stacked bounds and reduced along its long contiguous axis.
     """
     from .qp import lift  # local: qp imports this module
 
-    lifted = lift(spec)
+    if lifted is None:
+        lifted = lift(spec)
+    n_box = lifted.dim
+    lo = np.concatenate([lifted.lb, lifted.lin_lo])[:, None]
+    hi = np.concatenate([lifted.ub, lifted.lin_hi])[:, None]
 
     def evaluate(controls: Array) -> Tuple[Array, Array]:
         quad = np.einsum("ij,ij->i", controls @ lifted.q, controls)
         costs = 0.5 * quad + controls @ lifted.c + lifted.constant
-        band = controls @ lifted.lin_mat.T
-        ok = ((controls >= lifted.lb) & (controls <= lifted.ub)).all(axis=1)
-        ok &= ((band >= lifted.lin_lo) & (band <= lifted.lin_hi)).all(axis=1)
-        return costs, ok
+        rows = np.empty((lo.shape[0], controls.shape[0]))
+        rows[:n_box] = controls.T
+        np.matmul(lifted.lin_mat, controls.T, out=rows[n_box:])
+        ok = rows >= lo
+        ok &= rows <= hi
+        return costs, ok.all(axis=0)
 
     return TrajectoryProblem(
         control_dim=spec.control_dim,
@@ -278,26 +295,42 @@ class DubinsSpec:
             raise ValueError("dt and w_max must be positive, speed non-negative")
 
 
+def _dubins_rollout(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
+    """Positions of x_1..x_T as one (2, N, T) array (px plane, py plane) and
+    headings of x_1..x_T as an (N, T) view; one cumsum integrates both planes."""
+    n, horizon = controls.shape
+    heading = np.empty((n, horizon + 1))  # theta_0..theta_T
+    heading[:, 0] = spec.x0[2]
+    np.cumsum(controls, axis=1, out=heading[:, 1:])
+    heading[:, 1:] *= spec.dt
+    heading[:, 1:] += spec.x0[2]
+    pos = np.empty((2, n, horizon))
+    np.cos(heading[:, :-1], out=pos[0])
+    np.sin(heading[:, :-1], out=pos[1])
+    np.cumsum(pos, axis=2, out=pos)
+    pos *= spec.speed * spec.dt
+    pos += spec.x0[:2, None, None]
+    return pos, heading[:, 1:]
+
+
 def dubins_states_batch(spec: DubinsSpec, controls: Array) -> Array:
     """Vectorized rollout; returns x_1..x_T with shape (N, T, 3)."""
-    W = np.asarray(controls, dtype=float)
-    theta = spec.x0[2] + spec.dt * np.cumsum(W, axis=1)
-    theta_path = np.concatenate(
-        [np.full((W.shape[0], 1), spec.x0[2]), theta[:, :-1]], axis=1
-    )
-    px = spec.x0[0] + spec.speed * spec.dt * np.cumsum(np.cos(theta_path), axis=1)
-    py = spec.x0[1] + spec.speed * spec.dt * np.cumsum(np.sin(theta_path), axis=1)
-    return np.stack([px, py, theta], axis=2)
+    pos, heading = _dubins_rollout(spec, np.asarray(controls, dtype=float))
+    return np.stack([pos[0], pos[1], heading], axis=2)
 
 
 def dubins_evaluate_batch(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
     """Costs and feasibility flags from one rollout, checking one obstacle at a time."""
     W = np.asarray(controls, dtype=float)
-    X = dubins_states_batch(spec, W)
-    err = X - spec.target
-    costs = (err**2 @ spec.q_weights).sum(axis=1) + spec.r_weight * (W**2).sum(axis=1)
+    pos, heading = _dubins_rollout(spec, W)
+    err = np.empty(heading.shape + (3,))
+    np.subtract(pos[0], spec.target[0], out=err[:, :, 0])
+    np.subtract(pos[1], spec.target[1], out=err[:, :, 1])
+    np.subtract(heading, spec.target[2], out=err[:, :, 2])
+    np.square(err, out=err)
+    costs = (err @ spec.q_weights).sum(axis=1) + spec.r_weight * (W**2).sum(axis=1)
     ok = np.abs(W) <= spec.w_max  # per step, reduced over the horizon once at the end
-    px, py = X[:, :, 0], X[:, :, 1]
+    px, py = pos
     for cx, cy, radius in spec.obstacles:
         ok &= (px - cx) ** 2 + (py - cy) ** 2 > radius**2
     return costs, ok.all(axis=1)
@@ -336,6 +369,10 @@ def dubins_problem(spec: DubinsSpec, known_candidate: Optional[Array] = None) ->
     )
 
 
+# constant-turn certificate candidates, as fractions of the rate limit
+_TURN_FRACTIONS = np.array([0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 1.0, -1.0])
+
+
 def _find_feasible_controls(spec: DubinsSpec, extra: Optional[Array] = None) -> Array:
     """Candidate turn-rate sequences, in the order the certificate search tries them.
 
@@ -345,11 +382,8 @@ def _find_feasible_controls(spec: DubinsSpec, extra: Optional[Array] = None) -> 
     batch and keeps the first feasible row, or fails loudly.
     """
     T = spec.horizon
-    candidates = []
-    if extra is not None:
-        candidates.append(np.asarray(extra, dtype=float))
-    candidates.append(np.zeros(T))
-    for frac in (0.25, 0.5, 0.75, 1.0):
-        candidates.append(np.full(T, frac * spec.w_max))
-        candidates.append(np.full(T, -frac * spec.w_max))
-    return np.array([c for c in candidates if c.shape == (T,) and np.isfinite(c).all()])
+    turns = np.concatenate([[0.0], _TURN_FRACTIONS * spec.w_max])
+    stack = np.repeat(turns[:, None], T, axis=1)
+    if extra is not None and np.shape(extra) == (T,):
+        stack = np.vstack([np.asarray(extra, dtype=float), stack])
+    return stack[np.isfinite(stack).all(axis=1)]

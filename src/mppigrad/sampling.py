@@ -10,6 +10,7 @@ with max-subtraction, which is exact for the normalized quantities.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -22,6 +23,7 @@ Array = np.ndarray
 CovLike = Union[float, Array]
 
 _NEG_INF = float("-inf")
+_WORD = (1 << 64) - 1
 
 
 def batch_rng(seed: int, iteration: int = 0, retry: int = 0) -> np.random.Generator:
@@ -30,11 +32,39 @@ def batch_rng(seed: int, iteration: int = 0, retry: int = 0) -> np.random.Genera
     Each (seed, iteration, retry) triple owns an independent stream, so
     results do not depend on how work is scheduled across iterations or
     workers, and a retry after an all-infeasible batch gets fresh noise.
+    The 128-bit key is Philox's whole state, so it is handed over as two
+    64-bit words: the stream equals `Generator(Philox(key=key))`, without
+    the OS entropy read that `Philox` spends on a seed sequence it discards.
     """
     if not 0 <= retry < 256:
         raise ValueError("retry index must be in [0, 256)")
     key = (int(seed) << 64) + (int(iteration) << 8) + int(retry)
-    return np.random.Generator(np.random.Philox(key=key))
+    if not 0 <= key < 1 << 128:
+        raise ValueError(f"seed {seed} and iteration {iteration} give no Philox key in [0, 2**128)")
+    words = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_philox_key_type()(words)))
+
+
+@functools.cache
+def _philox_key_type() -> type:
+    """The seed type that carries a Philox key as it is.
+
+    Built at the first draw, not at import: importing `numpy.random` at
+    module import would add its load time to every config load.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        """A seed sequence whose state is the key: Philox asks it for two
+        64-bit words and keeps them as its key."""
+
+        def __init__(self, words: Array):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> Array:
+            return self.words
+
+    return PhiloxKey
 
 
 class GaussianPolicy:
@@ -178,12 +208,14 @@ def draw(
     if antithetic and n % 2:
         raise ValueError("antithetic batches need an even sample count")
     rng = batch_rng(seed, iteration, retry)
+    z = np.empty((n, policy.dim))
     if antithetic:
-        z = rng.standard_normal((n // 2, policy.dim))
-        z = np.concatenate([z, -z], axis=0)
+        rng.standard_normal(out=z[: n // 2])
+        np.negative(z[: n // 2], out=z[n // 2 :])
     else:
-        z = rng.standard_normal((n, policy.dim))
-    samples = policy.mean + policy.sqrt_mul(z)
+        rng.standard_normal(out=z)
+    samples = policy.sqrt_mul(z)
+    samples += policy.mean
     return SampleBatch(samples=samples, iteration=iteration, retry=retry)
 
 

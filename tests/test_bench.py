@@ -298,6 +298,16 @@ def test_lqr_rule_cells_resolve_the_step_size(tmp_path):
     assert rec.summary["eta_resolved"] == pytest.approx(1.0 / rec.summary["l_sigma"])
 
 
+def test_run_lqr_lifts_its_problem_once(tmp_path, monkeypatch):
+    # the oracle, the cells' evaluator and the FD projector share one lift
+    calls = []
+    real = qp.lift
+    monkeypatch.setattr(qp, "lift", lambda spec: calls.append(spec) or real(spec))
+    records = run_lqr(load_config(write_cfg(tmp_path, TINY_LQR)), max_workers=1)
+    assert len(calls) == 1
+    assert len(records) == 2 and not any(r.flagged for r in records)
+
+
 def test_lqr_oracle_failure_is_flagged(tmp_path):
     records = run_lqr(load_config(write_cfg(tmp_path, ORACLE_FAILURE_LQR)))
     assert len(records) == 1
@@ -463,6 +473,20 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "iteration count must be an integer, got 1.5"),
         ("dubins", "optimizer: {antithetic: 'false'}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
          "optimizer.antithetic must be true or false, got 'false'"),
+        ("dubins", "optimizer: {eta: true, eps_stat: true}\nsim_steps: 1\ngrid: {k: [1]}\n"
+         "seeds: [0]", "optimizer.eta must be a finite number, got True"),
+        ("dubins", "optimizer: {eta: .inf}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
+         "optimizer.eta must be a finite number, got inf"),
+        ("dubins", "optimizer: {eps_stat: true}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
+         "optimizer.eps_stat must be a finite number, got True"),
+        ("dubins", "optimizer: {eps_stat: .nan}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
+         "optimizer.eps_stat must be a finite number, got nan"),
+        ("lqr", "optimizer: {eps_stat: true, n_samples: 200, iterations: 2}\n"
+         "grid: {eta: [1.0]}\nseeds: [0]", "optimizer.eps_stat must be a finite number, got True"),
+        ("lqr", "optimizer: {eps_stat: -.inf, n_samples: 200, iterations: 2}\n"
+         "grid: {eta: [1.0]}\nseeds: [0]", "optimizer.eps_stat must be a finite number, got -inf"),
+        ("lqr", "optimizer: {eta: true, n_samples: 200, iterations: 2}\ngrid: {eta: [1.0]}\n"
+         "seeds: [0]", "eta cell True must be positive or the string 'rule'"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
@@ -471,7 +495,9 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "dubins_max_retries_above_counter_range", "lqr_boolean_seed", "lqr_boolean_sigma2_and_tau",
          "dubins_boolean_sim_steps", "dubins_text_sim_steps", "lqr_boolean_iterations",
          "lqr_boolean_max_retries", "lqr_fractional_n_samples", "dubins_fractional_k_cell",
-         "dubins_text_antithetic"],
+         "dubins_text_antithetic", "dubins_boolean_eta_and_eps_stat", "dubins_infinite_eta",
+         "dubins_boolean_eps_stat", "dubins_nan_eps_stat", "lqr_boolean_eps_stat",
+         "lqr_infinite_eps_stat", "lqr_boolean_eta_beside_a_grid"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message
@@ -483,6 +509,13 @@ def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not out.exists()
+
+
+def test_lqr_rule_stays_a_valid_eta(tmp_path):
+    cells = load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\ngrid: {eta: [rule, 0.5]}\n"))
+    assert cells.grid("eta", []) == ["rule", 0.5]
+    default = load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\noptimizer: {eta: rule}\n"))
+    assert default.section("optimizer")["eta"] == "rule"
 
 
 def test_cli_bad_grid_override(tmp_path):
@@ -602,6 +635,29 @@ from mppigrad.problems import double_integrator
 assert "scipy.optimize" not in sys.modules
 print(qp.solve_verified(qp.lift(double_integrator())).duality_gap, "scipy.optimize" in sys.modules)
 """
+
+
+NUMPY_RANDOM_PROBE = """\
+import sys
+from mppigrad.bench.cli import main
+from mppigrad.bench.config import load_config
+for name in ("lqr", "dubins", "theory"):
+    load_config(f"configs/{name}.yaml")
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_config_loading_leaves_numpy_random_unloaded():
+    """The Philox key type is built at the first draw, not when the package loads."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_RANDOM_PROBE],
+        cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_scipy_loads_only_where_a_qp_is_solved():

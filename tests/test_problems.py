@@ -395,3 +395,106 @@ def test_dubins_problem_raises_when_boxed_in():
     spec = DubinsSpec(obstacles=np.array([[0.0, 0.0, 50.0]]), horizon=5)
     with pytest.raises(InfeasibleProblemError):
         dubins_problem(spec)
+
+
+# ---------------------------------------------------------------------------
+# reference equivalence: the row-major evaluators the batch forms replaced
+# ---------------------------------------------------------------------------
+
+
+def row_major_lqr_evaluate(lifted, controls):
+    """Box and band checked row by row, reduced along each 10- or 20-wide row."""
+    quad = np.einsum("ij,ij->i", controls @ lifted.q, controls)
+    costs = 0.5 * quad + controls @ lifted.c + lifted.constant
+    band = controls @ lifted.lin_mat.T
+    ok = ((controls >= lifted.lb) & (controls <= lifted.ub)).all(axis=1)
+    ok &= ((band >= lifted.lin_lo) & (band <= lifted.lin_hi)).all(axis=1)
+    return costs, ok
+
+
+def stacked_dubins_states(spec, W):
+    """Three separate cumsums, then an (N, T, 3) stack."""
+    theta = spec.x0[2] + spec.dt * np.cumsum(W, axis=1)
+    theta_path = np.concatenate([np.full((W.shape[0], 1), spec.x0[2]), theta[:, :-1]], axis=1)
+    px = spec.x0[0] + spec.speed * spec.dt * np.cumsum(np.cos(theta_path), axis=1)
+    py = spec.x0[1] + spec.speed * spec.dt * np.cumsum(np.sin(theta_path), axis=1)
+    return np.stack([px, py, theta], axis=2)
+
+
+def stacked_dubins_evaluate(spec, W):
+    X = stacked_dubins_states(spec, W)
+    err = X - spec.target
+    costs = (err**2 @ spec.q_weights).sum(axis=1) + spec.r_weight * (W**2).sum(axis=1)
+    ok = np.abs(W) <= spec.w_max
+    px, py = X[:, :, 0], X[:, :, 1]
+    for cx, cy, radius in spec.obstacles:
+        ok &= (px - cx) ** 2 + (py - cy) ** 2 > radius**2
+    return costs, ok.all(axis=1)
+
+
+def _with_edge_rows(batch, edge_rows):
+    """Overwrite the first rows of a batch with edge cases (as many as fit)."""
+    batch = batch.copy()
+    k = min(len(batch), len(edge_rows))
+    batch[:k] = edge_rows[:k]
+    return batch
+
+
+# u_0 = 1 sits on the control box and drives the velocity exactly onto its
+# band bound (v_1 = 1); [0.5, 0.5] meets the band bound (v_2 = 1) from inside
+# the box; the next two rows sit one ulp past those bounds
+LQR_EDGE_ROWS = np.array(
+    [
+        [1.0, -1.0] + [0.0] * 8,
+        [0.5, 0.5, -0.5, -0.5] + [0.0] * 6,
+        [np.nextafter(1.0, 2.0), -1.0] + [0.0] * 8,
+        [0.5, 0.5 + 2.0**-52, -0.5, -0.5] + [0.0] * 6,  # v_2 = nextafter(1, 2)
+        [0.0, np.nan] + [0.0] * 8,
+        [np.inf] + [0.0] * 9,
+        [0.0] * 9 + [-np.inf],
+        [0.3, np.inf, -np.inf] + [0.0] * 7,
+    ]
+)
+
+
+@pytest.mark.parametrize("n", [1, 9, 128, 1000])
+def test_lqr_constraint_major_check_equals_the_row_major_one_bitwise(n):
+    from mppigrad import qp
+
+    spec = double_integrator()
+    lifted = qp.lift(spec)
+    prob = lqr_problem(spec, lifted)
+    rng = np.random.default_rng(n)
+    for scale in (0.05, 0.4, 1.5):
+        batch = _with_edge_rows(rng.normal(0.0, scale, (n, 10)), LQR_EDGE_ROWS[::-1])
+        with np.errstate(invalid="ignore", over="ignore"):
+            costs, flags = prob.evaluate_batch(batch)
+            want_costs, want_flags = row_major_lqr_evaluate(lifted, batch)
+        assert np.array_equal(costs, want_costs, equal_nan=True)
+        assert np.array_equal(flags, want_flags)
+    with np.errstate(invalid="ignore", over="ignore"):
+        flags = prob.batch_feasible(LQR_EDGE_ROWS)
+    assert flags.tolist() == [True, True] + [False] * 6
+
+
+@pytest.mark.parametrize("obstacles", [DubinsSpec().obstacles, np.empty((0, 3))],
+                         ids=["desk_obstacles", "no_obstacles"])
+@pytest.mark.parametrize("n", [1, 9, 128, 1000])
+def test_dubins_one_buffer_rollout_equals_the_stacked_one_bitwise(n, obstacles):
+    spec = DubinsSpec(obstacles=obstacles)
+    edge = np.zeros((4, spec.horizon))
+    edge[0] = spec.w_max  # on the rate bound
+    edge[1, 3] = np.nan
+    edge[2, 0] = np.inf
+    edge[3, 5] = -np.inf
+    rng = np.random.default_rng(n)
+    for scale in (0.3, 2.0, 8.0):
+        batch = _with_edge_rows(rng.normal(0.0, scale, (n, spec.horizon)), edge)
+        with np.errstate(invalid="ignore", over="ignore"):
+            costs, flags = dubins_evaluate_batch(spec, batch)
+            want_costs, want_flags = stacked_dubins_evaluate(spec, batch)
+            states = problems.dubins_states_batch(spec, batch)
+            want_states = stacked_dubins_states(spec, batch)
+        assert np.array_equal(costs, want_costs, equal_nan=True)
+        assert np.array_equal(flags, want_flags)
+        assert np.array_equal(states, want_states, equal_nan=True)

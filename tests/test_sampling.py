@@ -425,3 +425,61 @@ def test_antithetic_rows_reflect_through_the_mean(seed, half, dim, kind):
     # each row is mean + x rounded, so the offsets mirror up to eps * |row|
     tol = 4e-16 * (np.abs(mean).max() + np.abs(offsets).max())
     np.testing.assert_allclose(offsets[:half], -offsets[half:], rtol=0, atol=tol)
+
+
+# ---------------------------------------------------------------------------
+# reference equivalence: the one-buffer draw and the key-only Philox stream
+# ---------------------------------------------------------------------------
+
+
+def concatenated_draw(policy, n, seed, iteration=0, antithetic=False, retry=0):
+    """The draw as first written: a fresh Philox(key=...) and a concatenated mirror."""
+    key = (seed << 64) + (iteration << 8) + retry
+    rng = np.random.Generator(np.random.Philox(key=key))
+    if antithetic:
+        z = rng.standard_normal((n // 2, policy.dim))
+        z = np.concatenate([z, -z], axis=0)
+    else:
+        z = rng.standard_normal((n, policy.dim))
+    return policy.mean + policy.sqrt_mul(z)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "diag", "full"])
+@pytest.mark.parametrize("n, antithetic", [(2, False), (9, False), (128, False), (1000, False),
+                                           (2, True), (10, True), (128, True), (1000, True)])
+def test_draw_equals_the_concatenated_reference_bitwise(kind, n, antithetic):
+    rng = np.random.default_rng(n)
+    dim = 7
+    mean = rng.uniform(-3.0, 3.0, dim)
+    if kind == "scalar":
+        cov = 0.3
+    elif kind == "diag":
+        cov = rng.uniform(0.01, 4.0, dim)
+    else:
+        root = rng.normal(size=(dim, dim))
+        cov = root @ root.T + 0.1 * np.eye(dim)
+    policy = GaussianPolicy(mean, cov, tau=1.0)
+    for seed, iteration, retry in ((0, 0, 0), (11, 37, 2), (2**63, 2**40, 255)):
+        got = draw(policy, n, seed, iteration, antithetic=antithetic, retry=retry).samples
+        want = concatenated_draw(policy, n, seed, iteration, antithetic, retry)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**63 - 1, 2**63])
+@pytest.mark.parametrize("retry", [0, 255])
+def test_batch_rng_is_the_philox_key_stream(seed, retry):
+    for iteration in (0, 3, 2**40):
+        key = (seed << 64) + (iteration << 8) + retry
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = batch_rng(seed, iteration, retry)
+        for part in ("key", "counter"):
+            got_words = got.bit_generator.state["state"][part]
+            assert np.array_equal(got_words, want.bit_generator.state["state"][part])
+        assert np.array_equal(got.standard_normal(33), want.standard_normal(33))
+        assert np.array_equal(got.integers(0, 2**62, 5), want.integers(0, 2**62, 5))
+
+
+def test_batch_rng_rejects_keys_outside_philox_range():
+    for seed, iteration in ((-1, 0), (0, -(1 << 60)), (2**64, 0)):
+        with pytest.raises(ValueError, match="Philox key"):
+            batch_rng(seed, iteration)
