@@ -27,8 +27,8 @@ from .errors import (
     UnsupportedProblemError,
 )
 from .optimizer import grad_estimate
-from .problems import TrajectoryProblem
-from .sampling import GaussianPolicy, SampleBatch, batch_rng, weigh
+from .problems import TrajectoryProblem, _check_controls
+from .sampling import GaussianPolicy, SampleBatch, draw, evaluate, weigh
 
 Array = np.ndarray
 
@@ -54,15 +54,12 @@ class TiltOracle:
     mean argument is the iterate) and implement `moments(mean) -> TiltMoments`.
     """
 
-    def tilted_mean(self, mean: Array) -> Array:
-        return self.moments(mean).mean
-
     def free_energy(self, mean: Array) -> float:
         return -self.policy.tau * self.moments(mean).log_z
 
     def grad(self, mean: Array) -> Array:
         """-tau Sigma^{-1} (tilted mean - mean)."""
-        return -self.policy.tau * self.policy.solve(self.tilted_mean(mean) - mean)
+        return -self.policy.tau * self.policy.solve(self.moments(mean).mean - mean)
 
     def hessian(self, mean: Array) -> Array:
         return hessian_f_gaussian(self.policy, self.moments(mean).cov)
@@ -112,11 +109,6 @@ class QuadraticOracle(TiltOracle):
 
     def l_sigma(self) -> float:
         return _curvature_norm(self.policy, self.tilted_cov)
-
-
-def tilted_moments_quadratic(policy: GaussianPolicy, q, c) -> TiltMoments:
-    """Exact tilt of N(mean, Sigma) by exp(-(u'Qu/2 + c'u)/tau) at the policy's mean."""
-    return QuadraticOracle(policy, q, c).moments(policy.mean)
 
 
 @dataclass(frozen=True)
@@ -412,16 +404,19 @@ def fd_baseline(
     n = problem.n_controls
     u = np.asarray(u0, dtype=float).copy()
     eye_h = h * np.eye(n)
+    pts = np.empty((n + 1, n))  # the base point, then its n perturbations
     costs = np.empty(iters + 1)
     for it in range(iters):
-        pts = np.vstack([u[None, :], u[None, :] + eye_h])
+        pts[0] = u
+        np.add(u, eye_h, out=pts[1:])
         vals = problem.batch_objective(pts)
         costs[it] = vals[0]
         grad = (vals[1:] - vals[0]) / h
         u = u - alpha * grad
         if projector is not None:
             u = projector(u)
-    costs[iters] = problem.objective(u)
+    pts[0] = _check_controls(u, n, "final FD iterate")
+    costs[iters] = problem.batch_objective(pts[:1])[0]
     return FdTrace(costs=costs, final_u=u, evals_per_iteration=n + 1)
 
 
@@ -452,8 +447,9 @@ def bias_probe(
     Within a trial the same base normals serve every N (prefix subsets), so
     the comparison across sample sizes uses common random numbers.  Plain
     i.i.d. draws (no antithetic coupling) keep the per-trial estimators
-    exchangeable.  Each prefix is weighed and turned into a gradient as the
-    optimizer does it (`weigh`, `grad_estimate`); trials whose prefix has no
+    exchangeable.  Each trial draws and scores its batch, and each prefix is
+    weighed and turned into a gradient, as the optimizer does it (`draw`,
+    `evaluate`, `weigh`, `grad_estimate`); trials whose prefix has no
     feasible sample are dropped.
     """
     n_list = sorted(int(n) for n in n_list)
@@ -461,10 +457,8 @@ def bias_probe(
     exact = np.asarray(exact_grad, dtype=float)
     estimates: dict[int, list[Array]] = {n: [] for n in n_list}
     for trial in range(trials):
-        rng = batch_rng(seed, iteration=trial)
-        z = rng.standard_normal((n_max, policy.dim))
-        samples = policy.mean + policy.sqrt_mul(z)
-        costs, flags = problem.evaluate_batch(samples)
+        batch = evaluate(draw(policy, n_max, seed, iteration=trial), problem)
+        samples, costs, flags = batch.samples, batch.costs, batch.feasible_flags
         for n in n_list:
             prefix = SampleBatch(samples[:n], trial, costs=costs[:n], feasible_flags=flags[:n])
             try:

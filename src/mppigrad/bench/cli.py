@@ -22,6 +22,13 @@ from .records import emit
 from .theory import emit_report, format_report, run_theory_suite
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mppigrad")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -37,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="key=v1,v2,...",
         help="override one ablation grid entry (repeatable)",
     )
-    runp.add_argument("--workers", type=int, default=4)
+    runp.add_argument("--workers", type=_positive_int, default=4)
     return parser
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -18,7 +18,7 @@ import yaml
 
 from ..errors import ConfigError
 from ..optimizer import PgdConfig
-from ..problems import DEFAULT_OBSTACLES
+from ..problems import DubinsSpec
 
 SCHEMA_VERSION = 1
 EXPERIMENTS = ("lqr", "dubins", "theory")
@@ -39,17 +39,8 @@ _LQR_DEFAULTS: Dict[str, Any] = {
 }
 
 _DUBINS_DEFAULTS: Dict[str, Any] = {
-    "problem": {
-        "speed": 4.0,
-        "dt": 0.1,
-        "horizon": 20,
-        "x0": [0.0, 0.0, float(np.pi / 2)],
-        "target": [6.0, 6.0, 0.0],
-        "q_weights": [1.0, 1.0, 0.01],
-        "r_weight": 0.001,
-        "w_max": float(1.5 * np.pi),
-        "obstacles": [list(row) for row in DEFAULT_OBSTACLES],
-    },
+    # the spec's own defaults, as plain YAML scalars and nested lists
+    "problem": {k: np.asarray(v).tolist() for k, v in asdict(DubinsSpec()).items()},
     "sampling": {"sigma2": 0.25, "tau": 4.0},
     "optimizer": {
         "n_samples": 1024,
@@ -66,6 +57,9 @@ _DUBINS_DEFAULTS: Dict[str, Any] = {
 _THEORY_DEFAULTS: Dict[str, Any] = {"inject_bug": False, "seeds": [0]}
 
 _DEFAULTS = {"lqr": _LQR_DEFAULTS, "dubins": _DUBINS_DEFAULTS, "theory": _THEORY_DEFAULTS}
+
+# the grid axes each runner sweeps; it would read no other axis
+_GRID_AXES = {"lqr": ("sigma2", "tau", "eta"), "dubins": ("k",), "theory": ()}
 
 
 def _deep_merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any]:
@@ -165,17 +159,38 @@ def _validate(doc: Dict[str, Any]) -> None:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
 
 
+def _check_sections(experiment: str, resolved: Dict[str, Any]) -> None:
+    """A section that the defaults give as a mapping, or a grid, must stay one."""
+    for name, value in resolved.items():
+        is_section = name == "grid" or isinstance(_DEFAULTS[experiment].get(name), dict)
+        if is_section and not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a mapping, got {value!r}")
+
+
 def _validate_resolved(experiment: str, resolved: Dict[str, Any]) -> None:
     seeds = resolved.get("seeds")
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise ConfigError("seeds must be a non-empty list of integers")
     if min(seeds) < 0:  # the Philox counter streams take only non-negative keys
         raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
+    axes = _GRID_AXES[experiment]
     for key, values in resolved.get("grid", {}).items():
+        if key not in axes:
+            raise ConfigError(
+                f"grid axis {key!r} is not swept by the {experiment} experiment "
+                f"(it sweeps {', '.join(axes) or 'nothing'})"
+            )
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid entry {key!r} must be a non-empty list")
     if experiment == "theory":
         return
+    problem = resolved["problem"]
+    # a spec would run a YAML true as horizon 1 or speed 1.0
+    if not _is_int(problem.get("horizon")):
+        raise ConfigError(f"problem.horizon must be an integer, got {problem.get('horizon')!r}")
+    for key in ("speed", "dt", "r_weight", "w_max") if experiment == "dubins" else ():
+        if not _finite_real(problem[key]):
+            raise ConfigError(f"problem.{key} must be a finite number, got {problem[key]!r}")
     for key in ("sigma2", "tau"):
         for value in resolved.get("grid", {}).get(key, [resolved["sampling"][key]]):
             if not _finite_positive(value):
@@ -252,6 +267,7 @@ def load_config(
     experiment = doc["experiment"]
     user = {k: v for k, v in doc.items() if k not in ("version", "experiment")}
     resolved = _deep_merge(_DEFAULTS[experiment], user)
+    _check_sections(experiment, resolved)
     if seed_override is not None:
         resolved["seeds"] = [int(seed_override)]
     if out_override is not None:

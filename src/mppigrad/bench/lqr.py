@@ -27,9 +27,7 @@ from .records import RunRecord
 
 
 def _build_spec(problem_cfg: Dict[str, Any]) -> LqrSpec:
-    base = double_integrator(horizon=int(problem_cfg.get("horizon", 10)))
-    overrides = {k: v for k, v in problem_cfg.items() if k != "horizon"}
-    return dataclasses.replace(base, **overrides)  # LqrSpec converts its arrays itself
+    return dataclasses.replace(double_integrator(), **problem_cfg)  # LqrSpec converts its arrays
 
 
 def _solve_oracle(lifted: qp.QpProblem) -> Dict[str, float]:

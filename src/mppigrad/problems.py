@@ -38,13 +38,15 @@ class TrajectoryProblem:
     `evaluate` maps an (N, d*T) array of flat control sequences to their
     costs, shape (N,), and their hard feasibility flags, shape (N,): control
     bounds and any state constraints, checked at the discrete states
-    x_1..x_T.  Every other view (`evaluate_batch`, `objective`,
-    `batch_objective`, `batch_feasible`) is derived from that one call, so a
-    batch is rolled out once.  A certified feasible control sequence must be
-    supplied at construction so the weighted-sampling machinery is never
-    started on an empty feasible set.  `known_feasible` may also stack
-    candidate rows in order of preference: one call scores them all, and the
-    first feasible row is kept as the certificate.
+    x_1..x_T.  `evaluate_batch` is the one scoring route, so a batch is
+    rolled out once.  Its views `batch_objective` and `batch_feasible` stay
+    only because perfbench's tracer wraps them as its `problems.eval` layer
+    (the FD baseline scores through `batch_objective` for it); they go when
+    the tracer wraps `evaluate_batch`.  A certified feasible control
+    sequence must be supplied at construction so the weighted-sampling
+    machinery is never started on an empty feasible set.  `known_feasible`
+    may also stack candidate rows in order of preference: one call scores
+    them all, and the first feasible row is kept as the certificate.
     """
 
     control_dim: int
@@ -85,9 +87,6 @@ class TrajectoryProblem:
 
     def batch_feasible(self, controls: Array) -> Array:
         return self.evaluate_batch(controls)[1]
-
-    def objective(self, controls: Array) -> float:
-        return float(self.batch_objective(_check_controls(controls, self.n_controls)[None, :])[0])
 
 
 def rollout(problem: TrajectoryProblem, controls: Array) -> Array:
@@ -293,6 +292,8 @@ class DubinsSpec:
             raise ValueError("obstacles must be rows of (cx, cy, radius)")
         if self.w_max <= 0 or self.dt <= 0 or self.speed < 0:
             raise ValueError("dt and w_max must be positive, speed non-negative")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
 
 
 def _dubins_rollout(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:

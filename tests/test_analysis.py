@@ -1,17 +1,21 @@
 """Oracles and certificates: tilted moments, quadrature, smoothness, probes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mppigrad import analysis
+from mppigrad import analysis, qp
+from mppigrad.bench.config import load_config
+from mppigrad.bench.lqr import _build_spec
 from mppigrad.errors import (
     ConvergenceError,
     NotSpdError,
     QuadratureError,
     UnsupportedProblemError,
 )
-from mppigrad.problems import TrajectoryProblem
-from mppigrad.sampling import GaussianPolicy
+from mppigrad.problems import TrajectoryProblem, lqr_problem
+from mppigrad.sampling import GaussianPolicy, SampleBatch, batch_rng
 
 WIDE = analysis.GridSpec(rel_tol=1e-10)
 
@@ -29,38 +33,39 @@ def quadratic_batch(q, c):
 
 def test_conjugate_tilt_mean_and_variance():
     sigma2, tau, mu = 0.5, 1.5, 2.0
-    tilt = analysis.tilted_moments_quadratic(GaussianPolicy(np.array([mu]), sigma2, tau), 1.0, 0.0)
+    policy = GaussianPolicy(np.array([mu]), sigma2, tau)
+    tilt = analysis.QuadraticOracle(policy, 1.0, 0.0).moments(policy.mean)
     assert tilt.mean[0] == pytest.approx(tau * mu / (tau + sigma2), abs=1e-14)
     assert tilt.cov[0, 0] == pytest.approx(sigma2 * tau / (tau + sigma2), abs=1e-14)
 
 
 def test_zero_cost_tilt_is_the_policy():
     policy = GaussianPolicy(np.array([1.0, -2.0]), np.array([0.5, 2.0]), 0.7)
-    tilt = analysis.tilted_moments_quadratic(policy, np.zeros((2, 2)), np.zeros(2))
+    tilt = analysis.QuadraticOracle(policy, np.zeros((2, 2)), np.zeros(2)).moments(policy.mean)
     np.testing.assert_allclose(tilt.mean, policy.mean, atol=1e-14)
     np.testing.assert_allclose(tilt.cov, policy.cov_matrix(), atol=1e-14)
 
 
 def test_high_temperature_tilt_ignores_the_cost():
     policy = GaussianPolicy(np.array([3.0]), 1.0, tau=1e12)
-    tilt = analysis.tilted_moments_quadratic(policy, 5.0, 2.0)
+    tilt = analysis.QuadraticOracle(policy, 5.0, 2.0).moments(policy.mean)
     assert tilt.mean[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_indefinite_tilt_precision_is_rejected():
     policy = GaussianPolicy(np.zeros(1), 1.0, tau=1.0)
     with pytest.raises(NotSpdError, match="tilted precision"):
-        analysis.tilted_moments_quadratic(policy, -10.0, 0.0)
+        analysis.QuadraticOracle(policy, -10.0, 0.0).moments(policy.mean)
 
 
 def test_tilt_covariance_does_not_depend_on_the_mean():
     q = np.array([[2.0, 0.3], [0.3, 1.0]])
     for mu in (np.zeros(2), np.array([5.0, -7.0])):
         policy = GaussianPolicy(mu, np.array([0.5, 1.5]), 0.8)
-        tilt = analysis.tilted_moments_quadratic(policy, q, np.array([1.0, 0.0]))
+        tilt = analysis.QuadraticOracle(policy, q, np.array([1.0, 0.0])).moments(policy.mean)
         np.testing.assert_allclose(
             tilt.cov,
-            analysis.tilted_moments_quadratic(policy.with_mean(np.zeros(2)), q, np.zeros(2)).cov,
+            analysis.QuadraticOracle(policy, q, np.zeros(2)).moments(np.zeros(2)).cov,
             atol=1e-14,
         )
 
@@ -131,7 +136,7 @@ def test_quadrature_matches_closed_form_on_a_wide_box_1d():
     sigma2, tau, q, c = 0.6, 1.2, 1.5, -0.4
     policy = GaussianPolicy(np.array([0.9]), sigma2, tau)
     mom = analysis.tilted_moments_quadrature(quadratic_batch(q, c), [-25.0], [25.0], policy, WIDE)
-    exact = analysis.tilted_moments_quadratic(policy, q, c)
+    exact = analysis.QuadraticOracle(policy, q, c).moments(policy.mean)
     np.testing.assert_allclose(mom.mean, exact.mean, atol=1e-8)
     np.testing.assert_allclose(mom.cov, exact.cov, atol=1e-8)
     f = analysis.free_energy_quadrature(quadratic_batch(q, c), [-25.0], [25.0], policy, WIDE)
@@ -146,7 +151,7 @@ def test_quadrature_matches_closed_form_on_a_wide_box_2d():
     mom = analysis.tilted_moments_quadrature(
         quadratic_batch(q, c), [-12.0, -12.0], [12.0, 12.0], policy, analysis.GridSpec(rel_tol=1e-9)
     )
-    exact = analysis.tilted_moments_quadratic(policy, q, c)
+    exact = analysis.QuadraticOracle(policy, q, c).moments(policy.mean)
     np.testing.assert_allclose(mom.mean, exact.mean, atol=1e-6)
     np.testing.assert_allclose(mom.cov, exact.cov, atol=1e-6)
     assert mom.log_z == pytest.approx(exact.log_z, abs=1e-6)
@@ -190,8 +195,8 @@ def test_quadrature_oracle_gradient_matches_closed_form():
     oracle = analysis.QuadratureOracle(quadratic_batch(q, c), [-20.0], [20.0], policy, WIDE)
     # the gradient is -tau Sigma^{-1} (tilted mean - mean), so the tilted means carry it
     np.testing.assert_allclose(
-        oracle.tilted_mean(policy.mean),
-        analysis.tilted_moments_quadratic(policy, q, c).mean,
+        oracle.moments(policy.mean).mean,
+        analysis.QuadraticOracle(policy, q, c).moments(policy.mean).mean,
         atol=1e-8,
     )
 
@@ -214,7 +219,7 @@ def test_hessian_vanishes_when_tilt_equals_policy():
 def test_scalar_preconditioned_curvature_equals_smoothness_formula():
     sigma2, tau, q = 0.7, 1.3, 2.0
     policy = GaussianPolicy(np.zeros(1), sigma2, tau)
-    tilt = analysis.tilted_moments_quadratic(policy, q, 0.0)
+    tilt = analysis.QuadraticOracle(policy, q, 0.0).moments(policy.mean)
     m = analysis.preconditioned_hessian(policy, tilt.cov)
     assert m[0, 0] == pytest.approx(analysis.l_sigma_scalar(sigma2, q, tau), abs=1e-14)
 
@@ -353,9 +358,79 @@ def test_fd_baseline_propagates_projector_failures():
         )
 
 
+def _fd_stacked_reference(problem, u0, h, alpha, iters, projector=None):
+    """The FD loop as first written: a fresh stacked batch per iteration, and
+    the final iterate scored on its own as a one-row batch."""
+    n = problem.n_controls
+    u = np.asarray(u0, dtype=float).copy()
+    eye_h = h * np.eye(n)
+    costs = np.empty(iters + 1)
+    for it in range(iters):
+        vals = problem.batch_objective(np.vstack([u[None, :], u[None, :] + eye_h]))
+        costs[it] = vals[0]
+        u = u - alpha * ((vals[1:] - vals[0]) / h)
+        if projector is not None:
+            u = projector(u)
+    costs[iters] = problem.batch_objective(u[None, :])[0]
+    return costs, u
+
+
+@pytest.mark.parametrize("projected", [True, False], ids=["projected", "free"])
+@pytest.mark.parametrize(
+    "config, iters",
+    [("perfbench/configs/lqr_fd.yaml", None), ("configs/lqr.yaml", 2000)],
+    ids=["lqr_fd_workload", "desk_steps_2000_iterations"],
+)
+def test_fd_baseline_matches_the_stacked_reference_bitwise(config, iters, projected):
+    cfg = load_config(Path(__file__).resolve().parents[1] / config)
+    fd = cfg.section("fd")
+    spec = _build_spec(cfg.section("problem"))
+    lifted = qp.lift(spec)
+    problem = lqr_problem(spec, lifted)
+    n = problem.n_controls
+    iters = iters or fd["budget_evals"] // (n + 1)
+    projector = qp.FeasibleSetProjector(lifted) if projected else None
+    args = (problem, np.zeros(n), fd["h"], fd["alpha"], iters, projector)
+    trace = analysis.fd_baseline(*args)
+    costs, final_u = _fd_stacked_reference(*args)
+    assert np.array_equal(trace.costs, costs)
+    assert np.array_equal(trace.final_u, final_u)
+
+
+def test_fd_baseline_rejects_a_nonfinite_final_iterate():
+    with pytest.raises(ValueError, match="final FD iterate contains non-finite entries"):
+        analysis.fd_baseline(
+            quadratic_problem(np.eye(2), np.ones(2)), np.zeros(2), h=1e-6, alpha=0.5, iters=1,
+            projector=lambda u: np.full_like(u, np.nan),
+        )
+
+
 # ---------------------------------------------------------------------------
 # bias probe
 # ---------------------------------------------------------------------------
+
+
+def _probe_draw_reference(policy, n, seed, iteration):
+    """The probe's own draw as first written, before it shared `sampling.draw`."""
+    z = batch_rng(seed, iteration=iteration).standard_normal((n, policy.dim))
+    return SampleBatch(policy.mean + policy.sqrt_mul(z), iteration)
+
+
+@pytest.mark.parametrize(
+    "cov",
+    [0.3, np.array([0.2, 0.5, 1.1]), np.array([[0.6, 0.1, 0.0], [0.1, 0.4, 0.2], [0.0, 0.2, 0.9]])],
+    ids=["scalar", "diagonal", "full"],
+)
+def test_bias_probe_rows_match_its_own_draw_bitwise(monkeypatch, cov):
+    policy = GaussianPolicy(np.array([0.2, -0.1, 0.4]), cov, tau=0.5)
+    prob = quadratic_problem(np.diag([1.0, 2.0, 0.5]), np.array([0.3, 0.0, -0.2]), 1.5)
+
+    def probe():
+        return analysis.bias_probe(prob, policy, np.zeros(3), n_list=[8, 64], trials=40, seed=7)
+
+    rows = probe()
+    monkeypatch.setattr(analysis, "draw", _probe_draw_reference)
+    assert rows == probe()
 
 
 def test_bias_probe_is_unbiased_for_constant_cost():

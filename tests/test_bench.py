@@ -14,7 +14,7 @@ import yaml
 
 from mppigrad import qp
 from mppigrad.bench import cli
-from mppigrad.bench.config import RunConfig, load_config, parse_grid_override
+from mppigrad.bench.config import _DUBINS_DEFAULTS, RunConfig, load_config, parse_grid_override
 from mppigrad.bench.dubins import run_dubins
 from mppigrad.bench.lqr import run_lqr
 from mppigrad.bench.records import CSV_HEADER, RunRecord, emit
@@ -120,6 +120,26 @@ def test_config_error_paths(tmp_path):
         load_config(
             write_cfg(tmp_path, "version: 1\nexperiment: dubins\nsim_steps: 0\n", "d.yaml")
         )
+
+
+def test_dubins_problem_defaults_are_the_spec_defaults():
+    """The defaults are read from `DubinsSpec`; the snapshot keeps these values and types."""
+    expected = {
+        "speed": 4.0,
+        "dt": 0.1,
+        "horizon": 20,
+        "x0": [0.0, 0.0, float(np.pi / 2)],
+        "target": [6.0, 6.0, 0.0],
+        "q_weights": [1.0, 1.0, 0.01],
+        "r_weight": 0.001,
+        "w_max": float(1.5 * np.pi),
+        "obstacles": [[0.6, 5.4, 0.6], [1.5, 4.5, 0.6], [2.4, 3.6, 0.6],
+                      [3.6, 2.4, 0.6], [4.5, 1.5, 0.6], [5.4, 0.6, 0.6]],
+    }
+    defaults = _DUBINS_DEFAULTS["problem"]
+    assert list(defaults) == list(expected)
+    # repr tells 20 from 20.0 and a numpy scalar from a float
+    assert repr(defaults) == repr(expected)
 
 
 def test_cli_overrides(tmp_path):
@@ -417,10 +437,15 @@ def test_theory_report_formatting():
 # ---------------------------------------------------------------------------
 
 
-def test_cli_usage_errors_return_one(tmp_path):
+def test_cli_usage_errors_return_one(tmp_path, capsys):
     assert cli.main([]) == 1
     assert cli.main(["run", "--experiment", "lqr"]) == 1  # missing --config
     assert cli.main(["run", "--experiment", "lqr", "--config", str(tmp_path / "nope.yaml")]) == 1
+    path = str(write_cfg(tmp_path, TINY_LQR))
+    for workers in ("0", "-2"):
+        capsys.readouterr()
+        assert cli.main(["run", "--experiment", "lqr", "--config", path, "--workers", workers]) == 1
+        assert f"argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
 
 
 def test_cli_experiment_config_mismatch(tmp_path, capsys):
@@ -487,6 +512,27 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "grid: {eta: [1.0]}\nseeds: [0]", "optimizer.eps_stat must be a finite number, got -inf"),
         ("lqr", "optimizer: {eta: true, n_samples: 200, iterations: 2}\ngrid: {eta: [1.0]}\n"
          "seeds: [0]", "eta cell True must be positive or the string 'rule'"),
+        ("lqr", "grid: null", "grid must be a mapping, got None"),
+        ("lqr", "optimizer: null", "optimizer must be a mapping, got None"),
+        ("lqr", "sampling: null", "sampling must be a mapping, got None"),
+        ("lqr", "fd: null", "fd must be a mapping, got None"),
+        ("lqr", "problem: null", "problem must be a mapping, got None"),
+        ("dubins", "sampling: [0.25, 4.0]", "sampling must be a mapping, got [0.25, 4.0]"),
+        ("dubins", "grid: {tau: [0.5, 8.0], sigma2: [9.0]}\nsim_steps: 1\nseeds: [0]",
+         "grid axis 'tau' is not swept by the dubins experiment (it sweeps k)"),
+        ("lqr", "grid: {k: [1, 5]}", "grid axis 'k' is not swept by the lqr experiment"),
+        ("lqr", "grid: {bogus: [1]}", "grid axis 'bogus' is not swept by the lqr experiment"),
+        ("theory", "grid: {eta: [1.0]}",
+         "grid axis 'eta' is not swept by the theory experiment (it sweeps nothing)"),
+        ("theory", "grid: null", "grid must be a mapping, got None"),
+        ("lqr", "problem: {horizon: true}", "problem.horizon must be an integer, got True"),
+        ("lqr", "problem: {horizon: 10.7}", "problem.horizon must be an integer, got 10.7"),
+        ("dubins", "problem: {horizon: 20.5}", "problem.horizon must be an integer, got 20.5"),
+        ("dubins", "problem: {horizon: 0}", "horizon must be >= 1"),
+        ("dubins", "problem: {speed: true}", "problem.speed must be a finite number, got True"),
+        ("dubins", "problem: {dt: true}", "problem.dt must be a finite number, got True"),
+        ("dubins", "problem: {r_weight: true}", "problem.r_weight must be a finite number, got True"),
+        ("dubins", "problem: {w_max: .inf}", "problem.w_max must be a finite number, got inf"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
@@ -497,7 +543,13 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "lqr_boolean_max_retries", "lqr_fractional_n_samples", "dubins_fractional_k_cell",
          "dubins_text_antithetic", "dubins_boolean_eta_and_eps_stat", "dubins_infinite_eta",
          "dubins_boolean_eps_stat", "dubins_nan_eps_stat", "lqr_boolean_eps_stat",
-         "lqr_infinite_eps_stat", "lqr_boolean_eta_beside_a_grid"],
+         "lqr_infinite_eps_stat", "lqr_boolean_eta_beside_a_grid", "lqr_null_grid",
+         "lqr_null_optimizer", "lqr_null_sampling", "lqr_null_fd", "lqr_null_problem",
+         "dubins_list_sampling", "dubins_unswept_tau_and_sigma2_axes", "lqr_unswept_k_axis",
+         "lqr_unknown_grid_axis", "theory_any_grid_axis", "theory_null_grid",
+         "lqr_boolean_horizon", "lqr_fractional_horizon", "dubins_fractional_horizon",
+         "dubins_zero_horizon", "dubins_boolean_speed", "dubins_boolean_dt",
+         "dubins_boolean_r_weight", "dubins_infinite_w_max"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message
@@ -518,12 +570,15 @@ def test_lqr_rule_stays_a_valid_eta(tmp_path):
     assert default.section("optimizer")["eta"] == "rule"
 
 
-def test_cli_bad_grid_override(tmp_path):
+def test_cli_bad_grid_override(tmp_path, capsys):
     path = write_cfg(tmp_path, TINY_LQR)
     code = cli.main(
         ["run", "--experiment", "lqr", "--config", str(path), "--grid", "noequals"]
     )
     assert code == 1
+    code = cli.main(["run", "--experiment", "lqr", "--config", str(path), "--grid", "k=1,5"])
+    assert code == 1
+    assert "grid axis 'k' is not swept by the lqr experiment" in capsys.readouterr().err
 
 
 def test_cli_theory_ok_and_injected_failure(tmp_path, capsys):
@@ -600,6 +655,26 @@ def test_perfbench_tracer_finds_every_wrap_target(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.close()
+
+
+@pytest.mark.parametrize("workload", ["lqr_sampled", "lqr_fd"])
+def test_traced_benchmark_run_reports_every_per_layer_metric(workload):
+    """A traced run exits 0 and its result line carries each per-layer metric BENCHMARK.json names.
+
+    A wrap target that no longer exists drops its metrics from that line.
+    dubins_loop is left out: its two-round minimum takes about 25 s.
+    """
+    root = Path(__file__).resolve().parents[1]
+    names = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]]
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"]
+    assert [n for n in names if n not in result["metrics"]] == []
 
 
 def test_each_module_imports_in_a_fresh_interpreter():

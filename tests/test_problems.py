@@ -90,7 +90,7 @@ def test_rollout_is_deterministic_bitwise():
 
 def test_lqr_zero_control_cost_62_5():
     spec = double_integrator()
-    assert lqr_problem(spec).objective(np.zeros(10)) == pytest.approx(62.5, abs=1e-12)
+    assert lqr_problem(spec).batch_objective(np.zeros((1, 10)))[0] == pytest.approx(62.5, abs=1e-12)
 
 
 def test_lqr_zero_state_zero_control_costs_nothing():
@@ -106,7 +106,7 @@ def test_lqr_zero_state_zero_control_costs_nothing():
         x_min=[-5.0, -1.0],
         x_max=[5.0, 1.0],
     )
-    assert lqr_problem(spec).objective(np.zeros(10)) == 0.0
+    assert lqr_problem(spec).batch_objective(np.zeros((1, 10)))[0] == 0.0
 
 
 def test_lqr_objective_matches_qp_lift_on_random_u():
@@ -164,7 +164,7 @@ def test_lqr_batch_paths_agree_with_scalar_paths():
     batch_costs = prob.batch_objective(U)
     batch_flags = prob.batch_feasible(U)
     for row, cost, flag in zip(U, batch_costs, batch_flags):
-        assert prob.objective(row) == pytest.approx(cost, rel=1e-12)
+        assert prob.batch_objective(row[None, :])[0] == pytest.approx(cost, rel=1e-12)
         assert prob.batch_feasible(row[None, :])[0] == flag
 
 
