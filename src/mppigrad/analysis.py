@@ -415,8 +415,7 @@ def fd_baseline(
         u = u - alpha * grad
         if projector is not None:
             u = projector(u)
-    pts[0] = _check_controls(u, n, "final FD iterate")
-    costs[iters] = problem.batch_objective(pts[:1])[0]
+    costs[iters] = problem.batch_objective(_check_controls(u, n, "final FD iterate")[None, :])[0]
     return FdTrace(costs=costs, final_u=u, evals_per_iteration=n + 1)
 
 
@@ -450,10 +449,13 @@ def bias_probe(
     exchangeable.  Each trial draws and scores its batch, and each prefix is
     weighed and turned into a gradient, as the optimizer does it (`draw`,
     `evaluate`, `weigh`, `grad_estimate`); trials whose prefix has no
-    feasible sample are dropped.
+    feasible sample are dropped.  The largest N must be at least 2, as `draw`
+    requires; smaller N are prefixes of its batch.
     """
     n_list = sorted(int(n) for n in n_list)
     n_max = n_list[-1]
+    if n_max < 2:
+        raise ValueError(f"the largest sample size in n_list must be at least 2, got {n_list}")
     exact = np.asarray(exact_grad, dtype=float)
     estimates: dict[int, list[Array]] = {n: [] for n in n_list}
     for trial in range(trials):

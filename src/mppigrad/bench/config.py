@@ -58,7 +58,7 @@ _THEORY_DEFAULTS: Dict[str, Any] = {"inject_bug": False, "seeds": [0]}
 
 _DEFAULTS = {"lqr": _LQR_DEFAULTS, "dubins": _DUBINS_DEFAULTS, "theory": _THEORY_DEFAULTS}
 
-# the grid axes each runner sweeps; it would read no other axis
+# the grid axes each runner sweeps: the config rejects others, `RunConfig.grid` reads no others
 _GRID_AXES = {"lqr": ("sigma2", "tau", "eta"), "dubins": ("k",), "theory": ()}
 
 
@@ -91,6 +91,8 @@ class RunConfig:
         return self.resolved.get(name, {})
 
     def grid(self, key: str, fallback: list) -> list:
+        if key not in _GRID_AXES[self.experiment]:
+            raise KeyError(f"the {self.experiment} experiment does not sweep grid axis {key!r}")
         return list(self.resolved.get("grid", {}).get(key, fallback))
 
     def snapshot(self) -> Dict[str, Any]:

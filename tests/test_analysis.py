@@ -65,7 +65,9 @@ def test_tilt_covariance_does_not_depend_on_the_mean():
         tilt = analysis.QuadraticOracle(policy, q, np.array([1.0, 0.0])).moments(policy.mean)
         np.testing.assert_allclose(
             tilt.cov,
-            analysis.QuadraticOracle(policy, q, np.zeros(2)).moments(np.zeros(2)).cov,
+            analysis.QuadraticOracle(policy.with_mean(np.zeros(2)), q, np.zeros(2))
+            .moments(np.zeros(2))
+            .cov,
             atol=1e-14,
         )
 
@@ -486,6 +488,19 @@ def test_bias_probe_counts_a_nan_cost_as_infeasible():
     for row in probes[0]:
         assert np.isfinite(row.bias_norm) and np.isfinite(row.ci_half_width)
     assert probes[0] == probes[1]
+
+
+def test_bias_probe_needs_a_largest_sample_size_of_two():
+    policy = GaussianPolicy(np.array([1.0]), 0.5, tau=0.25)
+    prob = TrajectoryProblem(
+        control_dim=1, horizon=1, initial_state=np.zeros(1), dynamics=lambda x, u: x,
+        known_feasible=np.zeros(1), evaluate=lambda U: (U[:, 0] ** 2, np.ones(len(U), bool)),
+    )
+    with pytest.raises(ValueError, match=r"n_list must be at least 2, got \[1\]"):
+        analysis.bias_probe(prob, policy, np.zeros(1), n_list=[1], trials=4, seed=0)
+    # a one-sample prefix of a larger draw is still a row
+    rows = analysis.bias_probe(prob, policy, np.zeros(1), n_list=[8, 1], trials=4, seed=0)
+    assert [row.n for row in rows] == [1, 8]
 
 
 # ---------------------------------------------------------------------------

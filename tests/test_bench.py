@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -570,6 +571,13 @@ def test_lqr_rule_stays_a_valid_eta(tmp_path):
     assert default.section("optimizer")["eta"] == "rule"
 
 
+def test_a_runner_reads_only_the_grid_axes_the_config_accepts(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, TINY_DUBINS))
+    assert cfg.grid("k", []) == [1]
+    with pytest.raises(KeyError, match="does not sweep grid axis 'tau'"):
+        cfg.grid("tau", [4.0])
+
+
 def test_cli_bad_grid_override(tmp_path, capsys):
     path = write_cfg(tmp_path, TINY_LQR)
     code = cli.main(
@@ -658,18 +666,25 @@ def test_perfbench_tracer_finds_every_wrap_target(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", ["lqr_sampled", "lqr_fd"])
-def test_traced_benchmark_run_reports_every_per_layer_metric(workload):
+def test_traced_benchmark_run_reports_every_per_layer_metric(tmp_path, workload):
     """A traced run exits 0 and its result line carries each per-layer metric BENCHMARK.json names.
 
     A wrap target that no longer exists drops its metrics from that line.
-    dubins_loop is left out: its two-round minimum takes about 25 s.
+    The run uses a copy of perfbench/ beside a link to src/, so the files it
+    writes land under tmp_path, not in the checkout.  Each run takes about
+    3 s; dubins_loop is left out: its two-round minimum takes about 25 s.
     """
     root = Path(__file__).resolve().parents[1]
     names = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]]
+    shutil.copytree(
+        root / "perfbench", tmp_path / "perfbench",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    (tmp_path / "src").symlink_to(root / "src", target_is_directory=True)
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "1"],
-        cwd=root, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
