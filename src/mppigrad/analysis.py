@@ -111,14 +111,17 @@ class QuadraticOracle(TiltOracle):
         return _curvature_norm(self.policy, self.tilted_cov)
 
 
+START_CELLS = 64  # cells per axis of the first Simpson pass
+MAX_CELLS_1D = 2**20  # refinement caps, in cells per axis
+MAX_CELLS_2D = 2**12
+GIBBS_CELLS = 2**14  # Simpson cells of the variational identity check
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Dyadic Simpson refinement control: start/stop cell counts, tolerance."""
+    """Dyadic Simpson refinement tolerance; the cell counts are module constants."""
 
     rel_tol: float = 1e-8
-    start_cells: int = 64
-    max_cells_1d: int = 2**20
-    max_cells_2d: int = 2**12
 
 
 def _simpson_weights(lo: float, hi: float, cells: int) -> tuple[Array, Array]:
@@ -182,9 +185,9 @@ def tilted_moments_quadrature(
         raise DimensionMismatchError(d, box_lo.size, "quadrature box")
     if not (np.all(np.isfinite(box_lo)) and np.all(np.isfinite(box_hi))):
         raise ValueError("quadrature box must be bounded")
-    cap = grid.max_cells_1d if d == 1 else grid.max_cells_2d
+    cap = MAX_CELLS_1D if d == 1 else MAX_CELLS_2D
 
-    cells = grid.start_cells
+    cells = START_CELLS
     prev = _tilted_grid_pass(f0, box_lo, box_hi, policy, cells)
     while cells < cap:
         cells *= 2
@@ -353,14 +356,14 @@ def l_sigma_diameter_bound(cov, box_lo, box_hi) -> DiameterBound:
     )
 
 
-def max_two_point_variance(diameter: float, n_pos: int = 41, n_prob: int = 41) -> float:
+def max_two_point_variance(diameter: float) -> float:
     """Brute-force max variance of two-point distributions on [0, D].
 
-    The grid includes the endpoints and p = 1/2, so the maximizer (mass split
-    evenly between 0 and D, variance D^2/4) is attained exactly.
+    The 41-point grids include the endpoints and p = 1/2, so the maximizer
+    (mass split evenly between 0 and D, variance D^2/4) is attained exactly.
     """
-    pos = np.linspace(0.0, diameter, n_pos)
-    probs = np.linspace(0.0, 1.0, n_prob)
+    pos = np.linspace(0.0, diameter, 41)
+    probs = np.linspace(0.0, 1.0, 41)
     a = pos[:, None, None]
     b = pos[None, :, None]
     p = probs[None, None, :]
@@ -496,7 +499,6 @@ def gibbs_identity_check(
     box_hi,
     policy: GaussianPolicy,
     rho: Callable[[Array], Array],
-    cells: int = 2**14,
 ) -> float:
     """Residual of: E_rho[f0] + tau KL(rho || pi) = F(pi) + tau KL(rho || tilt).
 
@@ -508,7 +510,7 @@ def gibbs_identity_check(
         raise UnsupportedProblemError("identity check is implemented in 1-D")
     lo = float(np.atleast_1d(box_lo)[0])
     hi = float(np.atleast_1d(box_hi)[0])
-    nodes, w = _simpson_weights(lo, hi, cells)
+    nodes, w = _simpson_weights(lo, hi, GIBBS_CELLS)
     pts = nodes[:, None]
     tau = policy.tau
 

@@ -18,37 +18,30 @@ import yaml
 
 from ..errors import ConfigError
 from ..optimizer import PgdConfig
-from ..problems import DubinsSpec
+from ..problems import DubinsSpec, double_integrator
 
 SCHEMA_VERSION = 1
 EXPERIMENTS = ("lqr", "dubins", "theory")
 
+
+def _spec_defaults(spec) -> Dict[str, Any]:
+    """A problem spec's fields as plain YAML scalars and nested lists."""
+    return {k: np.asarray(v).tolist() for k, v in asdict(spec).items()}
+
+
 _LQR_DEFAULTS: Dict[str, Any] = {
-    "problem": {"horizon": 10},
+    "problem": _spec_defaults(double_integrator()),
     "sampling": {"sigma2": 1.0e-4, "tau": 1.0},
-    "optimizer": {
-        "n_samples": 1000,
-        "iterations": 2000,
-        "antithetic": True,
-        "eps_stat": 0.0,
-        "max_retries": 5,
-    },
+    "optimizer": {"n_samples": 1000, "iterations": 2000, "eta": 1.0, "antithetic": True},
     "grid": {"eta": [1.0, "rule"]},
     "fd": {"enabled": False, "h": 1.0e-3, "alpha": 1.0e-3, "budget_evals": 220_000},
     "seeds": [0, 1, 2],
 }
 
 _DUBINS_DEFAULTS: Dict[str, Any] = {
-    # the spec's own defaults, as plain YAML scalars and nested lists
-    "problem": {k: np.asarray(v).tolist() for k, v in asdict(DubinsSpec()).items()},
+    "problem": _spec_defaults(DubinsSpec()),
     "sampling": {"sigma2": 0.25, "tau": 4.0},
-    "optimizer": {
-        "n_samples": 1024,
-        "eta": 1.0,
-        "antithetic": True,
-        "eps_stat": 0.0,
-        "max_retries": 5,
-    },
+    "optimizer": {"n_samples": 1024, "eta": 1.0, "antithetic": True},
     "sim_steps": 40,
     "grid": {"k": [1, 5, 10]},
     "seeds": [0, 1, 2],
@@ -58,8 +51,16 @@ _THEORY_DEFAULTS: Dict[str, Any] = {"inject_bug": False, "seeds": [0]}
 
 _DEFAULTS = {"lqr": _LQR_DEFAULTS, "dubins": _DUBINS_DEFAULTS, "theory": _THEORY_DEFAULTS}
 
-# the grid axes each runner sweeps: the config rejects others, `RunConfig.grid` reads no others
-_GRID_AXES = {"lqr": ("sigma2", "tau", "eta"), "dubins": ("k",), "theory": ()}
+# the grid axes each runner sweeps, each with the default of the setting it
+# sweeps: the config rejects other axes, `RunConfig.grid` reads no others
+_GRID_AXES: Dict[str, Dict[str, Any]] = {
+    "lqr": {**_LQR_DEFAULTS["sampling"], "eta": _LQR_DEFAULTS["optimizer"]["eta"]},
+    "dubins": {"k": _DUBINS_DEFAULTS["grid"]["k"][0]},
+    "theory": {},
+}
+
+_RULE_PATHS = ("optimizer.eta", "grid.eta[")  # LQR values that may be the string 'rule'
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _deep_merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any]:
@@ -108,46 +109,11 @@ class RunConfig:
         )
 
 
-def pgd_config(optimizer: Dict[str, Any], eta: Any, k: Any) -> PgdConfig:
-    """One job's optimizer settings: its own step size and iteration count, the rest shared.
-
-    Counts must be real integers, `eta` and `eps_stat` finite real numbers and
-    `antithetic` a real boolean: `int()` would read YAML `true` as 1 and
-    truncate 200.9, `float(True)` is 1.0, and `bool("false")` is True.
-    """
-    for name, value in (
-        ("iteration count", k),
-        ("optimizer.n_samples", optimizer["n_samples"]),
-        ("optimizer.max_retries", optimizer["max_retries"]),
-    ):
-        if not _is_int(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    for name, value in (("optimizer.eta", eta), ("optimizer.eps_stat", optimizer["eps_stat"])):
-        if not _finite_real(value):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    antithetic = optimizer["antithetic"]
-    if not isinstance(antithetic, bool):
-        raise ConfigError(f"optimizer.antithetic must be true or false, got {antithetic!r}")
+def pgd_config(optimizer: Dict[str, Any], eta: Any, k: int) -> PgdConfig:
+    """One job's optimizer settings: its own step size and iteration count, the rest shared."""
     return PgdConfig(
-        eta=float(eta),
-        k=k,
-        n_samples=optimizer["n_samples"],
-        antithetic=antithetic,
-        eps_stat=float(optimizer["eps_stat"]),
-        max_retries=optimizer["max_retries"],
+        eta=float(eta), k=k, n_samples=optimizer["n_samples"], antithetic=optimizer["antithetic"]
     )
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # YAML true is an int subclass
-
-
-def _finite_real(value: Any) -> bool:
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-
-
-def _finite_positive(value: Any) -> bool:
-    return _finite_real(value) and value > 0
 
 
 def _validate(doc: Dict[str, Any]) -> None:
@@ -161,50 +127,83 @@ def _validate(doc: Dict[str, Any]) -> None:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
 
 
-def _check_sections(experiment: str, resolved: Dict[str, Any]) -> None:
-    """A section that the defaults give as a mapping, or a grid, must stay one."""
-    for name, value in resolved.items():
-        is_section = name == "grid" or isinstance(_DEFAULTS[experiment].get(name), dict)
-        if is_section and not isinstance(value, dict):
-            raise ConfigError(f"{name} must be a mapping, got {value!r}")
+def _fits(value: Any, default: Any) -> bool:
+    """A bool takes only a bool; an int a non-bool int; a float a finite non-bool number."""
+    if isinstance(default, bool) or isinstance(value, bool):  # YAML true is an int subclass
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, type(default))
 
 
-def _validate_resolved(experiment: str, resolved: Dict[str, Any]) -> None:
-    seeds = resolved.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
+def _check_types(experiment: str, resolved: Dict[str, Any]) -> None:
+    """Hold every value to the type of its default, the one rule for all keys.
+
+    A key the defaults lack is an error (so a misspelt or retired key never
+    goes silently unread), a mapping default takes a mapping, and a list
+    default a list whose items follow the rule of its first item.  A grid
+    axis follows the default of the setting it sweeps, and an LQR eta may
+    also be the string 'rule'.
+    """
+    grid = {axis: [value] for axis, value in _GRID_AXES[experiment].items()}
+    template = {**_DEFAULTS[experiment], "grid": grid, "out": ""}
+
+    def walk(value: Any, default: Any, path: str) -> None:
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path} must be a mapping, got {value!r}")
+            prefix = f"{path}." if path else ""
+            unknown = [key for key in value if key not in default]
+            if unknown and path == "grid":
+                raise ConfigError(
+                    f"grid axis {unknown[0]!r} is not swept by the {experiment} experiment "
+                    f"(it sweeps {', '.join(default) or 'nothing'})"
+                )
+            if unknown:
+                raise ConfigError(f"unknown config key '{prefix}{unknown[0]}'")
+            for key, item in value.items():
+                walk(item, default[key], f"{prefix}{key}")
+        elif isinstance(default, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{path} must be a list, got {value!r}")
+            for i, item in enumerate(value):
+                walk(item, default[0], f"{path}[{i}]")
+        elif value == "rule" and experiment == "lqr" and path.startswith(_RULE_PATHS):
+            return  # resolved to 1/L_sigma per cell
+        elif not _fits(value, default):
+            raise ConfigError(f"{path} must be {_KINDS[type(default)]}, got {value!r}")
+
+    walk(resolved, template, "")
+
+
+def _check_ranges(experiment: str, resolved: Dict[str, Any]) -> None:
+    """The checks beyond the type rule: seeds, non-empty grid axes, positive settings."""
+    seeds = resolved["seeds"]
+    if not seeds:
         raise ConfigError("seeds must be a non-empty list of integers")
     if min(seeds) < 0:  # the Philox counter streams take only non-negative keys
         raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
-    axes = _GRID_AXES[experiment]
-    for key, values in resolved.get("grid", {}).items():
-        if key not in axes:
-            raise ConfigError(
-                f"grid axis {key!r} is not swept by the {experiment} experiment "
-                f"(it sweeps {', '.join(axes) or 'nothing'})"
-            )
-        if not isinstance(values, list) or not values:
+    grid = resolved.get("grid", {})
+    for key, values in grid.items():
+        if not values:
             raise ConfigError(f"grid entry {key!r} must be a non-empty list")
     if experiment == "theory":
         return
-    problem = resolved["problem"]
-    # a spec would run a YAML true as horizon 1 or speed 1.0
-    if not _is_int(problem.get("horizon")):
-        raise ConfigError(f"problem.horizon must be an integer, got {problem.get('horizon')!r}")
-    for key in ("speed", "dt", "r_weight", "w_max") if experiment == "dubins" else ():
-        if not _finite_real(problem[key]):
-            raise ConfigError(f"problem.{key} must be a finite number, got {problem[key]!r}")
     for key in ("sigma2", "tau"):
-        for value in resolved.get("grid", {}).get(key, [resolved["sampling"][key]]):
-            if not _finite_positive(value):
+        for value in grid.get(key, [resolved["sampling"][key]]):
+            if not value > 0:
                 raise ConfigError(f"sampling.{key} must be positive, got {value!r}")
+    if experiment == "dubins" and resolved["sim_steps"] < 1:
+        raise ConfigError("sim_steps must be >= 1")
     if experiment == "lqr":
         # the grid cells, and optimizer.eta: the cell when the grid has none
-        for eta in [*resolved["grid"].get("eta", []), resolved["optimizer"].get("eta", 1.0)]:
-            if eta != "rule" and not _finite_positive(eta):
+        for eta in [*grid.get("eta", []), resolved["optimizer"]["eta"]]:
+            if eta != "rule" and not eta > 0:
                 raise ConfigError(f"eta cell {eta!r} must be positive or the string 'rule'")
-    steps = resolved.get("sim_steps", 1)
-    if experiment == "dubins" and not (_is_int(steps) and steps >= 1):
-        raise ConfigError("sim_steps must be >= 1")
+        fd = resolved["fd"]
+        for key in ("h", "alpha"):
+            if not fd[key] > 0:
+                raise ConfigError(f"fd.{key} must be finite and positive, got {fd[key]!r}")
     _check_builds(experiment, resolved)
 
 
@@ -224,30 +223,16 @@ def _check_builds(experiment: str, resolved: Dict[str, Any]) -> None:
             pgd_config(optimizer, 1.0, optimizer["iterations"])  # eta cells are checked above
         else:
             dubins.build_spec(resolved["problem"])
-            for k in resolved.get("grid", {}).get("k", [1]):
+            for k in resolved["grid"]["k"]:
                 pgd_config(optimizer, optimizer["eta"], k)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {experiment} config: {exc}") from exc
     if experiment == "lqr":
-        _check_fd(resolved["fd"], spec.horizon * spec.control_dim)
-
-
-def _check_fd(fd: Dict[str, Any], n_controls: int) -> None:
-    """Finite positive step sizes, and a budget for at least one FD iteration."""
-    for key in ("h", "alpha"):
-        try:
-            value = float(fd[key])
-        except (TypeError, ValueError):
-            value = float("nan")
-        if not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"fd.{key} must be finite and positive, got {fd[key]!r}")
-    budget = fd["budget_evals"]
-    # one projected FD iteration costs n_controls + 1 evaluations
-    if not isinstance(budget, int) or budget < n_controls + 1:
-        raise ConfigError(
-            f"fd.budget_evals must be an integer >= {n_controls + 1} "
-            f"(one FD iteration), got {budget!r}"
-        )
+        budget, least = resolved["fd"]["budget_evals"], spec.horizon * spec.control_dim + 1
+        if budget < least:  # one projected FD iteration costs n_controls + 1 evaluations
+            raise ConfigError(
+                f"fd.budget_evals must be an integer >= {least} (one FD iteration), got {budget!r}"
+            )
 
 
 def load_config(
@@ -268,17 +253,15 @@ def load_config(
     _validate(doc)
     experiment = doc["experiment"]
     user = {k: v for k, v in doc.items() if k not in ("version", "experiment")}
-    resolved = _deep_merge(_DEFAULTS[experiment], user)
-    _check_sections(experiment, resolved)
     if seed_override is not None:
-        resolved["seeds"] = [int(seed_override)]
+        user["seeds"] = [int(seed_override)]
     if out_override is not None:
-        resolved["out"] = str(out_override)
-    if grid_overrides:
-        resolved.setdefault("grid", {})
-        for key, values in grid_overrides.items():
-            resolved["grid"][key] = values
-    _validate_resolved(experiment, resolved)
+        user["out"] = str(out_override)
+    resolved = _deep_merge(_DEFAULTS[experiment], user)
+    if grid_overrides and isinstance(resolved.get("grid", {}), dict):  # else the walk rejects it
+        resolved["grid"] = {**resolved.get("grid", {}), **grid_overrides}
+    _check_types(experiment, resolved)
+    _check_ranges(experiment, resolved)
     return RunConfig(experiment=experiment, resolved=resolved)
 
 

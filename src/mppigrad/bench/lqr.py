@@ -10,7 +10,6 @@ baseline is run at an equal objective-evaluation budget.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List
@@ -20,14 +19,14 @@ import numpy as np
 from .. import analysis, qp
 from ..errors import AllInfeasibleError, ConvergenceError, InfeasibleProblemError, NotSpdError
 from ..optimizer import run, step_size_rule
-from ..problems import LqrSpec, TrajectoryProblem, double_integrator, lqr_problem
+from ..problems import LqrSpec, TrajectoryProblem, lqr_problem
 from ..sampling import GaussianPolicy
 from .config import RunConfig, pgd_config
 from .records import RunRecord
 
 
 def _build_spec(problem_cfg: Dict[str, Any]) -> LqrSpec:
-    return dataclasses.replace(double_integrator(), **problem_cfg)  # LqrSpec converts its arrays
+    return LqrSpec(**problem_cfg)  # the spec converts its arrays itself
 
 
 def _solve_oracle(lifted: qp.QpProblem) -> Dict[str, float]:
@@ -191,7 +190,7 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
         {"sigma2": float(s2), "tau": float(tau), "eta": eta}
         for s2 in cfg.grid("sigma2", [sampling_cfg["sigma2"]])
         for tau in cfg.grid("tau", [sampling_cfg["tau"]])
-        for eta in cfg.grid("eta", [cfg.section("optimizer").get("eta", 1.0)])
+        for eta in cfg.grid("eta", [cfg.section("optimizer")["eta"]])
     ]
     jobs = [(cell, seed) for cell in cells for seed in cfg.seeds]
     with ThreadPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
@@ -200,6 +199,6 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
                 lambda job: _one_cell(problem, lifted, oracle, cfg, job[0], job[1]), jobs
             )
         )
-    if cfg.section("fd").get("enabled", False):
+    if cfg.section("fd")["enabled"]:
         records.append(_fd_record(problem, lifted, oracle, cfg))
     return records

@@ -216,9 +216,8 @@ def _lift_checks() -> List[CheckRow]:
 
 
 def run_theory_suite(cfg: RunConfig) -> tuple[List[CheckRow], bool]:
-    inject = bool(cfg.resolved.get("inject_bug", False))
     rows: List[CheckRow] = []
-    rows += _grad_hessian_checks(inject)
+    rows += _grad_hessian_checks(cfg.resolved["inject_bug"])
     rows += _descent_checks()
     rows += _certificate_checks()
     rows += _gibbs_checks()

@@ -33,8 +33,8 @@ from .sampling import (
 
 Array = np.ndarray
 
-STAT_WINDOW = 5  # iterations averaged by the stationarity stop
 INFLATION = 2.0  # covariance factor per all-infeasible retry
+MAX_RETRIES = 5  # all-infeasible retries per step; the Philox key keeps 8 bits for the index
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,12 @@ class PgdConfig:
 
     The preconditioner is always the natural one, P = Sigma/tau, under which
     the update is covariance-free and eta = 1 is the classical MPPI update.
-    `eps_stat` > 0 enables early stopping once the preconditioned gradient
-    norm, averaged over `STAT_WINDOW` iterations, falls below it.
     """
 
     eta: float = 1.0
     k: int = 1
     n_samples: int = 1000
-    eps_stat: float = 0.0
     antithetic: bool = True
-    max_retries: int = 5
 
     def __post_init__(self):
         if not 0 < self.eta < np.inf:  # also false for NaN
@@ -63,8 +59,6 @@ class PgdConfig:
             raise ValueError("need at least 2 samples per iteration")
         if self.antithetic and self.n_samples % 2:
             raise ValueError(f"antithetic sampling needs an even n_samples, got {self.n_samples}")
-        if not 0 <= self.max_retries <= 255:  # the Philox key keeps 8 bits for the retry index
-            raise ValueError(f"max_retries must be in [0, 255], got {self.max_retries}")
 
 
 @dataclass
@@ -119,7 +113,7 @@ def _sample_weighted(
 ):
     """Draw/evaluate/weigh with all-infeasible retries under inflated noise."""
     sampler = policy
-    for retry in range(config.max_retries + 1):
+    for retry in range(MAX_RETRIES + 1):
         batch = draw(
             sampler, config.n_samples, seed, iteration, antithetic=config.antithetic, retry=retry
         )
@@ -127,7 +121,7 @@ def _sample_weighted(
         try:
             return sampler, batch, weigh(batch, sampler.tau), retry
         except AllInfeasibleError:
-            if retry == config.max_retries:
+            if retry == MAX_RETRIES:
                 raise
             sampler = sampler.inflate(INFLATION)
 
@@ -142,9 +136,9 @@ def pgd_step(
     """One sampled preconditioned step; returns the updated policy and record.
 
     On an all-infeasible batch the draw is retried (new counter-based stream)
-    with covariance inflated by the factor `INFLATION`; the inflated covariance
-    applies to that step's sampling only — the returned policy keeps the
-    original covariance.
+    up to `MAX_RETRIES` times, with covariance inflated by the factor
+    `INFLATION` per retry; the inflated covariance applies to that step's
+    sampling only — the returned policy keeps the original covariance.
     """
     t0 = time.perf_counter()
     sampler, batch, summary, retries = _sample_weighted(problem, policy, config, seed, iteration)
@@ -173,7 +167,7 @@ def run(
     seed: int,
     iter_offset: int = 0,
 ) -> tuple[GaussianPolicy, OptimizerTrace]:
-    """Up to K sampled steps with optional windowed stationarity stopping.
+    """K sampled steps from `policy`; returns the final policy and the trace.
 
     `iter_offset` shifts the RNG iteration counter so nested uses (e.g. the
     receding-horizon loop) never reuse a noise stream.  If sampling aborts,
@@ -185,10 +179,6 @@ def run(
             policy, record = pgd_step(problem, policy, config, seed, iter_offset + k)
             record.k = k
             trace.records.append(record)
-            if config.eps_stat > 0 and len(trace) >= STAT_WINDOW:
-                recent = trace.column("grad_norm_p")[-STAT_WINDOW:]
-                if float(recent.mean()) <= config.eps_stat:
-                    break
     except AllInfeasibleError as err:
         err.trace = trace
         raise
@@ -212,12 +202,11 @@ def run_exact(oracle, policy: GaussianPolicy, config: PgdConfig) -> tuple[Gaussi
     for k in range(config.k):
         t0 = time.perf_counter()
         tilt = oracle.moments(policy.mean)
-        norm_p = _grad_norm_p(policy, tilt.mean - policy.mean)
         trace.records.append(
             IterationRecord(
                 k=k,
                 mean=policy.mean.copy(),
-                grad_norm_p=norm_p,
+                grad_norm_p=_grad_norm_p(policy, tilt.mean - policy.mean),
                 ess=float("nan"),
                 acceptance=float("nan"),
                 best_cost=float("nan"),
@@ -226,8 +215,6 @@ def run_exact(oracle, policy: GaussianPolicy, config: PgdConfig) -> tuple[Gaussi
             )
         )
         policy = policy.with_mean(_apply_update(policy, config.eta, tilt.mean))
-        if config.eps_stat > 0 and norm_p <= config.eps_stat:
-            break
     return policy, trace
 
 

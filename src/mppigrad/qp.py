@@ -27,6 +27,8 @@ import numpy as np
 from .errors import ConvergenceError, InfeasibleProblemError, NotSpdError
 from .problems import LqrSpec, lqr_response
 
+AGREEMENT = 1e-6  # largest relative duality gap and violation `solve_verified` certifies
+
 Array = np.ndarray
 
 
@@ -209,7 +211,7 @@ def solve_reference(qp: QpProblem) -> QpSolution:
     return QpSolution(u_star=u, f_star=qp.value(u), kkt_residual=kkt, lam=lam)
 
 
-def solve_verified(qp: QpProblem, agreement: float = 1e-6) -> QpSolution:
+def solve_verified(qp: QpProblem) -> QpSolution:
     """Solve once and certify the solution by weak duality.
 
     For any lam >= 0, d(lam) = lam'h - 1/2 v'Q^-1 v with v = G'lam - c is a
@@ -218,7 +220,7 @@ def solve_verified(qp: QpProblem, agreement: float = 1e-6) -> QpSolution:
     and violation(u*) bracket the true optimum whatever produced (u*, lam).
     Q^-1 v is an LU solve, not the solver's Cholesky factor, so the check
     shares only (Q, c, G, h) with `solve_reference`.  A relative gap or a
-    violation beyond `agreement` raises instead of returning a number that
+    violation beyond `AGREEMENT` raises instead of returning a number that
     would silently corrupt every optimality gap downstream.
     """
     ref = solve_reference(qp)
@@ -230,7 +232,7 @@ def solve_verified(qp: QpProblem, agreement: float = 1e-6) -> QpSolution:
     gap = primal - dual
     violation = qp.violation(ref.u_star)
     rel_gap = abs(gap) / (1.0 + abs(primal))
-    if not (rel_gap <= agreement and violation <= agreement):  # NaN fails too
+    if not (rel_gap <= AGREEMENT and violation <= AGREEMENT):  # NaN fails too
         raise ConvergenceError(
             f"QP solution not certified: f(u*) = {primal:.12g}, dual bound {dual:.12g}, "
             f"violation {violation:.3e}",

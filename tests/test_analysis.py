@@ -168,9 +168,11 @@ def test_truncation_shrinks_the_tilt_variance():
     assert abs(mom.mean[0]) <= 0.1
 
 
-def test_quadrature_cell_cap_raises_with_last_estimate():
+def test_quadrature_cell_cap_raises_with_last_estimate(monkeypatch):
+    monkeypatch.setattr(analysis, "START_CELLS", 4)
+    monkeypatch.setattr(analysis, "MAX_CELLS_1D", 8)
     policy = GaussianPolicy(np.zeros(1), 1.0, tau=1.0)
-    tiny = analysis.GridSpec(rel_tol=1e-14, start_cells=4, max_cells_1d=8)
+    tiny = analysis.GridSpec(rel_tol=1e-14)
     with pytest.raises(QuadratureError, match="8 cells") as err:
         analysis.tilted_moments_quadrature(
             lambda pts: np.cos(40.0 * pts[:, 0]), [-3.0], [3.0], policy, tiny

@@ -78,17 +78,28 @@ def write_cfg(tmp_path, text, name="cfg.yaml"):
 # ---------------------------------------------------------------------------
 
 
-def test_shipped_configs_load():
-    for name, experiment in (("lqr", "lqr"), ("dubins", "dubins"), ("theory", "theory")):
-        cfg = load_config(f"configs/{name}.yaml")
-        assert cfg.experiment == experiment
-        assert cfg.seeds
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(
+    path.relative_to(ROOT).as_posix()
+    for path in [*ROOT.glob("configs/*.yaml"), *ROOT.glob("perfbench/configs/*.yaml")]
+)
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_shipped_configs_load(tmp_path, config):
+    """Every config the desk runs or the benchmark feeds loads, and so does its snapshot."""
+    cfg = load_config(ROOT / config)
+    assert cfg.experiment == yaml.safe_load((ROOT / config).read_text())["experiment"]
+    assert cfg.seeds
+    cfg.write_snapshot(tmp_path / "snap.yaml")
+    reloaded = load_config(tmp_path / "snap.yaml")
+    assert (reloaded.experiment, reloaded.resolved) == (cfg.experiment, cfg.resolved)
 
 
 def test_defaults_are_merged(tmp_path):
     cfg = load_config(write_cfg(tmp_path, TINY_LQR))
     assert cfg.section("optimizer")["n_samples"] == 200  # from the file
-    assert cfg.section("optimizer")["max_retries"] == 5  # from the defaults
+    assert cfg.section("optimizer")["antithetic"] is True  # from the defaults
     assert cfg.section("sampling")["sigma2"] == pytest.approx(1e-4)
     assert cfg.grid("eta", []) == [1.0]
     assert cfg.grid("sigma2", [7.0]) == [7.0]  # fallback when not gridded
@@ -472,47 +483,48 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
         ("lqr", "problem: {a: [[1.0]]}", "A must be (2,2)"),
         ("dubins", "optimizer: {n_samples: 3}", "even n_samples"),
         ("dubins", "sampling: {sigma2: -1.0}", "sampling.sigma2 must be positive"),
-        ("dubins", "sampling: {tau: abc}", "sampling.tau must be positive"),
+        ("dubins", "sampling: {tau: abc}", "sampling.tau must be a finite number, got 'abc'"),
         ("lqr", "grid: {tau: [1.0, 0.0]}", "sampling.tau must be positive"),
         ("lqr", "fd: {enabled: true, h: 0.0}", "fd.h must be finite and positive"),
-        ("lqr", "fd: {alpha: abc}", "fd.alpha must be finite and positive"),
+        ("lqr", "fd: {alpha: abc}", "fd.alpha must be a finite number, got 'abc'"),
         ("lqr", "fd: {budget_evals: 5}", "fd.budget_evals must be an integer >= 11"),
-        ("lqr", "sampling: {sigma2: .nan}", "sampling.sigma2 must be positive"),
-        ("lqr", "grid: {eta: [.nan]}", "must be positive or the string 'rule'"),
-        ("lqr", "grid: {tau: [.inf]}", "sampling.tau must be positive"),
+        ("lqr", "sampling: {sigma2: .nan}", "sampling.sigma2 must be a finite number, got nan"),
+        ("lqr", "grid: {eta: [.nan]}", "grid.eta[0] must be a finite number, got nan"),
+        ("lqr", "grid: {tau: [.inf]}", "grid.tau[0] must be a finite number, got inf"),
         # each case below would run (briefly) if the loader let the value through
         ("dubins", "optimizer: {max_retries: 256}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
-         "max_retries must be in [0, 255]"),
+         "unknown config key 'optimizer.max_retries'"),
         ("lqr", "seeds: [true]\noptimizer: {n_samples: 200, iterations: 2}\ngrid: {eta: [1.0]}",
-         "seeds must be a non-empty list of integers"),
+         "seeds[0] must be an integer, got True"),
         ("lqr", "sampling: {sigma2: true, tau: true}\noptimizer: {n_samples: 200, iterations: 2}\n"
-         "grid: {eta: [1.0]}", "sampling.sigma2 must be positive"),
-        ("dubins", "sim_steps: true\ngrid: {k: [1]}\nseeds: [0]", "sim_steps must be >= 1"),
-        ("dubins", "sim_steps: abc", "sim_steps must be >= 1"),
+         "grid: {eta: [1.0]}", "sampling.sigma2 must be a finite number, got True"),
+        ("dubins", "sim_steps: true\ngrid: {k: [1]}\nseeds: [0]",
+         "sim_steps must be an integer, got True"),
+        ("dubins", "sim_steps: abc", "sim_steps must be an integer, got 'abc'"),
         ("lqr", "optimizer: {iterations: true}\ngrid: {eta: [1.0]}\nseeds: [0]",
-         "iteration count must be an integer, got True"),
+         "optimizer.iterations must be an integer, got True"),
         ("lqr", "optimizer: {max_retries: true, n_samples: 200, iterations: 2}\n"
-         "grid: {eta: [1.0]}\nseeds: [0]", "optimizer.max_retries must be an integer, got True"),
+         "grid: {eta: [1.0]}\nseeds: [0]", "unknown config key 'optimizer.max_retries'"),
         ("lqr", "optimizer: {n_samples: 200.9, iterations: 2}\ngrid: {eta: [1.0]}\nseeds: [0]",
          "optimizer.n_samples must be an integer, got 200.9"),
         ("dubins", "grid: {k: [1.5]}\nsim_steps: 1\nseeds: [0]",
-         "iteration count must be an integer, got 1.5"),
+         "grid.k[0] must be an integer, got 1.5"),
         ("dubins", "optimizer: {antithetic: 'false'}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
          "optimizer.antithetic must be true or false, got 'false'"),
         ("dubins", "optimizer: {eta: true, eps_stat: true}\nsim_steps: 1\ngrid: {k: [1]}\n"
-         "seeds: [0]", "optimizer.eta must be a finite number, got True"),
+         "seeds: [0]", "unknown config key 'optimizer.eps_stat'"),
         ("dubins", "optimizer: {eta: .inf}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
          "optimizer.eta must be a finite number, got inf"),
         ("dubins", "optimizer: {eps_stat: true}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
-         "optimizer.eps_stat must be a finite number, got True"),
+         "unknown config key 'optimizer.eps_stat'"),
         ("dubins", "optimizer: {eps_stat: .nan}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
-         "optimizer.eps_stat must be a finite number, got nan"),
+         "unknown config key 'optimizer.eps_stat'"),
         ("lqr", "optimizer: {eps_stat: true, n_samples: 200, iterations: 2}\n"
-         "grid: {eta: [1.0]}\nseeds: [0]", "optimizer.eps_stat must be a finite number, got True"),
+         "grid: {eta: [1.0]}\nseeds: [0]", "unknown config key 'optimizer.eps_stat'"),
         ("lqr", "optimizer: {eps_stat: -.inf, n_samples: 200, iterations: 2}\n"
-         "grid: {eta: [1.0]}\nseeds: [0]", "optimizer.eps_stat must be a finite number, got -inf"),
+         "grid: {eta: [1.0]}\nseeds: [0]", "unknown config key 'optimizer.eps_stat'"),
         ("lqr", "optimizer: {eta: true, n_samples: 200, iterations: 2}\ngrid: {eta: [1.0]}\n"
-         "seeds: [0]", "eta cell True must be positive or the string 'rule'"),
+         "seeds: [0]", "optimizer.eta must be a finite number, got True"),
         ("lqr", "grid: null", "grid must be a mapping, got None"),
         ("lqr", "optimizer: null", "optimizer must be a mapping, got None"),
         ("lqr", "sampling: null", "sampling must be a mapping, got None"),
@@ -534,6 +546,16 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
         ("dubins", "problem: {dt: true}", "problem.dt must be a finite number, got True"),
         ("dubins", "problem: {r_weight: true}", "problem.r_weight must be a finite number, got True"),
         ("dubins", "problem: {w_max: .inf}", "problem.w_max must be a finite number, got inf"),
+        ("lqr", "fd: {enabled: 'no'}", "fd.enabled must be true or false, got 'no'"),
+        ("theory", "inject_bug: 'false'", "inject_bug must be true or false, got 'false'"),
+        ("dubins", "problem: {x0: [.nan, 0.0, 0.0]}",
+         "problem.x0[0] must be a finite number, got nan"),
+        ("dubins", "problem: {obstacles: [[1.0, 1.0, .inf]]}",
+         "problem.obstacles[0][2] must be a finite number, got inf"),
+        ("lqr", "problem: {x0: [.nan, 0.0]}", "problem.x0[0] must be a finite number, got nan"),
+        ("lqr", "fd: {h: true}", "fd.h must be a finite number, got True"),
+        ("lqr", "optimiser: {n_samples: 3}", "unknown config key 'optimiser'"),
+        ("dubins", "sampling: {sigma: 1.0}", "unknown config key 'sampling.sigma'"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
@@ -550,7 +572,9 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "lqr_unknown_grid_axis", "theory_any_grid_axis", "theory_null_grid",
          "lqr_boolean_horizon", "lqr_fractional_horizon", "dubins_fractional_horizon",
          "dubins_zero_horizon", "dubins_boolean_speed", "dubins_boolean_dt",
-         "dubins_boolean_r_weight", "dubins_infinite_w_max"],
+         "dubins_boolean_r_weight", "dubins_infinite_w_max", "lqr_text_fd_enabled",
+         "theory_text_inject_bug", "dubins_nan_x0", "dubins_infinite_obstacle_radius",
+         "lqr_nan_x0", "lqr_boolean_fd_h", "lqr_misspelt_section", "dubins_misspelt_sampling_key"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message

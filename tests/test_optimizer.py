@@ -52,11 +52,6 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError, match="even"):
         PgdConfig(n_samples=7, antithetic=True)
     assert PgdConfig(n_samples=7, antithetic=False).n_samples == 7
-    with pytest.raises(ValueError):
-        PgdConfig(max_retries=-1)
-    with pytest.raises(ValueError, match="max_retries"):  # the retry counter has 8 bits
-        PgdConfig(max_retries=256)
-    assert PgdConfig(max_retries=255).max_retries == 255
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +195,18 @@ def test_retry_inflates_sampling_but_returns_original_covariance():
     # infeasible and inflation is needed (seed frozen after measuring retries)
     prob = box_problem_1d(0.2)
     policy = GaussianPolicy(np.array([0.5]), 0.01, tau=1.0)
-    cfg = PgdConfig(eta=1.0, n_samples=64, antithetic=True, max_retries=5)
+    cfg = PgdConfig(eta=1.0, n_samples=64, antithetic=True)
     new_policy, record = pgd_step(prob, policy, cfg, seed=1)
-    assert record.retries == 2
+    assert record.retries == 2 < optimizer.MAX_RETRIES
     assert new_policy.cov_eig_range() == (0.01, 0.01)  # inflation was sampling-only
     assert abs(new_policy.mean[0]) <= 0.2  # landed on a feasible mean
 
 
-def test_retries_exhausted_raises_with_trace():
+def test_retries_exhausted_raises_with_trace(monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_RETRIES", 3)
     prob = box_problem_1d(1e-6)
     policy = GaussianPolicy(np.array([5.0]), 0.01, tau=1.0)
-    cfg = PgdConfig(n_samples=16, max_retries=3)
+    cfg = PgdConfig(n_samples=16)
     with pytest.raises(AllInfeasibleError) as err:
         run(prob, policy, cfg, seed=0)
     assert len(err.value.trace) == 0  # failed on the very first iteration
@@ -280,14 +276,6 @@ def test_run_single_step_equals_pgd_step():
     assert np.array_equal(via_run.mean, via_step.mean)
 
 
-def test_windowed_stationarity_stop():
-    prob = lqr_problem(double_integrator())
-    policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
-    cfg = PgdConfig(k=50, n_samples=64, eps_stat=1e9)
-    _, trace = run(prob, policy, cfg, seed=0)
-    assert len(trace) == 5  # the absurd tolerance trips at the first window
-
-
 def test_iter_offset_changes_the_noise_stream():
     prob = lqr_problem(double_integrator())
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
@@ -341,19 +329,6 @@ def test_exact_mode_needs_an_oracle():
     policy = GaussianPolicy(np.zeros(1), 1.0, tau=1.0)
     with pytest.raises(UnsupportedProblemError, match="tilted_mean"):
         run_exact(object(), policy, PgdConfig(n_samples=2))
-
-
-def test_exact_mode_stops_at_the_first_stationary_iterate():
-    policy = GaussianPolicy(np.array([3.0]), 0.4, tau=1.1)
-    oracle = analysis.QuadraticOracle(policy, 1.0, 0.0)
-    _, full = run_exact(oracle, policy, PgdConfig(eta=1.0, k=50, n_samples=2))
-    norms = full.column("grad_norm_p")  # strictly decreasing: geometric decay
-    eps = 0.5 * (norms[9] + norms[10])
-    final, trace = run_exact(oracle, policy, PgdConfig(eta=1.0, k=50, n_samples=2, eps_stat=eps))
-    assert len(trace) == 11  # iterate 10 is the first with |g|_P <= eps_stat
-    np.testing.assert_array_equal(trace.column("grad_norm_p"), norms[:11])
-    # the step from the stopping iterate is still taken
-    np.testing.assert_array_equal(final.mean, full.records[11].mean)
 
 
 def test_exact_mode_reads_one_tilt_record_per_iterate(monkeypatch):
@@ -479,13 +454,15 @@ def test_family_infeasibility_flags_partial_trace():
     assert len(trace.steps) == 2
 
 
-def test_sampler_abort_flags_partial_trace():
+def test_sampler_abort_flags_partial_trace(monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_RETRIES", 2)
+
     def family(state, candidate):
         return box_problem_1d(1e-6)
 
     policy = GaussianPolicy(np.array([5.0]), 0.01, tau=1.0)
     trace = receding_horizon(
-        family, policy, PgdConfig(n_samples=16, max_retries=2), sim_steps=3, seed=0,
+        family, policy, PgdConfig(n_samples=16), sim_steps=3, seed=0,
         stage_cost=lambda x, u: 0.0,
     )
     assert trace.unsafe
@@ -496,7 +473,7 @@ def test_sampler_abort_flags_partial_trace():
 def test_closed_loop_step_totals_retries_and_worst_ess():
     # the first inner iteration needs two retries (see the retry test above)
     policy = GaussianPolicy(np.array([0.5]), 0.01, tau=1.0)
-    cfg = PgdConfig(k=3, n_samples=64, max_retries=5)
+    cfg = PgdConfig(k=3, n_samples=64)
     trace = receding_horizon(
         lambda state, candidate: box_problem_1d(0.2), policy, cfg, sim_steps=1, seed=1,
         stage_cost=lambda x, u: 0.0,
