@@ -32,7 +32,7 @@ def _spec_defaults(spec) -> Dict[str, Any]:
 _LQR_DEFAULTS: Dict[str, Any] = {
     "problem": _spec_defaults(double_integrator()),
     "sampling": {"sigma2": 1.0e-4, "tau": 1.0},
-    "optimizer": {"n_samples": 1000, "iterations": 2000, "eta": 1.0, "antithetic": True},
+    "optimizer": {"n_samples": 1000, "iterations": 2000, "antithetic": True},
     "grid": {"eta": [1.0, "rule"]},
     "fd": {"enabled": False, "h": 1.0e-3, "alpha": 1.0e-3, "budget_evals": 220_000},
     "seeds": [0, 1, 2],
@@ -54,12 +54,11 @@ _DEFAULTS = {"lqr": _LQR_DEFAULTS, "dubins": _DUBINS_DEFAULTS, "theory": _THEORY
 # the grid axes each runner sweeps, each with the default of the setting it
 # sweeps: the config rejects other axes, `RunConfig.grid` reads no others
 _GRID_AXES: Dict[str, Dict[str, Any]] = {
-    "lqr": {**_LQR_DEFAULTS["sampling"], "eta": _LQR_DEFAULTS["optimizer"]["eta"]},
+    "lqr": {**_LQR_DEFAULTS["sampling"], "eta": 1.0},
     "dubins": {"k": _DUBINS_DEFAULTS["grid"]["k"][0]},
     "theory": {},
 }
 
-_RULE_PATHS = ("optimizer.eta", "grid.eta[")  # LQR values that may be the string 'rule'
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
@@ -142,8 +141,8 @@ def _check_types(experiment: str, resolved: Dict[str, Any]) -> None:
     A key the defaults lack is an error (so a misspelt or retired key never
     goes silently unread), a mapping default takes a mapping, and a list
     default a list whose items follow the rule of its first item.  A grid
-    axis follows the default of the setting it sweeps, and an LQR eta may
-    also be the string 'rule'.
+    axis follows the default of the setting it sweeps, and an LQR eta cell
+    may also be the string 'rule'.
     """
     grid = {axis: [value] for axis, value in _GRID_AXES[experiment].items()}
     template = {**_DEFAULTS[experiment], "grid": grid, "out": ""}
@@ -168,7 +167,7 @@ def _check_types(experiment: str, resolved: Dict[str, Any]) -> None:
                 raise ConfigError(f"{path} must be a list, got {value!r}")
             for i, item in enumerate(value):
                 walk(item, default[0], f"{path}[{i}]")
-        elif value == "rule" and experiment == "lqr" and path.startswith(_RULE_PATHS):
+        elif value == "rule" and experiment == "lqr" and path.startswith("grid.eta["):
             return  # resolved to 1/L_sigma per cell
         elif not _fits(value, default):
             raise ConfigError(f"{path} must be {_KINDS[type(default)]}, got {value!r}")
@@ -196,8 +195,7 @@ def _check_ranges(experiment: str, resolved: Dict[str, Any]) -> None:
     if experiment == "dubins" and resolved["sim_steps"] < 1:
         raise ConfigError("sim_steps must be >= 1")
     if experiment == "lqr":
-        # the grid cells, and optimizer.eta: the cell when the grid has none
-        for eta in [*grid.get("eta", []), resolved["optimizer"]["eta"]]:
+        for eta in grid["eta"]:
             if eta != "rule" and not eta > 0:
                 raise ConfigError(f"eta cell {eta!r} must be positive or the string 'rule'")
         fd = resolved["fd"]

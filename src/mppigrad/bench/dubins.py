@@ -103,6 +103,6 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, k_inner: int, seed: int) -> RunR
 def run_dubins(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     """All (K, seed) cells of the closed-loop study, run concurrently."""
     spec = build_spec(cfg.section("problem"))
-    jobs = [(int(k), seed) for k in cfg.grid("k", [1]) for seed in cfg.seeds]
+    jobs = [(int(k), seed) for k in cfg.grid("k", []) for seed in cfg.seeds]
     with ThreadPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
         return list(pool.map(lambda job: _one_cell(spec, cfg, job[0], job[1]), jobs))

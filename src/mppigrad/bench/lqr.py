@@ -190,7 +190,7 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
         {"sigma2": float(s2), "tau": float(tau), "eta": eta}
         for s2 in cfg.grid("sigma2", [sampling_cfg["sigma2"]])
         for tau in cfg.grid("tau", [sampling_cfg["tau"]])
-        for eta in cfg.grid("eta", [cfg.section("optimizer")["eta"]])
+        for eta in cfg.grid("eta", [])
     ]
     jobs = [(cell, seed) for cell in cells for seed in cfg.seeds]
     with ThreadPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:

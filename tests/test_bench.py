@@ -511,8 +511,8 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "grid.k[0] must be an integer, got 1.5"),
         ("dubins", "optimizer: {antithetic: 'false'}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
          "optimizer.antithetic must be true or false, got 'false'"),
-        ("dubins", "optimizer: {eta: true, eps_stat: true}\nsim_steps: 1\ngrid: {k: [1]}\n"
-         "seeds: [0]", "unknown config key 'optimizer.eps_stat'"),
+        ("dubins", "optimizer: {eta: true}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
+         "optimizer.eta must be a finite number, got True"),
         ("dubins", "optimizer: {eta: .inf}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
          "optimizer.eta must be a finite number, got inf"),
         ("dubins", "optimizer: {eps_stat: true}\nsim_steps: 1\ngrid: {k: [1]}\nseeds: [0]",
@@ -524,7 +524,7 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
         ("lqr", "optimizer: {eps_stat: -.inf, n_samples: 200, iterations: 2}\n"
          "grid: {eta: [1.0]}\nseeds: [0]", "unknown config key 'optimizer.eps_stat'"),
         ("lqr", "optimizer: {eta: true, n_samples: 200, iterations: 2}\ngrid: {eta: [1.0]}\n"
-         "seeds: [0]", "optimizer.eta must be a finite number, got True"),
+         "seeds: [0]", "unknown config key 'optimizer.eta'"),
         ("lqr", "grid: null", "grid must be a mapping, got None"),
         ("lqr", "optimizer: null", "optimizer must be a mapping, got None"),
         ("lqr", "sampling: null", "sampling must be a mapping, got None"),
@@ -591,8 +591,8 @@ def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
 def test_lqr_rule_stays_a_valid_eta(tmp_path):
     cells = load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\ngrid: {eta: [rule, 0.5]}\n"))
     assert cells.grid("eta", []) == ["rule", 0.5]
-    default = load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\noptimizer: {eta: rule}\n"))
-    assert default.section("optimizer")["eta"] == "rule"
+    with pytest.raises(ConfigError, match="unknown config key 'optimizer.eta'"):  # grid cells only
+        load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\noptimizer: {eta: rule}\n"))
 
 
 def test_a_runner_reads_only_the_grid_axes_the_config_accepts(tmp_path):
