@@ -117,13 +117,6 @@ MAX_CELLS_2D = 2**12
 GIBBS_CELLS = 2**14  # Simpson cells of the variational identity check
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Dyadic Simpson refinement tolerance; the cell counts are module constants."""
-
-    rel_tol: float = 1e-8
-
-
 def _simpson_weights(lo: float, hi: float, cells: int) -> tuple[Array, Array]:
     nodes = np.linspace(lo, hi, cells + 1)
     w = np.ones(cells + 1)
@@ -167,14 +160,14 @@ def tilted_moments_quadrature(
     box_lo,
     box_hi,
     policy: GaussianPolicy,
-    grid: GridSpec = GridSpec(),
+    rel_tol: float = 1e-8,
 ) -> TiltMoments:
     """Simpson moments of the constrained tilt on a 1-D/2-D box.
 
     `f0` must accept an (n, d) array of points and return n costs.  The cell
     count doubles until log Z, the mean, and the covariance all move by less
-    than the relative tolerance; exceeding the cap raises QuadratureError
-    carrying the last estimate.
+    than `rel_tol`; exceeding the cap raises QuadratureError carrying the
+    last estimate.
     """
     d = policy.dim
     if d not in (1, 2):
@@ -195,7 +188,7 @@ def tilted_moments_quadrature(
         dz = abs(cur.log_z - prev.log_z) / (1.0 + abs(cur.log_z))
         dm = float(np.max(np.abs(cur.mean - prev.mean))) / (1.0 + float(np.max(np.abs(cur.mean))))
         dc = float(np.max(np.abs(cur.cov - prev.cov))) / (1.0 + float(np.max(np.abs(cur.cov))))
-        if max(dz, dm, dc) < grid.rel_tol:
+        if max(dz, dm, dc) < rel_tol:
             return cur
         prev = cur
     raise QuadratureError(
@@ -203,30 +196,19 @@ def tilted_moments_quadrature(
     )
 
 
-def free_energy_quadrature(
-    f0: Callable[[Array], Array],
-    box_lo,
-    box_hi,
-    policy: GaussianPolicy,
-    grid: GridSpec = GridSpec(),
-) -> float:
-    """-tau log integral_C pi(u) exp(-f0(u)/tau) du by refined Simpson."""
-    return -policy.tau * tilted_moments_quadrature(f0, box_lo, box_hi, policy, grid).log_z
-
-
 class QuadratureOracle(TiltOracle):
     """Exact-mode oracle backed by quadrature; works for any smooth 1-D/2-D f0."""
 
-    def __init__(self, f0, box_lo, box_hi, policy: GaussianPolicy, grid: GridSpec = GridSpec()):
+    def __init__(self, f0, box_lo, box_hi, policy: GaussianPolicy, rel_tol: float = 1e-8):
         self.f0 = f0
         self.box_lo = box_lo
         self.box_hi = box_hi
-        self.grid = grid
+        self.rel_tol = rel_tol
         self.policy = policy
 
     def moments(self, mean: Array) -> TiltMoments:
         return tilted_moments_quadrature(
-            self.f0, self.box_lo, self.box_hi, self.policy.with_mean(mean), self.grid
+            self.f0, self.box_lo, self.box_hi, self.policy.with_mean(mean), self.rel_tol
         )
 
 
@@ -303,7 +285,7 @@ def l_sigma_numeric(
     box_hi,
     policy: GaussianPolicy,
     mean_grid: Sequence[Array],
-    grid: GridSpec = GridSpec(),
+    rel_tol: float = 1e-8,
 ) -> SmoothnessEstimate:
     """sup over a mean grid of the truncated-tilt preconditioned curvature norm.
 
@@ -312,7 +294,7 @@ def l_sigma_numeric(
     quadratic closed form, which ignores it).  The supremum is over the
     supplied grid of means only — choose it to bracket the curvature peak.
     """
-    oracle = QuadratureOracle(f0, box_lo, box_hi, policy, grid)
+    oracle = QuadratureOracle(f0, box_lo, box_hi, policy, rel_tol)
     worst = 0.0
     for mean in mean_grid:
         tilt = oracle.moments(np.atleast_1d(np.asarray(mean, dtype=float)))

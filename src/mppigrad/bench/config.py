@@ -8,6 +8,7 @@ fully resolved (re-runnable with no reference to the original file).
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ import yaml
 
 from ..errors import ConfigError
 from ..optimizer import PgdConfig
-from ..problems import DubinsSpec, double_integrator
+from ..problems import DubinsSpec, LqrSpec, double_integrator
 
 SCHEMA_VERSION = 1
 EXPERIMENTS = ("lqr", "dubins", "theory")
@@ -52,7 +53,7 @@ _THEORY_DEFAULTS: Dict[str, Any] = {"inject_bug": False, "seeds": [0]}
 _DEFAULTS = {"lqr": _LQR_DEFAULTS, "dubins": _DUBINS_DEFAULTS, "theory": _THEORY_DEFAULTS}
 
 # the grid axes each runner sweeps, each with the default of the setting it
-# sweeps: the config rejects other axes, `RunConfig.grid` reads no others
+# sweeps: the config rejects other axes, `RunConfig.cells` reads no others
 _GRID_AXES: Dict[str, Dict[str, Any]] = {
     "lqr": {**_LQR_DEFAULTS["sampling"], "eta": 1.0},
     "dubins": {"k": _DUBINS_DEFAULTS["grid"]["k"][0]},
@@ -90,10 +91,17 @@ class RunConfig:
     def section(self, name: str) -> Dict[str, Any]:
         return self.resolved.get(name, {})
 
-    def grid(self, key: str, fallback: list) -> list:
-        if key not in _GRID_AXES[self.experiment]:
-            raise KeyError(f"the {self.experiment} experiment does not sweep grid axis {key!r}")
-        return list(self.resolved.get("grid", {}).get(key, fallback))
+    def cells(self) -> List[Dict[str, Any]]:
+        """The run's grid cells in order, the last axis of `_GRID_AXES` fastest.
+
+        An LQR axis the grid leaves out takes its `sampling` value, and those
+        sampling axes become floats; `eta` and `k` cells stay as written.
+        """
+        sampling = self.section("sampling")
+        return [
+            {key: float(value) if key in sampling else value for key, value in cell.items()}
+            for cell in _cells_as_written(self.experiment, self.resolved)
+        ]
 
     def snapshot(self) -> Dict[str, Any]:
         doc = copy.deepcopy(self.resolved)
@@ -106,6 +114,14 @@ class RunConfig:
             yaml.safe_dump(self.snapshot(), sort_keys=True, default_flow_style=None),
             encoding="utf-8",
         )
+
+
+def _cells_as_written(experiment: str, resolved: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """`RunConfig.cells` before the sampling axes become floats, as the range checks quote them."""
+    grid, sampling = resolved.get("grid", {}), resolved.get("sampling", {})
+    axes = _GRID_AXES[experiment]
+    values = [grid[key] if key in grid else [sampling[key]] for key in axes]
+    return [dict(zip(axes, cell)) for cell in itertools.product(*values)]
 
 
 def pgd_config(optimizer: Dict[str, Any], eta: Any, k: int) -> PgdConfig:
@@ -188,41 +204,41 @@ def _check_ranges(experiment: str, resolved: Dict[str, Any]) -> None:
             raise ConfigError(f"grid entry {key!r} must be a non-empty list")
     if experiment == "theory":
         return
+    cells = _cells_as_written(experiment, resolved)
+    settings = [{**resolved["sampling"], **cell} for cell in cells]  # what each cell runs with
     for key in ("sigma2", "tau"):
-        for value in grid.get(key, [resolved["sampling"][key]]):
+        for value in (setting[key] for setting in settings):
             if not value > 0:
                 raise ConfigError(f"sampling.{key} must be positive, got {value!r}")
     if experiment == "dubins" and resolved["sim_steps"] < 1:
         raise ConfigError("sim_steps must be >= 1")
     if experiment == "lqr":
-        for eta in grid["eta"]:
+        for eta in (cell["eta"] for cell in cells):
             if eta != "rule" and not eta > 0:
                 raise ConfigError(f"eta cell {eta!r} must be positive or the string 'rule'")
         fd = resolved["fd"]
         for key in ("h", "alpha"):
             if not fd[key] > 0:
                 raise ConfigError(f"fd.{key} must be finite and positive, got {fd[key]!r}")
-    _check_builds(experiment, resolved)
+    _check_builds(experiment, resolved, cells)
 
 
-def _check_builds(experiment: str, resolved: Dict[str, Any]) -> None:
+def _check_builds(experiment: str, resolved: Dict[str, Any], cells: List[Dict[str, Any]]) -> None:
     """Build the problem spec and optimizer configs that the run will build.
 
     Their constructors own the value checks (horizon, matrix shapes, time
     step, an odd sample count under antithetic sampling, ...), so a bad value
     fails here as a ConfigError instead of a traceback from a worker thread.
     """
-    from . import dubins, lqr  # local: both runner modules import this one
-
     try:
         optimizer = resolved["optimizer"]
         if experiment == "lqr":
-            spec = lqr._build_spec(resolved["problem"])
+            spec = LqrSpec(**resolved["problem"])
             pgd_config(optimizer, 1.0, optimizer["iterations"])  # eta cells are checked above
         else:
-            dubins.build_spec(resolved["problem"])
-            for k in resolved["grid"]["k"]:
-                pgd_config(optimizer, optimizer["eta"], k)
+            DubinsSpec(**resolved["problem"])
+            for cell in cells:
+                pgd_config(optimizer, optimizer["eta"], cell["k"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {experiment} config: {exc}") from exc
     if experiment == "lqr":

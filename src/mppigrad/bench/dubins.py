@@ -26,15 +26,11 @@ from .records import RunRecord
 Array = np.ndarray
 
 
-def build_spec(problem_cfg: Dict[str, Any]) -> DubinsSpec:
-    return DubinsSpec(**problem_cfg)  # the spec converts its arrays itself
-
-
-def _one_cell(spec: DubinsSpec, cfg: RunConfig, k_inner: int, seed: int) -> RunRecord:
+def _one_cell(spec: DubinsSpec, cfg: RunConfig, cell: Dict[str, Any], seed: int) -> RunRecord:
     t_start = time.perf_counter()
     sampling_cfg = cfg.section("sampling")
     opt_cfg = cfg.section("optimizer")
-    pgd = pgd_config(opt_cfg, opt_cfg["eta"], k_inner)
+    pgd = pgd_config(opt_cfg, opt_cfg["eta"], cell["k"])
     policy = GaussianPolicy(
         np.zeros(spec.horizon), float(sampling_cfg["sigma2"]), float(sampling_cfg["tau"])
     )
@@ -54,7 +50,7 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, k_inner: int, seed: int) -> RunR
     )
 
     record = RunRecord(
-        experiment="dubins", cell={"k": int(k_inner)}, seed=seed, config_snapshot=cfg.snapshot()
+        experiment="dubins", cell=dict(cell), seed=seed, config_snapshot=cfg.snapshot()
     )
     running = 0.0
     for step in trace.steps:
@@ -102,7 +98,7 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, k_inner: int, seed: int) -> RunR
 
 def run_dubins(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     """All (K, seed) cells of the closed-loop study, run concurrently."""
-    spec = build_spec(cfg.section("problem"))
-    jobs = [(int(k), seed) for k in cfg.grid("k", []) for seed in cfg.seeds]
+    spec = DubinsSpec(**cfg.section("problem"))  # the spec converts its arrays itself
+    jobs = [(cell, seed) for cell in cfg.cells() for seed in cfg.seeds]
     with ThreadPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
         return list(pool.map(lambda job: _one_cell(spec, cfg, job[0], job[1]), jobs))

@@ -29,15 +29,6 @@ def _build_spec(problem_cfg: Dict[str, Any]) -> LqrSpec:
     return LqrSpec(**problem_cfg)  # the spec converts its arrays itself
 
 
-def _solve_oracle(lifted: qp.QpProblem) -> Dict[str, float]:
-    """The optimal trajectory cost and the weak-duality gap that certifies it."""
-    solution = qp.solve_verified(lifted)
-    return {
-        "f_star": solution.f_star + lifted.constant,
-        "oracle_duality_gap": solution.duality_gap,
-    }
-
-
 def _one_cell(
     problem: TrajectoryProblem,
     lifted: qp.QpProblem,
@@ -47,15 +38,14 @@ def _one_cell(
     seed: int,
 ) -> RunRecord:
     t_start = time.perf_counter()
-    sigma2, tau = float(cell["sigma2"]), float(cell["tau"])
-    smooth = analysis.l_sigma_quadratic(sigma2, lifted.q, tau)
+    smooth = analysis.l_sigma_quadratic(cell["sigma2"], lifted.q, cell["tau"])
     if cell["eta"] == "rule":
         eta, rule = step_size_rule(smooth.l_sigma), "one_over_l_sigma"
     else:
         eta, rule = float(cell["eta"]), "fixed"
     opt_cfg = cfg.section("optimizer")
     pgd = pgd_config(opt_cfg, eta, opt_cfg["iterations"])
-    policy = GaussianPolicy(np.zeros(problem.n_controls), sigma2, tau)
+    policy = GaussianPolicy(np.zeros(problem.n_controls), cell["sigma2"], cell["tau"])
     record = RunRecord(
         experiment="lqr", cell=dict(cell), seed=seed, config_snapshot=cfg.snapshot()
     )
@@ -172,7 +162,7 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     spec = _build_spec(cfg.section("problem"))
     lifted = qp.lift(spec)
     try:
-        oracle = _solve_oracle(lifted)
+        solution = qp.solve_verified(lifted)
     except (ConvergenceError, InfeasibleProblemError, NotSpdError) as err:
         bad = RunRecord(
             experiment="lqr",
@@ -183,16 +173,14 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
             flag_reason=f"qp oracle failure: {err}",
         )
         return [bad]
+    # the optimal trajectory cost and the weak-duality gap that certifies it
+    oracle = {
+        "f_star": solution.f_star + lifted.constant,
+        "oracle_duality_gap": solution.duality_gap,
+    }
 
     problem = lqr_problem(spec, lifted)  # frozen, and `evaluate` is pure: the threads share it
-    sampling_cfg = cfg.section("sampling")
-    cells = [
-        {"sigma2": float(s2), "tau": float(tau), "eta": eta}
-        for s2 in cfg.grid("sigma2", [sampling_cfg["sigma2"]])
-        for tau in cfg.grid("tau", [sampling_cfg["tau"]])
-        for eta in cfg.grid("eta", [])
-    ]
-    jobs = [(cell, seed) for cell in cells for seed in cfg.seeds]
+    jobs = [(cell, seed) for cell in cfg.cells() for seed in cfg.seeds]
     with ThreadPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
         records = list(
             pool.map(

@@ -15,14 +15,12 @@ from typing import List, Optional
 import numpy as np
 
 from .. import analysis, qp
-from ..analysis import CheckRow, GridSpec, check_row
+from ..analysis import CheckRow, check_row
 from ..optimizer import PgdConfig, run_exact
 from ..problems import double_integrator, lqr_problem, lqr_stage_cost, rollout
 from ..sampling import GaussianPolicy, SampleBatch, weigh
 from .config import RunConfig
 from .records import _write_text
-
-_TIGHT = GridSpec(rel_tol=1e-10)
 
 
 def _quadratic_f0(q: float, c: float):
@@ -32,11 +30,10 @@ def _quadratic_f0(q: float, c: float):
 def _grad_hessian_checks(inject_bug: bool) -> List[CheckRow]:
     q, c = 1.2, 0.3
     policy = GaussianPolicy([0.4], 0.5, 0.7)
-    f0 = _quadratic_f0(q, c)
-    box = ([-12.0], [12.0])
+    quadrature = analysis.QuadratureOracle(_quadratic_f0(q, c), [-12.0], [12.0], policy, 1e-10)
 
     def f_hat(mu: float) -> float:
-        return analysis.free_energy_quadrature(f0, *box, policy.with_mean([mu]), _TIGHT)
+        return quadrature.free_energy([mu])
 
     h = 0.01
     g_fd = (f_hat(0.4 + h) - f_hat(0.4 - h)) / (2 * h)

@@ -260,9 +260,6 @@ class ClosedLoopTrace:
     def acceptance_rate(self) -> float:
         return float(np.mean([s.acceptance for s in self.steps])) if self.steps else float("nan")
 
-    def column(self, name: str) -> Array:
-        return np.array([getattr(s, name) for s in self.steps], dtype=float)
-
 
 def receding_horizon(
     family: Callable[[Array, Optional[Array]], TrajectoryProblem],

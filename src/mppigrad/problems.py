@@ -314,12 +314,6 @@ def _dubins_rollout(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
     return pos, heading[:, 1:]
 
 
-def dubins_states_batch(spec: DubinsSpec, controls: Array) -> Array:
-    """Vectorized rollout; returns x_1..x_T with shape (N, T, 3)."""
-    pos, heading = _dubins_rollout(spec, np.asarray(controls, dtype=float))
-    return np.stack([pos[0], pos[1], heading], axis=2)
-
-
 def dubins_evaluate_batch(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
     """Costs and feasibility flags from one rollout, checking one obstacle at a time."""
     W = np.asarray(controls, dtype=float)

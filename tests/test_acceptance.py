@@ -19,7 +19,7 @@ from mppigrad.optimizer import PgdConfig, run_exact
 from mppigrad.problems import TrajectoryProblem
 from mppigrad.sampling import GaussianPolicy, draw, weigh, weighted_mean
 
-QUAD_GRID = analysis.GridSpec(rel_tol=1e-10)
+QUAD_TOL = 1e-10  # Simpson refinement tolerance of the quadrature routes
 
 
 @pytest.fixture
@@ -57,13 +57,14 @@ def test_criterion_1_gradient_exactness(announce):
         f0 = quad_f0(q, c)
 
         h = 1e-3
-        f_plus = analysis.free_energy_quadrature(f0, [lo], [hi], policy.with_mean([mu + h]), QUAD_GRID)
-        f_minus = analysis.free_energy_quadrature(f0, [lo], [hi], policy.with_mean([mu - h]), QUAD_GRID)
+        quadrature = analysis.QuadratureOracle(f0, [lo], [hi], policy, QUAD_TOL)
+        f_plus = quadrature.free_energy([mu + h])
+        f_minus = quadrature.free_energy([mu - h])
         g_fd = (f_plus - f_minus) / (2 * h)
         if abs(g_fd) < 0.1:  # keep the relative-error denominator well posed
             continue
         accepted += 1
-        m = analysis.tilted_moments_quadrature(f0, [lo], [hi], policy, QUAD_GRID).mean
+        m = analysis.tilted_moments_quadrature(f0, [lo], [hi], policy, QUAD_TOL).mean
         g_exact = -tau / sigma2 * (m[0] - mu)
         worst = max(worst, abs(g_exact - g_fd) / abs(g_fd))
     runtime = time.monotonic() - t0
@@ -83,7 +84,7 @@ def test_criterion_1_gradient_exactness(announce):
 def test_criterion_2_hessian_exactness(announce):
     t0 = time.monotonic()
     rng = np.random.default_rng(1)
-    grid = analysis.GridSpec(rel_tol=1e-12)
+    rel_tol = 1e-12
     worst_fd = 0.0
     for _ in range(10):
         sigma2 = rng.uniform(0.3, 1.5)
@@ -93,11 +94,12 @@ def test_criterion_2_hessian_exactness(announce):
         lo, hi = mu - rng.uniform(3.0, 5.0), mu + rng.uniform(3.0, 5.0)
         policy = GaussianPolicy(np.array([mu]), sigma2, tau)
         f0 = quad_f0(q, c)
-        cov_tilt = analysis.tilted_moments_quadrature(f0, [lo], [hi], policy, grid).cov
+        cov_tilt = analysis.tilted_moments_quadrature(f0, [lo], [hi], policy, rel_tol).cov
         m_exact = analysis.preconditioned_hessian(policy, cov_tilt)[0, 0]
 
         h = 5e-3
-        f = lambda m_: analysis.free_energy_quadrature(f0, [lo], [hi], policy.with_mean([m_]), grid)
+        quadrature = analysis.QuadratureOracle(f0, [lo], [hi], policy, rel_tol)
+        f = lambda m_: quadrature.free_energy([m_])
         second = (f(mu + h) - 2.0 * f(mu) + f(mu - h)) / h**2
         m_fd = sigma2 / tau * second  # sandwich by P = Sigma/tau in 1-D
         worst_fd = max(worst_fd, abs(m_exact - m_fd) / abs(m_fd))
@@ -213,7 +215,7 @@ def test_criterion_4_descent_and_stationarity(announce):
     l_dw = analysis.l_sigma_numeric(
         dw, [-2.0], [2.0], dw_policy, np.linspace(-1.5, 1.5, 61)[:, None]
     ).l_sigma
-    dw_oracle = analysis.QuadratureOracle(dw, [-2.0], [2.0], dw_policy, QUAD_GRID)
+    dw_oracle = analysis.QuadratureOracle(dw, [-2.0], [2.0], dw_policy, QUAD_TOL)
     _, dw_trace = run_exact(dw_oracle, dw_policy, PgdConfig(eta=4.0 / l_dw, k=40, n_samples=2))
     n_increases = int((np.diff(dw_trace.column("free_energy")) > 0).sum())
 
@@ -409,10 +411,15 @@ def test_criterion_8_lqr_trends(announce, desk_lqr):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_9_dubins_ordering(announce):
+@pytest.fixture(scope="module")
+def desk_dubins():
     t0 = time.monotonic()
     records = run_dubins(load_config("configs/dubins.yaml"))
-    runtime = time.monotonic() - t0
+    return records, time.monotonic() - t0
+
+
+def test_criterion_9_dubins_ordering(announce, desk_dubins):
+    records, runtime = desk_dubins
 
     def grid_mean(k, key):
         vals = [r.summary[key] for r in records if r.cell["k"] == k]
@@ -429,9 +436,9 @@ def test_criterion_9_dubins_ordering(announce):
     )
 
 
-def test_desk_runs_count_no_nonfinite_costs(desk_lqr):
+def test_desk_runs_count_no_nonfinite_costs(desk_lqr, desk_dubins):
     """Not a criterion: the desk problems have finite costs, so the count reads 0."""
-    records = desk_lqr[0] + run_dubins(load_config("configs/dubins.yaml"))
+    records = desk_lqr[0] + desk_dubins[0]
     counts = [r.summary["nonfinite_costs"] for r in records if r.cell.get("method") != "fd"]
     assert counts == [0] * 15  # 6 sampled LQR cells, 9 Dubins cells
 
@@ -454,7 +461,7 @@ def test_criterion_10_bias_probe(announce):
         evaluate=lambda U: (f0(U), np.abs(U[:, 0]) <= 3.0),
         known_feasible=np.zeros(1),
     )
-    mom = analysis.tilted_moments_quadrature(f0, [-3.0], [3.0], policy, analysis.GridSpec(rel_tol=1e-12))
+    mom = analysis.tilted_moments_quadrature(f0, [-3.0], [3.0], policy, 1e-12)
     exact = -tau / sigma2 * (mom.mean - policy.mean)
     small, large = analysis.bias_probe(prob, policy, exact, n_list=[100, 10_000], trials=3200, seed=0)
     separated = small.bias_norm - small.ci_half_width > large.bias_norm + large.ci_half_width

@@ -17,7 +17,7 @@ from mppigrad.errors import (
 from mppigrad.problems import TrajectoryProblem, lqr_problem
 from mppigrad.sampling import GaussianPolicy, SampleBatch, batch_rng
 
-WIDE = analysis.GridSpec(rel_tol=1e-10)
+WIDE = 1e-10  # Simpson refinement tolerance on the wide boxes
 
 
 def quadratic_batch(q, c):
@@ -123,14 +123,15 @@ def test_quadratic_oracle_scalar_smoothness_agrees_with_formula():
 
 def test_free_cost_on_a_wide_box_has_zero_free_energy():
     policy = GaussianPolicy(np.array([0.2]), 1.0, tau=0.7)
-    f = analysis.free_energy_quadrature(lambda pts: np.zeros(len(pts)), [-30.0], [30.0], policy, WIDE)
+    free = analysis.QuadratureOracle(lambda pts: np.zeros(len(pts)), [-30.0], [30.0], policy, WIDE)
+    f = free.free_energy(policy.mean)
     assert f == pytest.approx(0.0, abs=1e-8)
 
 
 def test_free_energy_dominates_the_minimum_cost():
     policy = GaussianPolicy(np.array([0.5]), 0.8, tau=0.3)
     f0 = lambda pts: (pts[:, 0] - 1.0) ** 2 + 0.25
-    f = analysis.free_energy_quadrature(f0, [-8.0], [8.0], policy, WIDE)
+    f = analysis.QuadratureOracle(f0, [-8.0], [8.0], policy, WIDE).free_energy(policy.mean)
     assert f >= 0.25
 
 
@@ -141,7 +142,8 @@ def test_quadrature_matches_closed_form_on_a_wide_box_1d():
     exact = analysis.QuadraticOracle(policy, q, c).moments(policy.mean)
     np.testing.assert_allclose(mom.mean, exact.mean, atol=1e-8)
     np.testing.assert_allclose(mom.cov, exact.cov, atol=1e-8)
-    f = analysis.free_energy_quadrature(quadratic_batch(q, c), [-25.0], [25.0], policy, WIDE)
+    quadrature = analysis.QuadratureOracle(quadratic_batch(q, c), [-25.0], [25.0], policy, WIDE)
+    f = quadrature.free_energy(policy.mean)
     exact_f = analysis.QuadraticOracle(policy, q, c).free_energy(policy.mean)
     assert f == pytest.approx(exact_f, abs=1e-8)
 
@@ -151,7 +153,7 @@ def test_quadrature_matches_closed_form_on_a_wide_box_2d():
     c = np.array([0.2, -0.1])
     policy = GaussianPolicy(np.array([0.4, -0.6]), np.array([[0.7, 0.15], [0.15, 0.5]]), 0.9)
     mom = analysis.tilted_moments_quadrature(
-        quadratic_batch(q, c), [-12.0, -12.0], [12.0, 12.0], policy, analysis.GridSpec(rel_tol=1e-9)
+        quadratic_batch(q, c), [-12.0, -12.0], [12.0, 12.0], policy, 1e-9
     )
     exact = analysis.QuadraticOracle(policy, q, c).moments(policy.mean)
     np.testing.assert_allclose(mom.mean, exact.mean, atol=1e-6)
@@ -172,7 +174,7 @@ def test_quadrature_cell_cap_raises_with_last_estimate(monkeypatch):
     monkeypatch.setattr(analysis, "START_CELLS", 4)
     monkeypatch.setattr(analysis, "MAX_CELLS_1D", 8)
     policy = GaussianPolicy(np.zeros(1), 1.0, tau=1.0)
-    tiny = analysis.GridSpec(rel_tol=1e-14)
+    tiny = 1e-14
     with pytest.raises(QuadratureError, match="8 cells") as err:
         analysis.tilted_moments_quadrature(
             lambda pts: np.cos(40.0 * pts[:, 0]), [-3.0], [3.0], policy, tiny
@@ -461,7 +463,7 @@ def test_bias_probe_detects_small_sample_bias():
     policy = GaussianPolicy(np.array([1.0]), sigma2, tau)
     prob = quadratic_problem(np.array([[q]]), np.array([c]), feasible_radius=3.0)
     mom = analysis.tilted_moments_quadrature(
-        quadratic_batch(q, c), [-3.0], [3.0], policy, analysis.GridSpec(rel_tol=1e-12)
+        quadratic_batch(q, c), [-3.0], [3.0], policy, 1e-12
     )
     exact = -tau / sigma2 * (mom.mean - policy.mean)
     rows = analysis.bias_probe(prob, policy, exact, n_list=[50, 5000], trials=1600, seed=0)

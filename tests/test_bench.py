@@ -101,8 +101,7 @@ def test_defaults_are_merged(tmp_path):
     assert cfg.section("optimizer")["n_samples"] == 200  # from the file
     assert cfg.section("optimizer")["antithetic"] is True  # from the defaults
     assert cfg.section("sampling")["sigma2"] == pytest.approx(1e-4)
-    assert cfg.grid("eta", []) == [1.0]
-    assert cfg.grid("sigma2", [7.0]) == [7.0]  # fallback when not gridded
+    assert cfg.cells() == [{"sigma2": 1.0e-4, "tau": 1.0, "eta": 1.0}]  # sampling fills the axes
 
 
 def test_config_error_paths(tmp_path):
@@ -160,7 +159,7 @@ def test_cli_overrides(tmp_path):
                       grid_overrides={"eta": [0.5, "rule"]})
     assert cfg.seeds == [9]
     assert cfg.out_dir == "elsewhere"
-    assert cfg.grid("eta", []) == [0.5, "rule"]
+    assert [cell["eta"] for cell in cfg.cells()] == [0.5, "rule"]
 
 
 def test_parse_grid_override():
@@ -561,12 +560,12 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
          "lqr_fd_zero_h", "lqr_fd_non_numeric_alpha", "lqr_fd_budget_below_one_iteration",
          "lqr_nan_sigma2", "lqr_nan_eta_in_grid", "lqr_inf_tau_in_grid",
-         "dubins_max_retries_above_counter_range", "lqr_boolean_seed", "lqr_boolean_sigma2_and_tau",
+         "dubins_max_retries_key", "lqr_boolean_seed", "lqr_boolean_sigma2_and_tau",
          "dubins_boolean_sim_steps", "dubins_text_sim_steps", "lqr_boolean_iterations",
-         "lqr_boolean_max_retries", "lqr_fractional_n_samples", "dubins_fractional_k_cell",
-         "dubins_text_antithetic", "dubins_boolean_eta_and_eps_stat", "dubins_infinite_eta",
-         "dubins_boolean_eps_stat", "dubins_nan_eps_stat", "lqr_boolean_eps_stat",
-         "lqr_infinite_eps_stat", "lqr_boolean_eta_beside_a_grid", "lqr_null_grid",
+         "lqr_max_retries_key", "lqr_fractional_n_samples", "dubins_fractional_k_cell",
+         "dubins_text_antithetic", "dubins_boolean_eta", "dubins_infinite_eta",
+         "dubins_eps_stat_key", "dubins_nan_eps_stat_key", "lqr_eps_stat_key",
+         "lqr_inf_eps_stat_key", "lqr_optimizer_eta_key", "lqr_null_grid",
          "lqr_null_optimizer", "lqr_null_sampling", "lqr_null_fd", "lqr_null_problem",
          "dubins_list_sampling", "dubins_unswept_tau_and_sigma2_axes", "lqr_unswept_k_axis",
          "lqr_unknown_grid_axis", "theory_any_grid_axis", "theory_null_grid",
@@ -589,17 +588,53 @@ def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
 
 
 def test_lqr_rule_stays_a_valid_eta(tmp_path):
-    cells = load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\ngrid: {eta: [rule, 0.5]}\n"))
-    assert cells.grid("eta", []) == ["rule", 0.5]
+    cfg = load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\ngrid: {eta: [rule, 0.5]}\n"))
+    assert [cell["eta"] for cell in cfg.cells()] == ["rule", 0.5]
     with pytest.raises(ConfigError, match="unknown config key 'optimizer.eta'"):  # grid cells only
         load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\noptimizer: {eta: rule}\n"))
 
 
-def test_a_runner_reads_only_the_grid_axes_the_config_accepts(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, TINY_DUBINS))
-    assert cfg.grid("k", []) == [1]
-    with pytest.raises(KeyError, match="does not sweep grid axis 'tau'"):
-        cfg.grid("tau", [4.0])
+@pytest.mark.parametrize(
+    "experiment, body, cells",
+    [
+        ("lqr", "grid: {sigma2: [1.0e-4, 3.0e-4], tau: [1.0, 2.0], eta: [1.0, rule]}",
+         [{"sigma2": s2, "tau": tau, "eta": eta}
+          for s2 in (1.0e-4, 3.0e-4) for tau in (1.0, 2.0) for eta in (1.0, "rule")]),
+        ("lqr", "sampling: {sigma2: 2.0e-4}\ngrid: {tau: [1, 2.0], eta: [1, rule]}",
+         [{"sigma2": 2.0e-4, "tau": tau, "eta": eta} for tau in (1.0, 2.0) for eta in (1, "rule")]),
+        ("lqr", "sampling: {tau: 3}\ngrid: {sigma2: [1, 2.0e-4]}",
+         [{"sigma2": s2, "tau": 3.0, "eta": eta} for s2 in (1.0, 2.0e-4) for eta in (1.0, "rule")]),
+        ("dubins", "grid: {k: [1, 3]}", [{"k": 1}, {"k": 3}]),
+        ("theory", "inject_bug: true", [{}]),
+    ],
+    ids=["lqr_last_axis_fastest", "lqr_sigma2_from_sampling", "lqr_tau_from_sampling",
+         "dubins_k", "theory_no_axes"],
+)
+def test_cells_enumerate_the_swept_axes(tmp_path, experiment, body, cells):
+    """Sampling axes are floats, from the grid or else `sampling`; eta and k stay as written."""
+    cfg = load_config(write_cfg(tmp_path, f"version: 1\nexperiment: {experiment}\n{body}\n"))
+    assert repr(cfg.cells()) == repr(cells)  # repr tells 1 from 1.0
+
+
+def test_run_lqr_names_its_records_by_cell_then_seed(tmp_path):
+    """Record names are file names of the byte-reproducible output."""
+    cfg = load_config(write_cfg(tmp_path, """
+version: 1
+experiment: lqr
+seeds: [0, 1]
+optimizer: {n_samples: 200, iterations: 2}
+grid: {tau: [1, 2.0], eta: [1, rule]}
+"""))
+    assert [record.name for record in run_lqr(cfg)] == [
+        "lqr_eta-1_sigma2-0p0001_tau-1p0_seed0",
+        "lqr_eta-1_sigma2-0p0001_tau-1p0_seed1",
+        "lqr_eta-rule_sigma2-0p0001_tau-1p0_seed0",
+        "lqr_eta-rule_sigma2-0p0001_tau-1p0_seed1",
+        "lqr_eta-1_sigma2-0p0001_tau-2p0_seed0",
+        "lqr_eta-1_sigma2-0p0001_tau-2p0_seed1",
+        "lqr_eta-rule_sigma2-0p0001_tau-2p0_seed0",
+        "lqr_eta-rule_sigma2-0p0001_tau-2p0_seed1",
+    ]
 
 
 def test_cli_bad_grid_override(tmp_path, capsys):
@@ -732,12 +767,11 @@ SCIPY_PROBE = """\
 import sys
 from mppigrad.bench.cli import main
 from mppigrad.bench.config import load_config
-from mppigrad.bench.dubins import build_spec
 from mppigrad.optimizer import PgdConfig, pgd_step
-from mppigrad.problems import dubins_problem
+from mppigrad.problems import DubinsSpec, dubins_problem
 from mppigrad.sampling import GaussianPolicy
 cfg = load_config("configs/dubins.yaml")
-problem = dubins_problem(build_spec(cfg.section("problem")))
+problem = dubins_problem(DubinsSpec(**cfg.section("problem")))
 pgd_step(problem, GaussianPolicy(problem.known_feasible, 0.25, tau=4.0), PgdConfig(n_samples=64), 0)
 print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
 """

@@ -93,10 +93,10 @@ def test_grad_matches_quadrature_fd_pooled():
     sigma2, tau, q, c, mu = 0.5, 2.0, 1.0, 0.3, 1.2
     policy = GaussianPolicy(np.array([mu]), sigma2, tau)
     f0 = lambda pts: 0.5 * q * pts[:, 0] ** 2 + c * pts[:, 0]
-    grid = analysis.GridSpec(rel_tol=1e-10)
+    quadrature = analysis.QuadratureOracle(f0, [-20.0], [20.0], policy, 1e-10)
 
     def free_energy(m):
-        return analysis.free_energy_quadrature(f0, [-20.0], [20.0], policy.with_mean([m]), grid)
+        return quadrature.free_energy([m])
 
     h = 1e-3
     g_fd = (free_energy(mu + h) - free_energy(mu - h)) / (2 * h)

@@ -241,7 +241,8 @@ def test_dubins_single_step_control_term():
     spec = DubinsSpec(horizon=1, obstacles=np.empty((0, 3)))
     w0 = 0.7
     cost = dubins_evaluate_batch(spec, np.array([[w0]]))[0][0]
-    state = problems.dubins_states_batch(spec, np.array([[w0]]))[0, 0]
+    pos, heading = problems._dubins_rollout(spec, np.array([[w0]]))
+    state = np.array([pos[0, 0, 0], pos[1, 0, 0], heading[0, 0]])
     err = state - spec.target
     expected = err**2 @ spec.q_weights + 0.001 * w0**2
     assert cost == pytest.approx(expected, rel=1e-12)
@@ -280,7 +281,8 @@ def test_dubins_batch_rollout_matches_scalar_dynamics():
     rng = np.random.default_rng(3)
     w = rng.uniform(-1.0, 1.0, 20)
     scalar_states = rollout(prob, w)[1:]
-    batch_states = problems.dubins_states_batch(spec, w[None, :])[0]
+    pos, heading = problems._dubins_rollout(spec, w[None, :])
+    batch_states = np.column_stack([pos[0, 0], pos[1, 0], heading[0]])
     np.testing.assert_allclose(batch_states, scalar_states, rtol=1e-12, atol=1e-12)
 
 
@@ -493,8 +495,5 @@ def test_dubins_one_buffer_rollout_equals_the_stacked_one_bitwise(n, obstacles):
         with np.errstate(invalid="ignore", over="ignore"):
             costs, flags = dubins_evaluate_batch(spec, batch)
             want_costs, want_flags = stacked_dubins_evaluate(spec, batch)
-            states = problems.dubins_states_batch(spec, batch)
-            want_states = stacked_dubins_states(spec, batch)
         assert np.array_equal(costs, want_costs, equal_nan=True)
         assert np.array_equal(flags, want_flags)
-        assert np.array_equal(states, want_states, equal_nan=True)
