@@ -9,82 +9,3 @@ harness).
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    AllInfeasibleError,
-    ConfigError,
-    ConvergenceError,
-    DimensionMismatchError,
-    InfeasibleProblemError,
-    NotSpdError,
-    QuadratureError,
-    UnsupportedProblemError,
-)
-from .problems import (
-    DubinsSpec,
-    LqrSpec,
-    TrajectoryProblem,
-    double_integrator,
-    dubins_problem,
-    lqr_problem,
-    rollout,
-)
-from .sampling import (
-    GaussianPolicy,
-    SampleBatch,
-    WeightSummary,
-    batch_rng,
-    draw,
-    evaluate,
-    weigh,
-    weighted_mean,
-)
-from .optimizer import (
-    ClosedLoopTrace,
-    IterationRecord,
-    OptimizerTrace,
-    PgdConfig,
-    grad_estimate,
-    pgd_step,
-    receding_horizon,
-    run,
-    run_exact,
-    step_size_rule,
-)
-
-__all__ = [
-    "__version__",
-    "AllInfeasibleError",
-    "ConfigError",
-    "ConvergenceError",
-    "DimensionMismatchError",
-    "InfeasibleProblemError",
-    "NotSpdError",
-    "QuadratureError",
-    "UnsupportedProblemError",
-    "DubinsSpec",
-    "LqrSpec",
-    "TrajectoryProblem",
-    "double_integrator",
-    "dubins_problem",
-    "lqr_problem",
-    "rollout",
-    "GaussianPolicy",
-    "SampleBatch",
-    "WeightSummary",
-    "batch_rng",
-    "draw",
-    "evaluate",
-    "weigh",
-    "weighted_mean",
-    "ClosedLoopTrace",
-    "IterationRecord",
-    "OptimizerTrace",
-    "PgdConfig",
-    "grad_estimate",
-    "pgd_step",
-    "receding_horizon",
-    "run",
-    "run_exact",
-    "step_size_rule",
-]

@@ -1,21 +1,6 @@
 """Benchmark harness: configs, experiment drivers, record emission, CLI."""
 
-from .config import RunConfig, load_config, parse_grid_override
+from .config import RunConfig, load_config
 from .dubins import run_dubins
 from .lqr import run_lqr
-from .records import CSV_HEADER, RunRecord, emit
-from .theory import emit_report, format_report, run_theory_suite
-
-__all__ = [
-    "RunConfig",
-    "load_config",
-    "parse_grid_override",
-    "run_dubins",
-    "run_lqr",
-    "CSV_HEADER",
-    "RunRecord",
-    "emit",
-    "emit_report",
-    "format_report",
-    "run_theory_suite",
-]
+from .records import emit

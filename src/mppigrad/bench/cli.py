@@ -3,8 +3,8 @@
     mppigrad run --experiment {lqr|dubins|theory} --config cfg.yaml \
         [--seed S] [--out DIR] [--grid key=v1,v2,...] [--workers N]
 
-Exit codes: 0 success, 1 config error, 2 oracle failure, 3 theory-check
-failure.
+Exit codes: 0 success, 1 config error, 2 oracle, start or projection failure,
+3 theory-check failure.
 """
 
 from __future__ import annotations
@@ -97,18 +97,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     emit(records, out_dir)
     cfg.write_snapshot(out_dir / "config_snapshot.yaml")
-    oracle_failed = False
+    failed = False
     for record in sorted(records, key=lambda r: r.name):
         if record.flagged:
             print(f"{record.name}: FLAGGED ({record.flag_reason})")
-            if "oracle" in record.flag_reason or "projection" in record.flag_reason:
-                oracle_failed = True
+            failed = failed or "method" in record.cell  # the oracle, the start or FD
         else:
             keys = ("final_gap", "average_cost", "acceptance_rate")
             parts = [f"{k}={record.summary[k]:.6g}" for k in keys if k in record.summary]
             print(f"{record.name}: " + ", ".join(parts))
     print(f"wrote {len(records)} records to {out_dir}")
-    return 2 if oracle_failed else 0
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -97,10 +98,12 @@ class RunConfig:
         An LQR axis the grid leaves out takes its `sampling` value, and those
         sampling axes become floats; `eta` and `k` cells stay as written.
         """
-        sampling = self.section("sampling")
+        grid, sampling = self.section("grid"), self.section("sampling")
+        axes = _GRID_AXES[self.experiment]
+        values = [grid[key] if key in grid else [sampling[key]] for key in axes]
         return [
-            {key: float(value) if key in sampling else value for key, value in cell.items()}
-            for cell in _cells_as_written(self.experiment, self.resolved)
+            {key: float(value) if key in sampling else value for key, value in zip(axes, cell)}
+            for cell in itertools.product(*values)
         ]
 
     def snapshot(self) -> Dict[str, Any]:
@@ -114,14 +117,6 @@ class RunConfig:
             yaml.safe_dump(self.snapshot(), sort_keys=True, default_flow_style=None),
             encoding="utf-8",
         )
-
-
-def _cells_as_written(experiment: str, resolved: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """`RunConfig.cells` before the sampling axes become floats, as the range checks quote them."""
-    grid, sampling = resolved.get("grid", {}), resolved.get("sampling", {})
-    axes = _GRID_AXES[experiment]
-    values = [grid[key] if key in grid else [sampling[key]] for key in axes]
-    return [dict(zip(axes, cell)) for cell in itertools.product(*values)]
 
 
 def pgd_config(optimizer: Dict[str, Any], eta: Any, k: int) -> PgdConfig:
@@ -146,8 +141,10 @@ def _fits(value: Any, default: Any) -> bool:
     """A bool takes only a bool; an int a non-bool int; a float a finite non-bool number."""
     if isinstance(default, bool) or isinstance(value, bool):  # YAML true is an int subclass
         return isinstance(default, bool) and isinstance(value, bool)
-    if isinstance(default, float):
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(default, float):  # an int beyond the float range would overflow float()
+        if isinstance(value, int):
+            return abs(value) <= sys.float_info.max
+        return isinstance(value, float) and math.isfinite(value)
     return isinstance(value, type(default))
 
 
@@ -198,32 +195,33 @@ def _check_ranges(experiment: str, resolved: Dict[str, Any]) -> None:
         raise ConfigError("seeds must be a non-empty list of integers")
     if min(seeds) < 0:  # the Philox counter streams take only non-negative keys
         raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
+    if max(seeds) >= 2**64:  # the Philox key holds the seed in 64 bits
+        raise ConfigError(f"seeds must be below 2**64, got {max(seeds)}")
     grid = resolved.get("grid", {})
     for key, values in grid.items():
         if not values:
             raise ConfigError(f"grid entry {key!r} must be a non-empty list")
     if experiment == "theory":
         return
-    cells = _cells_as_written(experiment, resolved)
-    settings = [{**resolved["sampling"], **cell} for cell in cells]  # what each cell runs with
-    for key in ("sigma2", "tau"):
-        for value in (setting[key] for setting in settings):
+    sampling = resolved["sampling"]
+    for key in ("sigma2", "tau"):  # each swept value as written, or the setting it defaults to
+        for value in grid.get(key, [sampling[key]]):
             if not value > 0:
                 raise ConfigError(f"sampling.{key} must be positive, got {value!r}")
     if experiment == "dubins" and resolved["sim_steps"] < 1:
         raise ConfigError("sim_steps must be >= 1")
     if experiment == "lqr":
-        for eta in (cell["eta"] for cell in cells):
+        for eta in grid["eta"]:
             if eta != "rule" and not eta > 0:
                 raise ConfigError(f"eta cell {eta!r} must be positive or the string 'rule'")
         fd = resolved["fd"]
         for key in ("h", "alpha"):
             if not fd[key] > 0:
                 raise ConfigError(f"fd.{key} must be finite and positive, got {fd[key]!r}")
-    _check_builds(experiment, resolved, cells)
+    _check_builds(experiment, resolved)
 
 
-def _check_builds(experiment: str, resolved: Dict[str, Any], cells: List[Dict[str, Any]]) -> None:
+def _check_builds(experiment: str, resolved: Dict[str, Any]) -> None:
     """Build the problem spec and optimizer configs that the run will build.
 
     Their constructors own the value checks (horizon, matrix shapes, time
@@ -237,8 +235,8 @@ def _check_builds(experiment: str, resolved: Dict[str, Any], cells: List[Dict[st
             pgd_config(optimizer, 1.0, optimizer["iterations"])  # eta cells are checked above
         else:
             DubinsSpec(**resolved["problem"])
-            for cell in cells:
-                pgd_config(optimizer, optimizer["eta"], cell["k"])
+            for k in resolved["grid"]["k"]:
+                pgd_config(optimizer, optimizer["eta"], k)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {experiment} config: {exc}") from exc
     if experiment == "lqr":
@@ -262,7 +260,7 @@ def load_config(
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     _validate(doc)
     experiment = doc["experiment"]
@@ -285,7 +283,10 @@ def parse_grid_override(text: str) -> tuple[str, list]:
         raise ConfigError(f"grid override {text!r} must look like key=v1,v2,...")
     key, _, raw = text.partition("=")
     key = key.strip()
-    values = [yaml.safe_load(tok) for tok in raw.split(",") if tok.strip() != ""]
+    try:
+        values = [yaml.safe_load(tok) for tok in raw.split(",") if tok.strip() != ""]
+    except (yaml.YAMLError, ValueError) as exc:  # as in `load_config`
+        raise ConfigError(f"grid override {key!r} is not valid YAML: {exc}") from exc
     if not key or not values:
         raise ConfigError(f"grid override {text!r} must name a key and at least one value")
     return key, values

@@ -152,34 +152,45 @@ def _fd_record(
     return record
 
 
+def _failure(cfg: RunConfig, method: str, reason: str) -> List[RunRecord]:
+    """One flagged record, named by the failed `method`, in place of all others."""
+    return [
+        RunRecord(
+            experiment="lqr",
+            cell={"method": method},
+            seed=0,
+            config_snapshot=cfg.snapshot(),
+            flagged=True,
+            flag_reason=reason,
+        )
+    ]
+
+
 def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     """All grid cells (concurrently) plus the optional FD baseline record.
 
     The QP oracle is solved once and certified by weak duality before any
-    cell runs; an oracle failure returns one flagged record in place of all
-    others (the CLI maps that to its oracle-failure exit code).
+    cell runs.  An oracle failure, or a start the sampler cannot use (the zero
+    control sequence outside the constraint set), returns one flagged record
+    in place of all others (the CLI maps that to exit code 2).
     """
     spec = _build_spec(cfg.section("problem"))
     lifted = qp.lift(spec)
     try:
         solution = qp.solve_verified(lifted)
     except (ConvergenceError, InfeasibleProblemError, NotSpdError) as err:
-        bad = RunRecord(
-            experiment="lqr",
-            cell={"method": "oracle"},
-            seed=0,
-            config_snapshot=cfg.snapshot(),
-            flagged=True,
-            flag_reason=f"qp oracle failure: {err}",
-        )
-        return [bad]
+        return _failure(cfg, "oracle", f"qp oracle failure: {err}")
     # the optimal trajectory cost and the weak-duality gap that certifies it
     oracle = {
         "f_star": solution.f_star + lifted.constant,
         "oracle_duality_gap": solution.duality_gap,
     }
 
-    problem = lqr_problem(spec, lifted)  # frozen, and `evaluate` is pure: the threads share it
+    try:
+        problem = lqr_problem(spec, lifted)  # frozen, and `evaluate` is pure: the threads share it
+    except InfeasibleProblemError as err:
+        reason = f"start failure: the zero control sequence is infeasible: {err}"
+        return _failure(cfg, "start", reason)
     jobs = [(cell, seed) for cell in cfg.cells() for seed in cfg.seeds]
     with ThreadPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
         records = list(

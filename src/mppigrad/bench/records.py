@@ -3,9 +3,10 @@
 Every run produces: a per-iteration CSV (fixed header
 `k,gap,grad_norm_P,ess,acceptance,best_cost,ms`), a machine-readable summary
 JSON, and a plot-data CSV carrying both iteration and evaluation-count axes.
-Floats are written with repr (shortest round-trip), UTF-8, LF endings.  The
-`ms` column and the summary's runtime fields are the only quantities not
-determined by (config, seed); everything else is byte-reproducible.
+Values are written with str (for a Python float, the shortest round trip),
+UTF-8, LF endings.  The `ms` column and the summary's runtime fields are the
+only quantities not determined by (config, seed); everything else is
+byte-reproducible.
 
 For closed-loop (dubins) records the CSV keeps the same header with k = the
 simulation step, gap = realized stage cost, and best_cost = the running
@@ -21,8 +22,8 @@ from typing import Any, Dict, List, Optional
 
 from .. import __version__ as _tool_version
 
-CSV_HEADER = "k,gap,grad_norm_P,ess,acceptance,best_cost,ms"
 _COLUMNS = ("k", "gap", "grad_norm_P", "ess", "acceptance", "best_cost", "ms")
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass
@@ -50,14 +51,7 @@ class RunRecord:
 
 
 def _slug(value: Any) -> str:
-    text = repr(value) if isinstance(value, float) else str(value)
-    return text.replace(".", "p").replace("-", "m").replace("/", "_")
-
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value).replace(".", "p").replace("-", "m").replace("/", "_")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -81,7 +75,7 @@ def emit(records: List[RunRecord], out_dir) -> List[Path]:
         csv_path = out / f"{base}.csv"
         lines = [CSV_HEADER]
         for row in record.rows:
-            lines.append(",".join(_fmt(row[col]) for col in _COLUMNS))
+            lines.append(",".join(str(row[col]) for col in _COLUMNS))
         _write_text(csv_path, "\n".join(lines) + "\n")
         written.append(csv_path)
 
@@ -90,7 +84,7 @@ def emit(records: List[RunRecord], out_dir) -> List[Path]:
             cols = list(record.plot_rows[0].keys())
             plines = [",".join(cols)]
             for row in record.plot_rows:
-                plines.append(",".join(_fmt(row[c]) for c in cols))
+                plines.append(",".join(str(row[c]) for c in cols))
             _write_text(plot_path, "\n".join(plines) + "\n")
             written.append(plot_path)
 

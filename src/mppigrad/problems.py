@@ -339,8 +339,6 @@ def dubins_stage_cost(spec: DubinsSpec, x_next: Array, u: Array) -> float:
 
 def dubins_clear(spec: DubinsSpec, state: Array) -> bool:
     """True when a single state lies strictly outside every obstacle."""
-    if spec.obstacles.shape[0] == 0:
-        return True
     d2 = ((np.asarray(state)[:2] - spec.obstacles[:, :2]) ** 2).sum(axis=1)
     return bool((d2 > spec.obstacles[:, 2] ** 2).all())
 

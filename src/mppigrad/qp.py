@@ -19,7 +19,7 @@ for `scipy.linalg` or `scipy.optimize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,7 +37,8 @@ class QpProblem:
     """min 1/2 u'Qu + c'u  over  lb <= u <= ub,  lin_lo <= A u <= lin_hi.
 
     `constant` is the affine offset dropped by the lift (1/2 b'Qbar b), so the
-    original trajectory cost is value(u) + constant.
+    original trajectory cost is value(u) + constant.  `g` and `h` hold all
+    constraints as g u >= h (box, then band), rows bounded by -inf dropped.
     """
 
     q: Array
@@ -48,6 +49,8 @@ class QpProblem:
     lin_lo: Optional[Array] = None
     lin_hi: Optional[Array] = None
     constant: float = 0.0
+    g: Array = field(init=False, repr=False)
+    h: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -71,6 +74,15 @@ class QpProblem:
             object.__setattr__(self, "lin_mat", a)
             object.__setattr__(self, "lin_lo", lo)
             object.__setattr__(self, "lin_hi", hi)
+        eye = np.eye(n)
+        blocks, bounds = [eye, -eye], [self.lb, -self.ub]
+        if self.lin_mat is not None:
+            blocks += [self.lin_mat, -self.lin_mat]
+            bounds += [self.lin_lo, -self.lin_hi]
+        g, h = np.vstack(blocks), np.concatenate(bounds)
+        keep = h != -np.inf
+        object.__setattr__(self, "g", g[keep])
+        object.__setattr__(self, "h", h[keep])
 
     @property
     def dim(self) -> int:
@@ -82,13 +94,12 @@ class QpProblem:
 
     def violation(self, u: Array) -> float:
         """Infinity-norm constraint violation of a candidate point."""
-        g, h = _stack(self)
-        return float(np.max(h - g @ np.asarray(u, dtype=float), initial=0.0))
+        return float(np.max(self.h - self.g @ np.asarray(u, dtype=float), initial=0.0))
 
 
 @dataclass(frozen=True)
 class QpSolution:
-    """u*, f* = value(u*), and the multipliers lam of G u >= h in `_stack` order.
+    """u*, f* = value(u*), and the multipliers lam of `QpProblem`'s g u >= h, row by row.
 
     `duality_gap` is f(u*) - d(lam), set once `solve_verified` certifies u*.
     """
@@ -131,18 +142,6 @@ def lift(spec: LqrSpec) -> QpProblem:
         lin_hi=np.tile(spec.x_max, T) - b,
         constant=float(0.5 * b @ q_bar @ b),
     )
-
-
-def _stack(qp: QpProblem) -> Tuple[Array, Array]:
-    """All constraints as G u >= h (box, then band); rows bounded by -inf dropped."""
-    eye = np.eye(qp.dim)
-    blocks, bounds = [eye, -eye], [qp.lb, -qp.ub]
-    if qp.lin_mat is not None:
-        blocks += [qp.lin_mat, -qp.lin_mat]
-        bounds += [qp.lin_lo, -qp.lin_hi]
-    g, h = np.vstack(blocks), np.concatenate(bounds)
-    keep = h != -np.inf
-    return g[keep], h[keep]
 
 
 def nnls(a: Array, b: Array) -> Tuple[Array, float]:
@@ -193,7 +192,7 @@ def solve_reference(qp: QpProblem) -> QpSolution:
     """
     from scipy.linalg import LinAlgError, cholesky, solve_triangular  # local: see the module doc
 
-    g, h = _stack(qp)
+    g, h = qp.g, qp.h
     try:
         r = cholesky(qp.q)
     except LinAlgError as err:
@@ -224,7 +223,7 @@ def solve_verified(qp: QpProblem) -> QpSolution:
     would silently corrupt every optimality gap downstream.
     """
     ref = solve_reference(qp)
-    g, h = _stack(qp)
+    g, h = qp.g, qp.h
     lam = np.maximum(ref.lam, 0.0)
     v = g.T @ lam - qp.c
     dual = float(lam @ h - 0.5 * v @ np.linalg.solve(qp.q, v))
@@ -246,12 +245,12 @@ class FeasibleSetProjector:
     """Euclidean projection onto {u: lb<=u<=ub, lin_lo<=A u<=lin_hi}.
 
     In the offset x = u - p, min 1/2|u-p|^2 s.t. G u >= h is the LDP problem
-    min |x| s.t. G x >= h - G p.  (G, h) is stacked once, so projecting many
+    min |x| s.t. G x >= h - G p.  The problem stacks (G, h) once, so projecting many
     points against the same constraint set repeats only the NNLS solve.
     """
 
     def __init__(self, qp: QpProblem):
-        self._g, self._h = _stack(qp)
+        self._g, self._h = qp.g, qp.h
 
     def __call__(self, point: Array) -> Array:
         p = np.asarray(point, dtype=float)

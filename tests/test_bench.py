@@ -21,6 +21,7 @@ from mppigrad.bench.lqr import run_lqr
 from mppigrad.bench.records import CSV_HEADER, RunRecord, emit
 from mppigrad.bench.theory import format_report, run_theory_suite
 from mppigrad.errors import ConfigError
+from mppigrad.problems import LqrSpec
 
 TINY_LQR = """
 version: 1
@@ -380,6 +381,30 @@ def test_lqr_singular_q_oracle_failure_is_flagged(tmp_path):
     assert "positive definite" in records[0].flag_reason
 
 
+# the QP is feasible and certified (f* = 58.514), but the zero control sequence
+# leaves the velocity band at x_1, so the sampler has no feasible start
+UNUSABLE_START_LQR = """
+version: 1
+experiment: lqr
+seeds: [0]
+problem: {x0: [5.4, 0.0]}
+optimizer: {n_samples: 100, iterations: 5}
+grid: {eta: [1.0]}
+"""
+
+
+def test_lqr_unusable_start_is_flagged(tmp_path):
+    """The oracle certifies f*, then the zero start fails: one start record, not an oracle one."""
+    cfg = load_config(write_cfg(tmp_path, UNUSABLE_START_LQR))
+    lifted = qp.lift(LqrSpec(**cfg.section("problem")))
+    assert qp.solve_verified(lifted).f_star + lifted.constant == pytest.approx(58.514, abs=1e-3)
+    records = run_lqr(cfg)
+    assert len(records) == 1
+    assert records[0].flagged
+    assert records[0].cell == {"method": "start"}
+    assert "zero control sequence is infeasible" in records[0].flag_reason
+
+
 # ---------------------------------------------------------------------------
 # closed-loop runner
 # ---------------------------------------------------------------------------
@@ -555,6 +580,9 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
         ("lqr", "fd: {h: true}", "fd.h must be a finite number, got True"),
         ("lqr", "optimiser: {n_samples: 3}", "unknown config key 'optimiser'"),
         ("dubins", "sampling: {sigma: 1.0}", "unknown config key 'sampling.sigma'"),
+        ("lqr", "seeds: [18446744073709551616]", "seeds must be below 2**64"),
+        ("lqr", "sampling: {tau: " + "9" * 400 + "}", "sampling.tau must be a finite number"),
+        ("dubins", "sim_steps: " + "9" * 4301, "not valid YAML"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
@@ -573,7 +601,8 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "dubins_zero_horizon", "dubins_boolean_speed", "dubins_boolean_dt",
          "dubins_boolean_r_weight", "dubins_infinite_w_max", "lqr_text_fd_enabled",
          "theory_text_inject_bug", "dubins_nan_x0", "dubins_infinite_obstacle_radius",
-         "lqr_nan_x0", "lqr_boolean_fd_h", "lqr_misspelt_section", "dubins_misspelt_sampling_key"],
+         "lqr_nan_x0", "lqr_boolean_fd_h", "lqr_misspelt_section", "dubins_misspelt_sampling_key",
+         "lqr_seed_beyond_64_bits", "lqr_int_tau_beyond_float_range", "dubins_int_past_digit_limit"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message
@@ -646,6 +675,10 @@ def test_cli_bad_grid_override(tmp_path, capsys):
     code = cli.main(["run", "--experiment", "lqr", "--config", str(path), "--grid", "k=1,5"])
     assert code == 1
     assert "grid axis 'k' is not swept by the lqr experiment" in capsys.readouterr().err
+    for bad in ("eta=[1", "tau=" + "9" * 4301):  # a YAML error; an int past the digit limit
+        code = cli.main(["run", "--experiment", "lqr", "--config", str(path), "--grid", bad])
+        assert code == 1
+        assert "config error: grid override" in capsys.readouterr().err
 
 
 def test_cli_theory_ok_and_injected_failure(tmp_path, capsys):
@@ -691,6 +724,15 @@ def test_cli_oracle_failure_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "FLAGGED" in capsys.readouterr().out
+
+
+def test_cli_unusable_start_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, UNUSABLE_START_LQR)
+    code = cli.main(
+        ["run", "--experiment", "lqr", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert "lqr_method-start_seed0: FLAGGED (start failure:" in capsys.readouterr().out
 
 
 def test_cli_seed_and_grid_overrides_reach_the_run(tmp_path):
@@ -761,6 +803,25 @@ def test_each_module_imports_in_a_fresh_interpreter():
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, f"import {module} failed:\n{done.stderr}"
+
+
+def test_readme_library_quickstart_runs():
+    """The README's quickstart block runs as written in a fresh interpreter."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library quickstart"):]
+    block = section[section.index("```python\n") + len("```python\n"):]
+    block = block[: block.index("```")]
+    assert "from mppigrad.sampling import GaussianPolicy" in block
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", block],
+        cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    cost, feasible, ess = done.stdout.split()
+    assert math.isfinite(float(cost)) and feasible == "True" and float(ess) >= 1.0
 
 
 SCIPY_PROBE = """\

@@ -146,7 +146,7 @@ def test_reference_solution_on_benchmark_is_feasible_and_verified():
     np.testing.assert_array_equal(sol.u_star, ref.u_star)
     assert sol.f_star == ref.f_star
     assert np.isnan(ref.duality_gap) and abs(sol.duality_gap) <= 1e-9
-    assert sol.lam.shape == (qp._stack(lifted)[1].size,) and sol.lam.min() >= 0.0
+    assert sol.lam.shape == (lifted.h.size,) and sol.lam.min() >= 0.0
     # state constraints are genuinely active here: the unconstrained minimum
     # would violate the velocity band
     unconstrained = np.linalg.solve(lifted.q, -lifted.c)
@@ -169,7 +169,7 @@ def test_solver_agrees_with_external_route_on_benchmark():
 
 
 def _trust_constr_value(prob):
-    """f* by scipy's interior trust-region method, which does not use `_stack`.
+    """f* by scipy's interior trust-region method, which does not use `QpProblem.g`.
 
     The default barrier schedule stops up to 3e-5 (relative) above f* on the
     random problems below; a small starting barrier and `barrier_tol` keep it
@@ -200,7 +200,7 @@ def test_reference_agrees_with_trust_constr_on_benchmark(horizon):
 
 
 def test_reference_agrees_with_trust_constr_on_random_definite_qps():
-    """Boxes and bands with some infinite bounds, checked by a route without `_stack`."""
+    """Boxes and bands with some infinite bounds, checked by a route without `QpProblem.g`."""
     rng = np.random.default_rng(12)
     for _ in range(8):
         n, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
@@ -390,7 +390,7 @@ def test_projection_is_idempotent(case):
 def test_projection_satisfies_kkt_conditions(case):
     """With G u >= h: lam >= 0, lam_i (G u - h)_i = 0 and u - p = G'lam."""
     prob, point = case
-    g, h = qp._stack(prob)
+    g, h = prob.g, prob.h
     x, lam = qp._ldp(g, h - g @ point)
     u = qp.FeasibleSetProjector(prob)(point)
     np.testing.assert_array_equal(u, point + x)
