@@ -4,7 +4,9 @@ Each cell of the (sigma2, tau, eta, seed) grid runs the sampled optimizer from
 the zero mean and reports the gap between the rolled-out cost of the current
 mean and the verified QP optimum.  The step size per cell is either the
 classical eta = 1 or the rule eta = 1/L_sigma with L_sigma computed in closed
-form from the lifted quadratic.  Optionally a projected finite-difference
+form from the lifted quadratic.  The cells of one seed run in lockstep on
+that seed's base normals (common random numbers), each record bitwise the
+one its cell gives alone.  Optionally a projected finite-difference
 baseline is run at an equal objective-evaluation budget.
 """
 
@@ -17,8 +19,8 @@ from typing import Any, Dict, List
 import numpy as np
 
 from .. import analysis, qp
-from ..errors import AllInfeasibleError, ConvergenceError, InfeasibleProblemError, NotSpdError
-from ..optimizer import run, step_size_rule
+from ..errors import ConvergenceError, InfeasibleProblemError, NotSpdError
+from ..optimizer import OptimizerTrace, run, step_size_rule
 from ..problems import LqrSpec, TrajectoryProblem, lqr_problem
 from ..sampling import GaussianPolicy
 from .config import RunConfig, pgd_config
@@ -29,38 +31,63 @@ def _build_spec(problem_cfg: Dict[str, Any]) -> LqrSpec:
     return LqrSpec(**problem_cfg)  # the spec converts its arrays itself
 
 
-def _one_cell(
+class _Lane:
+    """A grid cell's start policy and optimizer settings, with its resolved step size."""
+
+    def __init__(
+        self, problem: TrajectoryProblem, lifted: qp.QpProblem, cfg: RunConfig, cell: Dict[str, Any]
+    ):
+        self.cell = cell
+        self.smooth = analysis.l_sigma_quadratic(cell["sigma2"], lifted.q, cell["tau"])
+        if cell["eta"] == "rule":
+            self.eta, self.rule = step_size_rule(self.smooth.l_sigma), "one_over_l_sigma"
+        else:
+            self.eta, self.rule = float(cell["eta"]), "fixed"
+        opt_cfg = cfg.section("optimizer")
+        self.pgd = pgd_config(opt_cfg, self.eta, opt_cfg["iterations"])
+        self.policy = GaussianPolicy(np.zeros(problem.n_controls), cell["sigma2"], cell["tau"])
+
+
+def _seed_records(
     problem: TrajectoryProblem,
-    lifted: qp.QpProblem,
     oracle: Dict[str, float],
     cfg: RunConfig,
-    cell: Dict[str, Any],
+    lanes: List[_Lane],
     seed: int,
-) -> RunRecord:
+) -> List[RunRecord]:
+    """One record per cell for one seed; the cells step in lockstep on the seed's noise."""
     t_start = time.perf_counter()
-    smooth = analysis.l_sigma_quadratic(cell["sigma2"], lifted.q, cell["tau"])
-    if cell["eta"] == "rule":
-        eta, rule = step_size_rule(smooth.l_sigma), "one_over_l_sigma"
-    else:
-        eta, rule = float(cell["eta"]), "fixed"
-    opt_cfg = cfg.section("optimizer")
-    pgd = pgd_config(opt_cfg, eta, opt_cfg["iterations"])
-    policy = GaussianPolicy(np.zeros(problem.n_controls), cell["sigma2"], cell["tau"])
+    results = run(problem, [(lane.policy, lane.pgd) for lane in lanes], seed)
+    return [
+        _cell_record(problem, oracle, cfg, lane, seed, final_policy, trace, t_start)
+        for lane, (final_policy, trace) in zip(lanes, results)
+    ]
+
+
+def _cell_record(
+    problem: TrajectoryProblem,
+    oracle: Dict[str, float],
+    cfg: RunConfig,
+    lane: _Lane,
+    seed: int,
+    final_policy: GaussianPolicy,
+    trace: OptimizerTrace,
+    t_start: float,
+) -> RunRecord:
     record = RunRecord(
-        experiment="lqr", cell=dict(cell), seed=seed, config_snapshot=cfg.snapshot()
+        experiment="lqr", cell=dict(lane.cell), seed=seed, config_snapshot=cfg.snapshot()
     )
-    try:
-        final_policy, trace = run(problem, policy, pgd, seed)
-    except AllInfeasibleError as err:
+    smooth = lane.smooth
+    if trace.abort is not None:
         record.flagged = True
-        record.flag_reason = f"optimizer abort: {err}"
-        record.summary = {"eta_resolved": eta, "rule": rule, "l_sigma": smooth.l_sigma}
+        record.flag_reason = f"optimizer abort: {trace.abort}"
+        record.summary = {"eta_resolved": lane.eta, "rule": lane.rule, "l_sigma": smooth.l_sigma}
         return record
 
     means = np.array([r.mean for r in trace.records] + [final_policy.mean])
     costs, feasible = problem.evaluate_batch(means)
     gaps = costs - oracle["f_star"]
-    n = pgd.n_samples
+    n = lane.pgd.n_samples
     for r, gap in zip(trace.records, gaps[:-1]):
         record.rows.append(
             {
@@ -78,8 +105,8 @@ def _one_cell(
         )
     record.summary = {
         **oracle,
-        "eta_resolved": eta,
-        "rule": rule,
+        "eta_resolved": lane.eta,
+        "rule": lane.rule,
         "l_sigma": smooth.l_sigma,
         "l_sigma_method": smooth.method,
         "final_gap": float(gaps[-1]),
@@ -167,7 +194,11 @@ def _failure(cfg: RunConfig, method: str, reason: str) -> List[RunRecord]:
 
 
 def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
-    """All grid cells (concurrently) plus the optional FD baseline record.
+    """All grid cells plus the optional FD baseline record.
+
+    One job per seed runs every cell of that seed in lockstep (`optimizer.run`
+    with one lane per cell), so the cells share each iteration's base
+    normals; up to `max_workers` seeds run concurrently.
 
     The QP oracle is solved once and certified by weak duality before any
     cell runs.  An oracle failure, or a start the sampler cannot use (the zero
@@ -191,13 +222,13 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     except InfeasibleProblemError as err:
         reason = f"start failure: the zero control sequence is infeasible: {err}"
         return _failure(cfg, "start", reason)
-    jobs = [(cell, seed) for cell in cfg.cells() for seed in cfg.seeds]
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
-        records = list(
-            pool.map(
-                lambda job: _one_cell(problem, lifted, oracle, cfg, job[0], job[1]), jobs
-            )
+    lanes = [_Lane(problem, lifted, cfg, cell) for cell in cfg.cells()]
+    seeds = cfg.seeds
+    with ThreadPoolExecutor(max_workers=min(max_workers, len(seeds))) as pool:
+        by_seed = list(
+            pool.map(lambda seed: _seed_records(problem, oracle, cfg, lanes, seed), seeds)
         )
+    records = [record for by_cell in zip(*by_seed) for record in by_cell]  # cell, then seed
     if cfg.section("fd")["enabled"]:
         records.append(_fd_record(problem, lifted, oracle, cfg))
     return records

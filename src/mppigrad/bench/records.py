@@ -6,7 +6,12 @@ JSON, and a plot-data CSV carrying both iteration and evaluation-count axes.
 Values are written with str (for a Python float, the shortest round trip),
 UTF-8, LF endings.  The `ms` column and the summary's runtime fields are the
 only quantities not determined by (config, seed); everything else is
-byte-reproducible.
+byte-reproducible.  The cells of one LQR seed step in lockstep, so a
+sampled LQR record's `runtime_seconds` is the time from the start of its
+seed's run to the end of its own record: it includes the steps of every
+cell of that seed, the times of one seed's cells overlap, and they do not
+add up to the run's wall time.  Its `ms` column is the cell's own step
+time, which for the seed's first cell also holds the shared noise draw.
 
 For closed-loop (dubins) records the CSV keeps the same header with k = the
 simulation step, gap = realized stage cost, and best_cost = the running

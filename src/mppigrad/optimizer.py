@@ -8,14 +8,16 @@ mu <- (1-eta) mu + eta * (weighted sample mean), and at eta = 1 it reduces
 exactly to the classical weighted-mean update.  An exact mode replaces the
 Monte Carlo tilted mean with an oracle so the descent inequality can be
 checked without sampling noise, and a receding-horizon driver turns the
-one-shot optimizer into a closed-loop controller.
+one-shot optimizer into a closed-loop controller.  The sampled `run` steps
+several (policy, config) lanes of one seed in lockstep, so the lanes read
+each iteration's base normals from one draw.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +80,7 @@ class IterationRecord:
 @dataclass
 class OptimizerTrace:
     records: List[IterationRecord] = field(default_factory=list)
+    abort: Optional[AllInfeasibleError] = None  # why sampling stopped before all k steps
 
     def column(self, name: str) -> Array:
         return np.array([getattr(r, name) for r in self.records], dtype=float)
@@ -110,12 +113,19 @@ def _sample_weighted(
     config: PgdConfig,
     seed: int,
     iteration: int,
+    normals: Optional[dict],
 ):
     """Draw/evaluate/weigh with all-infeasible retries under inflated noise."""
     sampler = policy
     for retry in range(MAX_RETRIES + 1):
         batch = draw(
-            sampler, config.n_samples, seed, iteration, antithetic=config.antithetic, retry=retry
+            sampler,
+            config.n_samples,
+            seed,
+            iteration,
+            antithetic=config.antithetic,
+            retry=retry,
+            normals=normals,
         )
         evaluate(batch, problem)
         try:
@@ -132,6 +142,7 @@ def pgd_step(
     config: PgdConfig,
     seed: int,
     iteration: int = 0,
+    normals: Optional[dict] = None,
 ) -> tuple[GaussianPolicy, IterationRecord]:
     """One sampled preconditioned step; returns the updated policy and record.
 
@@ -139,9 +150,12 @@ def pgd_step(
     up to `MAX_RETRIES` times, with covariance inflated by the factor
     `INFLATION` per retry; the inflated covariance applies to that step's
     sampling only — the returned policy keeps the original covariance.
+    `normals` is the base-normal cache handed to every `draw` (see there).
     """
     t0 = time.perf_counter()
-    sampler, batch, summary, retries = _sample_weighted(problem, policy, config, seed, iteration)
+    sampler, batch, summary, retries = _sample_weighted(
+        problem, policy, config, seed, iteration, normals
+    )
     wmean = weighted_mean(batch, summary)
     new_mean = _apply_update(policy, config.eta, wmean)
     finite = np.isfinite(batch.costs)  # `weigh` counts the rest as infeasible
@@ -162,27 +176,49 @@ def pgd_step(
 
 def run(
     problem: TrajectoryProblem,
-    policy: GaussianPolicy,
-    config: PgdConfig,
+    lanes: Sequence[Tuple[GaussianPolicy, PgdConfig]],
     seed: int,
     iter_offset: int = 0,
-) -> tuple[GaussianPolicy, OptimizerTrace]:
-    """K sampled steps from `policy`; returns the final policy and the trace.
+) -> List[Tuple[GaussianPolicy, OptimizerTrace]]:
+    """K sampled steps from each lane's policy; returns each lane's final policy and trace.
 
+    A lane is a (policy, config) pair.  The lanes step in lockstep on one
+    seed, so at each iteration they share the base normals z of every retry
+    index (common random numbers): the first lane that needs a block draws
+    it, and the others build their own samples mean + Sigma^{1/2} z from the
+    same block.  Each lane's result is bitwise the one it gets alone, which
+    needs equal `n_samples`, `antithetic` and policy dimension in every lane.
     `iter_offset` shifts the RNG iteration counter so nested uses (e.g. the
-    receding-horizon loop) never reuse a noise stream.  If sampling aborts,
-    the partial trace is attached to the raised error as `.trace`.
+    receding-horizon loop) never reuse a noise stream.  If sampling aborts
+    in a lane, that lane stops with its partial trace and the error as the
+    trace's `abort`; the other lanes go on.
     """
-    trace = OptimizerTrace()
-    try:
-        for k in range(config.k):
-            policy, record = pgd_step(problem, policy, config, seed, iter_offset + k)
+    if not lanes:
+        raise ValueError("run needs at least one (policy, config) lane")
+    shared = {(c.n_samples, c.antithetic, p.dim) for p, c in lanes}
+    if len(shared) > 1:
+        raise ValueError(
+            "lanes share their base normals, so they must agree on n_samples, antithetic "
+            f"and policy dimension; got (n_samples, antithetic, dim) in {sorted(shared)}"
+        )
+    policies = [policy for policy, _ in lanes]
+    traces = [OptimizerTrace() for _ in lanes]
+    for k in range(max(config.k for _, config in lanes)):
+        normals: dict = {}  # this iteration's base-normal blocks, one per retry index
+        for i, (_, config) in enumerate(lanes):
+            trace = traces[i]
+            if k >= config.k or trace.abort is not None:
+                continue
+            try:
+                policies[i], record = pgd_step(
+                    problem, policies[i], config, seed, iter_offset + k, normals
+                )
+            except AllInfeasibleError as err:
+                trace.abort = err
+                continue
             record.k = k
             trace.records.append(record)
-    except AllInfeasibleError as err:
-        err.trace = trace
-        raise
-    return policy, trace
+    return list(zip(policies, traces))
 
 
 def run_exact(oracle, policy: GaussianPolicy, config: PgdConfig) -> tuple[GaussianPolicy, OptimizerTrace]:
@@ -296,11 +332,10 @@ def receding_horizon(
         if problem.n_controls != d:
             raise ValueError("policy dimension does not match the problem family")
         m = problem.control_dim
-        try:
-            solved, inner = run(problem, policy.with_mean(warm), config, seed, iter_offset=s * config.k)
-        except AllInfeasibleError as err:
+        [(solved, inner)] = run(problem, [(policy.with_mean(warm), config)], seed, s * config.k)
+        if inner.abort is not None:
             trace.unsafe = True
-            trace.abort_reason = f"step {s}: {err}"
+            trace.abort_reason = f"step {s}: {inner.abort}"
             break
         u0 = solved.mean[:m].copy()
         if clip_control is not None:

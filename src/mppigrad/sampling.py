@@ -197,23 +197,36 @@ def draw(
     iteration: int = 0,
     antithetic: bool = False,
     retry: int = 0,
+    normals: Optional[dict] = None,
 ) -> SampleBatch:
     """Draw n samples from the policy (samples only; evaluate separately).
 
-    With antithetic=True (n even) the batch is built from n/2 base normals z
-    as mean +/- Sigma^{1/2} z, so rows j and j + n/2 mirror through the mean.
+    The samples are mean + Sigma^{1/2} z for base normals z from the
+    (seed, iteration, retry) stream.  With antithetic=True (n even) z is n/2
+    normals followed by their negatives, so rows j and j + n/2 mirror
+    through the mean.  `normals`, if given, is a cache of z blocks shared by
+    several draws: a block is generated once per (seed, iteration, retry, n,
+    dim, antithetic), stored read-only, and read by every later draw with
+    that key, so policies that differ only in mean or covariance sample with
+    common random numbers.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
     if antithetic and n % 2:
         raise ValueError("antithetic batches need an even sample count")
-    rng = batch_rng(seed, iteration, retry)
-    z = np.empty((n, policy.dim))
-    if antithetic:
-        rng.standard_normal(out=z[: n // 2])
-        np.negative(z[: n // 2], out=z[n // 2 :])
-    else:
-        rng.standard_normal(out=z)
+    key = (seed, iteration, retry, n, policy.dim, antithetic)
+    z = None if normals is None else normals.get(key)
+    if z is None:
+        rng = batch_rng(seed, iteration, retry)
+        z = np.empty((n, policy.dim))
+        if antithetic:
+            rng.standard_normal(out=z[: n // 2])
+            np.negative(z[: n // 2], out=z[n // 2 :])
+        else:
+            rng.standard_normal(out=z)
+        z.flags.writeable = False
+        if normals is not None:
+            normals[key] = z
     samples = policy.sqrt_mul(z)
     samples += policy.mean
     return SampleBatch(samples=samples, iteration=iteration, retry=retry)
@@ -244,7 +257,7 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     if not flags.any():
         raise AllInfeasibleError(n, batch.iteration)
     log_w = np.where(flags, -costs / tau, _NEG_INF)
-    shift = log_w[flags].max()
+    shift = log_w.max()  # the -inf of an infeasible row never wins
     raw = np.exp(log_w - shift)  # exp(-inf - shift) is exactly 0
     total = raw.sum()
     normalized = raw / total
@@ -252,7 +265,7 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     return WeightSummary(
         normalized_weights=normalized,
         effective_sample_size=ess,
-        acceptance_rate=float(flags.mean()),
+        acceptance_rate=float(np.count_nonzero(flags) / n),
         log_mean_weight=float(shift + np.log(total) - np.log(n)),
     )
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mppigrad import qp
+from mppigrad import qp, sampling
 from mppigrad.bench import cli
 from mppigrad.bench.config import _DUBINS_DEFAULTS, RunConfig, load_config, parse_grid_override
 from mppigrad.bench.dubins import run_dubins
@@ -297,6 +297,87 @@ def test_lqr_cells_sharing_one_problem_match_a_serial_run(tmp_path):
 
     assert len(threaded) == 8
     assert [deterministic(r) for r in threaded] == [deterministic(r) for r in serial]
+
+
+def _lone_config(cfg, cell):
+    """`cfg` with its grid cut down to `cell`."""
+    return RunConfig(cfg.experiment, {**cfg.resolved, "grid": {k: [v] for k, v in cell.items()}})
+
+
+def _same_record(a, b):
+    """Bit for bit, masking only the wall-clock `ms` and `runtime_seconds`.
+
+    The config snapshot is compared without its grid, the one thing a lone
+    run's config changes.
+    """
+    assert (a.name, a.cell, a.seed, a.flagged, a.flag_reason) == (
+        b.name, b.cell, b.seed, b.flagged, b.flag_reason
+    )
+    assert [{k: v for k, v in row.items() if k != "ms"} for row in a.rows] == [
+        {k: v for k, v in row.items() if k != "ms"} for row in b.rows
+    ]
+    assert a.plot_rows == b.plot_rows
+    masked = [{k: v for k, v in r.summary.items() if k != "runtime_seconds"} for r in (a, b)]
+    assert json.dumps(masked[0], sort_keys=True) == json.dumps(masked[1], sort_keys=True)
+    snapshots = [{k: v for k, v in r.config_snapshot.items() if k != "grid"} for r in (a, b)]
+    assert snapshots[0] == snapshots[1]
+
+
+LOCKSTEP_LQR = """
+version: 1
+experiment: lqr
+seeds: [0, 1]
+optimizer: {n_samples: 64, iterations: 6}
+grid: {sigma2: [1.0e-4, 4.0e-4], tau: [1, 2.0], eta: [1.0, rule]}
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_lqr_lockstep_cells_equal_their_lone_runs(tmp_path, workers):
+    cfg = load_config(write_cfg(tmp_path, LOCKSTEP_LQR))
+    records = run_lqr(cfg, max_workers=workers)
+    assert len(records) == 16 and not any(r.flagged for r in records)
+    for i, cell in enumerate(cfg.cells()):
+        lone = run_lqr(_lone_config(cfg, cell), max_workers=1)
+        assert len(lone) == 2
+        for got, want in zip(records[2 * i: 2 * i + 2], lone):
+            _same_record(got, want)
+
+
+ABORT_LQR = """
+version: 1
+experiment: lqr
+seeds: [0, 1]
+optimizer: {n_samples: 64, iterations: 8}
+grid: {sigma2: [1.0e-4, 100.0], eta: [1.0, rule]}
+"""
+
+
+def test_lqr_abort_stops_only_its_cells_and_shares_the_retries(tmp_path, monkeypatch):
+    streams = []
+    real = sampling.batch_rng
+    monkeypatch.setattr(sampling, "batch_rng", lambda *key: streams.append(key) or real(*key))
+    cfg = load_config(write_cfg(tmp_path, ABORT_LQR))
+    records = run_lqr(cfg, max_workers=1)
+    assert len(records) == 8
+    # one generator per (seed, iteration, retry): the wide cells share retries 1-5
+    assert sorted(streams) == sorted(
+        [(s, k, 0) for s in (0, 1) for k in range(8)]
+        + [(s, 0, r) for s in (0, 1) for r in range(1, 6)]
+    )
+    monkeypatch.undo()
+    for record in records:
+        if record.cell["sigma2"] == 100.0:
+            assert record.flagged
+            assert record.flag_reason == (
+                "optimizer abort: all 64 samples infeasible at iteration 0"
+            )
+            assert sorted(record.summary) == ["eta_resolved", "l_sigma", "rule"]
+            assert record.rows == [] and record.plot_rows == []
+        else:
+            lone_cfg = _lone_config(cfg, record.cell)
+            lone = next(r for r in run_lqr(lone_cfg, max_workers=1) if r.seed == record.seed)
+            _same_record(record, lone)
 
 
 def test_lqr_fd_record_obeys_the_evaluation_budget(tiny_lqr_records):

@@ -207,9 +207,10 @@ def test_retries_exhausted_raises_with_trace(monkeypatch):
     prob = box_problem_1d(1e-6)
     policy = GaussianPolicy(np.array([5.0]), 0.01, tau=1.0)
     cfg = PgdConfig(n_samples=16)
-    with pytest.raises(AllInfeasibleError) as err:
-        run(prob, policy, cfg, seed=0)
-    assert len(err.value.trace) == 0  # failed on the very first iteration
+    [(final, trace)] = run(prob, [(policy, cfg)], seed=0)
+    assert isinstance(trace.abort, AllInfeasibleError)
+    assert len(trace) == 0  # failed on the very first iteration
+    assert np.array_equal(final.mean, policy.mean)
 
 
 def nan_share_problem():
@@ -236,7 +237,7 @@ def nan_share_problem():
 def test_records_count_the_nonfinite_costs_of_each_batch():
     # 64 rows: 16 NaN (1::4) and 8 inf (3::8)
     policy = GaussianPolicy(np.zeros(2), 0.1, tau=1.0)
-    _, trace = run(nan_share_problem(), policy, PgdConfig(k=3, n_samples=64), seed=0)
+    [(_, trace)] = run(nan_share_problem(), [(policy, PgdConfig(k=3, n_samples=64))], seed=0)
     assert [r.nonfinite for r in trace.records] == [24, 24, 24]
     assert all(np.isfinite(r.best_cost) for r in trace.records)  # weigh's mask, not NaN
     steps = receding_horizon(
@@ -244,8 +245,8 @@ def test_records_count_the_nonfinite_costs_of_each_batch():
         sim_steps=2, seed=0, stage_cost=lambda x, u: 0.0,
     ).steps
     assert [s.nonfinite for s in steps] == [72, 72]
-    _, clean = run(box_problem_1d(1.0), GaussianPolicy(np.zeros(1), 0.01, tau=1.0),
-                   PgdConfig(k=2, n_samples=16), seed=0)
+    [(_, clean)] = run(box_problem_1d(1.0), [(GaussianPolicy(np.zeros(1), 0.01, tau=1.0),
+                                              PgdConfig(k=2, n_samples=16))], seed=0)
     assert [r.nonfinite for r in clean.records] == [0, 0]
 
 
@@ -258,8 +259,8 @@ def test_run_is_deterministic_and_length_bounded():
     prob = lqr_problem(double_integrator())
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
     cfg = PgdConfig(k=7, n_samples=128)
-    pa, ta = run(prob, policy, cfg, seed=3)
-    pb, tb = run(prob, policy, cfg, seed=3)
+    [(pa, ta)] = run(prob, [(policy, cfg)], seed=3)
+    [(pb, tb)] = run(prob, [(policy, cfg)], seed=3)
     assert len(ta) == 7
     assert np.array_equal(pa.mean, pb.mean)
     for ra, rb in zip(ta.records, tb.records):
@@ -271,7 +272,7 @@ def test_run_single_step_equals_pgd_step():
     prob = lqr_problem(double_integrator())
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
     cfg = PgdConfig(k=1, n_samples=128)
-    via_run, _ = run(prob, policy, cfg, seed=5)
+    [(via_run, _)] = run(prob, [(policy, cfg)], seed=5)
     via_step, _ = pgd_step(prob, policy, cfg, seed=5, iteration=0)
     assert np.array_equal(via_run.mean, via_step.mean)
 
@@ -280,9 +281,49 @@ def test_iter_offset_changes_the_noise_stream():
     prob = lqr_problem(double_integrator())
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
     cfg = PgdConfig(k=1, n_samples=64)
-    a, _ = run(prob, policy, cfg, seed=0, iter_offset=0)
-    b, _ = run(prob, policy, cfg, seed=0, iter_offset=17)
+    [(a, _)] = run(prob, [(policy, cfg)], seed=0, iter_offset=0)
+    [(b, _)] = run(prob, [(policy, cfg)], seed=0, iter_offset=17)
     assert not np.array_equal(a.mean, b.mean)
+
+
+def _same_trace(a, b):
+    """Equal record by record, bit for bit, except the wall-clock `ms`."""
+    assert len(a) == len(b) and type(a.abort) is type(b.abort)
+    for ra, rb in zip(a.records, b.records):
+        da, db = dataclasses.asdict(ra), dataclasses.asdict(rb)
+        assert np.array_equal(da.pop("mean"), db.pop("mean"))
+        da.pop("ms"), db.pop("ms")
+        assert da == db
+
+
+def test_lockstep_lanes_equal_lone_runs_and_an_abort_stops_only_its_lane():
+    # lane 1 starts outside the box and exhausts its retries at iteration 0
+    prob = box_problem_1d(0.2)
+    lanes = [
+        (GaussianPolicy(np.array([0.1]), 0.01, tau=1.0), PgdConfig(k=4, n_samples=64)),
+        (GaussianPolicy(np.array([50.0]), 0.01, tau=1.0), PgdConfig(k=4, n_samples=64)),
+        (GaussianPolicy(np.array([-0.1]), 0.04, tau=2.0), PgdConfig(eta=0.5, k=6, n_samples=64)),
+    ]
+    together = run(prob, lanes, seed=1)
+    assert isinstance(together[1][1].abort, AllInfeasibleError) and len(together[1][1]) == 0
+    assert [len(trace) for _, trace in together] == [4, 0, 6]
+    for lane, (final, trace) in zip(lanes, together):
+        [(alone_final, alone)] = run(prob, [lane], seed=1)
+        assert np.array_equal(final.mean, alone_final.mean)
+        _same_trace(trace, alone)
+
+
+@pytest.mark.parametrize("other", [
+    (GaussianPolicy(np.zeros(2), 0.1, tau=1.0), PgdConfig(n_samples=32)),
+    (GaussianPolicy(np.zeros(2), 0.1, tau=1.0), PgdConfig(n_samples=64, antithetic=False)),
+    (GaussianPolicy(np.zeros(3), 0.1, tau=1.0), PgdConfig(n_samples=64)),
+], ids=["n_samples", "antithetic", "dimension"])
+def test_run_rejects_lanes_that_cannot_share_their_noise(other):
+    lane = (GaussianPolicy(np.zeros(2), 0.1, tau=1.0), PgdConfig(n_samples=64))
+    with pytest.raises(ValueError, match="must agree on n_samples, antithetic and policy dim"):
+        run(nan_share_problem(), [lane, other], seed=0)
+    with pytest.raises(ValueError, match="at least one"):
+        run(nan_share_problem(), [], seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +465,8 @@ def test_warm_start_shift_reproduces_next_plan():
     for s in range(2):
         warm = np.concatenate([trace.steps[s].plan[1:], np.zeros(1)])
         rooted = dataclasses.replace(spec, x0=trace.steps[s].state)
-        replay, _ = run(
-            lqr_problem(rooted), policy.with_mean(warm), cfg, seed=7,
+        [(replay, _)] = run(
+            lqr_problem(rooted), [(policy.with_mean(warm), cfg)], seed=7,
             iter_offset=(s + 1) * cfg.k,
         )
         np.testing.assert_array_equal(trace.steps[s + 1].plan, replay.mean)
@@ -478,7 +519,7 @@ def test_closed_loop_step_totals_retries_and_worst_ess():
         lambda state, candidate: box_problem_1d(0.2), policy, cfg, sim_steps=1, seed=1,
         stage_cost=lambda x, u: 0.0,
     )
-    _, inner = run(box_problem_1d(0.2), policy, cfg, seed=1)
+    [(_, inner)] = run(box_problem_1d(0.2), [(policy, cfg)], seed=1)
     step = trace.steps[0]
     assert step.retries == sum(r.retries for r in inner.records) >= 2
     assert step.ess_min == inner.column("ess").min()

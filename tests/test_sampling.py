@@ -444,6 +444,29 @@ def concatenated_draw(policy, n, seed, iteration=0, antithetic=False, retry=0):
     return policy.mean + policy.sqrt_mul(z)
 
 
+def reference_weigh(batch, tau):
+    """`weigh` as it was before its shift and acceptance trims."""
+    if batch.costs is None or batch.feasible_flags is None:
+        raise ValueError("batch must be evaluated before weighing")
+    costs = np.asarray(batch.costs, dtype=float)
+    flags = np.asarray(batch.feasible_flags, dtype=bool) & np.isfinite(costs)
+    n = batch.n
+    if not flags.any():
+        raise AllInfeasibleError(n, batch.iteration)
+    log_w = np.where(flags, -costs / tau, float("-inf"))
+    shift = log_w[flags].max()
+    raw = np.exp(log_w - shift)
+    total = raw.sum()
+    normalized = raw / total
+    ess = 1.0 / float((normalized**2).sum())
+    return sampling.WeightSummary(
+        normalized_weights=normalized,
+        effective_sample_size=ess,
+        acceptance_rate=float(flags.mean()),
+        log_mean_weight=float(shift + np.log(total) - np.log(n)),
+    )
+
+
 @pytest.mark.parametrize("kind", ["scalar", "diag", "full"])
 @pytest.mark.parametrize("n, antithetic", [(2, False), (9, False), (128, False), (1000, False),
                                            (2, True), (10, True), (128, True), (1000, True)])
@@ -483,3 +506,61 @@ def test_batch_rng_rejects_keys_outside_philox_range():
     for seed, iteration in ((-1, 0), (0, -(1 << 60)), (2**64, 0)):
         with pytest.raises(ValueError, match="Philox key"):
             batch_rng(seed, iteration)
+
+
+@st.composite
+def hostile_batch(draw):
+    """Finite costs mixed with NaN and +-inf, one feasible finite row, sometimes the only one."""
+    n = draw(st.integers(2, 40))
+    finite = st.floats(-1e3, 1e3)  # -0.0 and 0.0 included
+    costs = draw(st.lists(
+        st.one_of(finite, st.sampled_from([np.nan, np.inf, -np.inf])), min_size=n, max_size=n
+    ))
+    keep = draw(st.integers(0, n - 1))
+    costs[keep] = draw(finite)
+    if draw(st.booleans()):
+        flags = [False] * n  # all but one row infeasible
+    else:
+        flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flags[keep] = True
+    tau = draw(st.floats(0.01, 100.0))
+    batch = SampleBatch(samples=np.zeros((n, 1)), iteration=0)
+    batch.costs, batch.feasible_flags = np.array(costs), np.array(flags)
+    return batch, tau
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_batch())
+def test_weigh_equals_the_reference_bitwise(case):
+    batch, tau = case
+    got, want = weigh(batch, tau), reference_weigh(batch, tau)
+    assert _bits(got.normalized_weights) == _bits(want.normalized_weights)
+    assert _bits(got.effective_sample_size) == _bits(want.effective_sample_size)
+    assert type(got.acceptance_rate) is float
+    assert _bits(got.acceptance_rate) == _bits(want.acceptance_rate)
+    assert _bits(got.log_mean_weight) == _bits(want.log_mean_weight)
+
+
+def test_draws_sharing_a_normals_cache_equal_lone_draws_bitwise(monkeypatch):
+    streams = []
+    real = sampling.batch_rng
+    monkeypatch.setattr(sampling, "batch_rng", lambda *key: streams.append(key) or real(*key))
+    cache = {}
+    scalar = GaussianPolicy(np.full(3, 2.0), 0.5, tau=1.0)
+    full = GaussianPolicy(np.zeros(3), np.diag([0.1, 0.2, 0.3]) + 0.05, tau=2.0)
+    for policy in (scalar, full, scalar):
+        for retry in (0, 1):
+            shared = draw(policy, 8, 4, 2, antithetic=True, retry=retry, normals=cache)
+            alone = draw(policy, 8, 4, 2, antithetic=True, retry=retry)
+            assert np.array_equal(shared.samples, alone.samples)
+            assert shared.retry == retry
+    assert sorted(cache) == [(4, 2, 0, 8, 3, True), (4, 2, 1, 8, 3, True)]
+    assert not any(z.flags.writeable for z in cache.values())
+    assert len(streams) == 2 + 6  # one per cached block, one per uncached draw
+    draw(scalar, 8, 4, 2, antithetic=False, normals=cache)
+    draw(GaussianPolicy(np.zeros(2), 0.5, tau=1.0), 8, 4, 2, antithetic=True, normals=cache)
+    assert len(cache) == 4  # another layout or dimension is another block
