@@ -252,9 +252,6 @@ class SmoothnessEstimate:
 @dataclass(frozen=True)
 class DiameterBound(SmoothnessEstimate):
     d2_metric: float = 0.0
-    unit_step_admissible: bool = False
-    cov_rule_satisfied: bool = False
-    route: str = ""
 
 
 def l_sigma_quadratic(cov, q, tau: float) -> SmoothnessEstimate:
@@ -307,9 +304,8 @@ def l_sigma_diameter_bound(cov, box_lo, box_hi) -> DiameterBound:
 
     D is the feasible-set diameter in the Sigma^{-1} metric: exact over
     corner differences when Sigma is scalar/diagonal, otherwise bounded by
-    the Euclidean diameter over sqrt(lmin(Sigma)).  Also reports whether the
-    unit step is certified (D^2 < 12) and whether the sufficient covariance
-    rule lmin(Sigma) >= D_euclidean^2 / 12 holds.
+    the Euclidean diameter over sqrt(lmin(Sigma)); D^2 is reported as
+    `d2_metric`.  The unit step is certified (bound < 2) exactly when D^2 < 12.
     """
     box_lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
     box_hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
@@ -320,22 +316,12 @@ def l_sigma_diameter_bound(cov, box_lo, box_hi) -> DiameterBound:
     edges = box_hi - box_lo
     d = box_lo.shape[0]
     lam_min, _ = GaussianPolicy(np.zeros(d), cov, 1.0).cov_eig_range()  # validates cov
-    d2_euclid = float(edges @ edges)
     if np.ndim(cov) < 2:  # scalar or diagonal Sigma
         d2_metric = float((edges**2 / np.asarray(cov, dtype=float)).sum())
-        route = "diagonal_exact"
     else:
-        d2_metric = d2_euclid / lam_min
-        route = "lambda_min"
+        d2_metric = float(edges @ edges) / lam_min
     bound = max(1.0, d2_metric / 4.0 - 1.0)
-    return DiameterBound(
-        l_sigma=bound,
-        method="diameter_bound",
-        d2_metric=d2_metric,
-        unit_step_admissible=d2_metric < 12.0,
-        cov_rule_satisfied=lam_min >= d2_euclid / 12.0,
-        route=route,
-    )
+    return DiameterBound(l_sigma=bound, method="diameter_bound", d2_metric=d2_metric)
 
 
 def max_two_point_variance(diameter: float) -> float:

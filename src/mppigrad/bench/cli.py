@@ -69,11 +69,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ConfigError(
                 f"config is for experiment {cfg.experiment!r}, not {args.experiment!r}"
             )
+        out_dir = Path(cfg.out_dir or f"results/{cfg.experiment}")
+        try:  # before the run, so an unusable path costs no run time
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    out_dir = Path(cfg.out_dir or f"results/{cfg.experiment}")
 
     if cfg.experiment == "theory":
         try:

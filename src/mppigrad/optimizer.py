@@ -7,21 +7,21 @@ paper recovers MPPI: the step is the relaxed update
 mu <- (1-eta) mu + eta * (weighted sample mean), and at eta = 1 it reduces
 exactly to the classical weighted-mean update.  An exact mode replaces the
 Monte Carlo tilted mean with an oracle so the descent inequality can be
-checked without sampling noise, and a receding-horizon driver turns the
-one-shot optimizer into a closed-loop controller.  The sampled `run` steps
-several (policy, config) lanes of one seed in lockstep, so the lanes read
-each iteration's base normals from one draw.
+checked without sampling noise.  The sampled `run` steps several
+(policy, config) lanes of one seed in lockstep, so the lanes read each
+iteration's base normals from one draw.  The closed loop that replans with
+`run` at every simulation step lives in the Dubins benchmark runner.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AllInfeasibleError, InfeasibleProblemError, UnsupportedProblemError
+from .errors import AllInfeasibleError, UnsupportedProblemError
 from .problems import TrajectoryProblem
 from .sampling import (
     GaussianPolicy,
@@ -189,7 +189,7 @@ def run(
     same block.  Each lane's result is bitwise the one it gets alone, which
     needs equal `n_samples`, `antithetic` and policy dimension in every lane.
     `iter_offset` shifts the RNG iteration counter so nested uses (e.g. the
-    receding-horizon loop) never reuse a noise stream.  If sampling aborts
+    Dubins closed loop) never reuse a noise stream.  If sampling aborts
     in a lane, that lane stops with its partial trace and the error as the
     trace's `abort`; the other lanes go on.
     """
@@ -259,103 +259,3 @@ def step_size_rule(l_sigma: float) -> float:
     if l_sigma <= 0:
         raise ValueError(f"smoothness constant must be positive, got {l_sigma}")
     return 1.0 / float(l_sigma)
-
-
-# ---------------------------------------------------------------------------
-# Receding horizon
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ClosedLoopStep:
-    index: int
-    state: Array
-    control: Array
-    stage_cost: float
-    acceptance: float
-    ess: float
-    grad_norm_p: float
-    ms: float
-    retries: int  # all-infeasible retries over the step's inner iterations
-    ess_min: float  # smallest ESS over the step's inner iterations
-    nonfinite: int  # NaN or infinite costs over the step's inner iterations
-    plan: Array = None  # the solved open-loop mean this step executed from
-
-
-@dataclass
-class ClosedLoopTrace:
-    steps: List[ClosedLoopStep] = field(default_factory=list)
-    unsafe: bool = False
-    abort_reason: str = ""
-
-    @property
-    def average_cost(self) -> float:
-        return float(np.mean([s.stage_cost for s in self.steps])) if self.steps else float("nan")
-
-    @property
-    def acceptance_rate(self) -> float:
-        return float(np.mean([s.acceptance for s in self.steps])) if self.steps else float("nan")
-
-
-def receding_horizon(
-    family: Callable[[Array, Optional[Array]], TrajectoryProblem],
-    policy: GaussianPolicy,
-    config: PgdConfig,
-    sim_steps: int,
-    seed: int,
-    stage_cost: Callable[[Array, Array], float],
-    clip_control: Optional[Callable[[Array], Array]] = None,
-) -> ClosedLoopTrace:
-    """Closed-loop driver: optimize, apply the first control, shift, repeat.
-
-    `family(state, warm_candidate)` re-roots the open-loop problem at the
-    current state (the candidate may seed its known-feasible search).  The
-    warm start for step s+1 drops the applied block of step s's solution and
-    zero-pads the tail.  Stage cost is charged on (next state, applied
-    control).  If the optimizer aborts or no feasible plan exists, the loop
-    stops and the partial trace is flagged unsafe.
-    """
-    d = policy.dim  # flat mean length; control block size recovered per problem
-    trace = ClosedLoopTrace()
-    warm = policy.mean.copy()
-    state = None
-    for s in range(sim_steps):
-        t0 = time.perf_counter()
-        try:
-            problem = family(state, warm)
-        except InfeasibleProblemError as err:
-            trace.unsafe = True
-            trace.abort_reason = f"step {s}: {err}"
-            break
-        if state is None:
-            state = np.asarray(problem.initial_state, dtype=float)
-        if problem.n_controls != d:
-            raise ValueError("policy dimension does not match the problem family")
-        m = problem.control_dim
-        [(solved, inner)] = run(problem, [(policy.with_mean(warm), config)], seed, s * config.k)
-        if inner.abort is not None:
-            trace.unsafe = True
-            trace.abort_reason = f"step {s}: {inner.abort}"
-            break
-        u0 = solved.mean[:m].copy()
-        if clip_control is not None:
-            u0 = clip_control(u0)
-        state = np.asarray(problem.dynamics(state, u0), dtype=float)
-        trace.steps.append(
-            ClosedLoopStep(
-                index=s,
-                state=state.copy(),
-                control=u0,
-                stage_cost=float(stage_cost(state, u0)),
-                acceptance=float(inner.column("acceptance").mean()),
-                ess=float(inner.column("ess").mean()),
-                grad_norm_p=float(inner.records[-1].grad_norm_p),
-                ms=(time.perf_counter() - t0) * 1e3,
-                retries=sum(r.retries for r in inner.records),
-                ess_min=float(inner.column("ess").min()),
-                nonfinite=sum(r.nonfinite for r in inner.records),
-                plan=solved.mean.copy(),
-            )
-        )
-        warm = np.concatenate([solved.mean[m:], np.zeros(m)])
-    return trace

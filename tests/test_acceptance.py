@@ -262,7 +262,7 @@ def test_criterion_5_diameter_bound(announce):
         cert = analysis.l_sigma_diameter_bound(diag, lo, hi)
         dominated &= closed <= cert.l_sigma + 1e-12
         d2 = float((((hi - lo) ** 2) / diag).sum())
-        flag_consistent &= cert.unit_step_admissible == (d2 < 12.0)
+        flag_consistent &= (cert.l_sigma < 2.0) == (d2 < 12.0)  # unit step certified
         flag_consistent &= abs(cert.d2_metric - d2) <= 1e-12 * max(1.0, d2)
     runtime = time.monotonic() - t0
     ok = worst_two_point <= 1e-8 and dominated and flag_consistent and runtime < 30.0

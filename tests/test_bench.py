@@ -1,5 +1,6 @@
 """Benchmark harness: config handling, record emission, runners, CLI."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -13,15 +14,22 @@ import numpy as np
 import pytest
 import yaml
 
-from mppigrad import qp, sampling
+from mppigrad import optimizer, problems, qp, sampling
 from mppigrad.bench import cli
-from mppigrad.bench.config import _DUBINS_DEFAULTS, RunConfig, load_config, parse_grid_override
+from mppigrad.bench import dubins as bench_dubins
+from mppigrad.bench.config import (
+    _DUBINS_DEFAULTS,
+    RunConfig,
+    load_config,
+    parse_grid_override,
+    pgd_config,
+)
 from mppigrad.bench.dubins import run_dubins
 from mppigrad.bench.lqr import run_lqr
 from mppigrad.bench.records import CSV_HEADER, RunRecord, emit
 from mppigrad.bench.theory import format_report, run_theory_suite
-from mppigrad.errors import ConfigError
-from mppigrad.problems import LqrSpec
+from mppigrad.errors import ConfigError, InfeasibleProblemError
+from mppigrad.problems import DubinsSpec, LqrSpec, dubins_problem, dubins_stage_cost
 
 TINY_LQR = """
 version: 1
@@ -518,6 +526,143 @@ def test_dubins_rows_are_reproducible_up_to_timing(tmp_path):
     assert first.plot_rows == second.plot_rows
 
 
+def _replay_dubins(cfg, k, seed):
+    """The closed loop by hand: re-root at the state, K steps from the shifted and
+    zero-padded plan at RNG offset s*K, clip the first control, advance the car."""
+    spec = DubinsSpec(**cfg.section("problem"))
+    opt_cfg, sampling_cfg = cfg.section("optimizer"), cfg.section("sampling")
+    pgd = pgd_config(opt_cfg, opt_cfg["eta"], k)
+    policy = sampling.GaussianPolicy(
+        np.zeros(spec.horizon), float(sampling_cfg["sigma2"]), float(sampling_cfg["tau"])
+    )
+    state, warm, steps = spec.x0, np.zeros(spec.horizon), []
+    for s in range(cfg.resolved["sim_steps"]):
+        problem = dubins_problem(dataclasses.replace(spec, x0=state), known_candidate=warm)
+        [(solved, inner)] = optimizer.run(
+            problem, [(policy.with_mean(warm), pgd)], seed, iter_offset=s * pgd.k
+        )
+        u0 = np.clip(solved.mean[:1], -spec.w_max, spec.w_max)
+        state = problem.dynamics(state, u0)
+        steps.append((state, dubins_stage_cost(spec, state, u0), inner))
+        warm = np.concatenate([solved.mean[1:], np.zeros(1)])
+    return steps
+
+
+def test_dubins_warm_start_shift_reproduces_the_record(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, TINY_DUBINS.replace("k: [1]", "k: [2]")))
+    [record] = run_dubins(cfg)
+    steps = _replay_dubins(cfg, k=2, seed=0)
+    assert len(record.rows) == len(steps) == 4
+    for row, plot, (state, cost, inner) in zip(record.rows, record.plot_rows, steps):
+        assert (plot["px"], plot["py"]) == (float(state[0]), float(state[1]))
+        assert row["gap"] == plot["stage_cost"] == cost
+        assert row["grad_norm_P"] == inner.records[-1].grad_norm_p
+        assert row["ess"] == float(inner.column("ess").mean())
+        assert row["acceptance"] == float(inner.column("acceptance").mean())
+
+
+# the straight start runs into the obstacle, so narrow batches around it come
+# back all-infeasible and are redrawn under inflated covariance
+RETRY_DUBINS = """
+version: 1
+experiment: dubins
+seeds: [0]
+sim_steps: 3
+problem: {obstacles: [[0.0, 4.0, 0.5]]}
+sampling: {sigma2: 0.01}
+optimizer: {n_samples: 64}
+grid: {k: [3]}
+"""
+
+
+def test_dubins_sums_retries_and_takes_the_worst_ess_over_inner_iterations(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, RETRY_DUBINS))
+    [record] = run_dubins(cfg)
+    inner = [r for _, _, trace in _replay_dubins(cfg, k=3, seed=0) for r in trace.records]
+    assert len(inner) == 9
+    assert record.summary["retries"] == sum(r.retries for r in inner) >= 2
+    assert record.summary["ess_min"] == min(r.ess for r in inner)
+    assert record.summary["ess_min"] < min(row["ess"] for row in record.rows)  # not a step mean
+
+
+def test_dubins_counts_the_nonfinite_costs_of_every_inner_iteration(tmp_path, monkeypatch):
+    real = problems.dubins_evaluate_batch
+
+    def with_nonfinite_rows(spec, controls):
+        costs, flags = real(spec, controls)
+        if len(costs) == 64:  # a sample batch; the known-feasible check scores at most 10 rows
+            costs[1::4] = np.nan  # 16 rows
+            costs[3::8] = np.inf  # 8 more
+        return costs, flags
+
+    monkeypatch.setattr(problems, "dubins_evaluate_batch", with_nonfinite_rows)
+    text = TINY_DUBINS.replace("sim_steps: 4", "sim_steps: 2").replace("128", "64")
+    [record] = run_dubins(load_config(write_cfg(tmp_path, text.replace("k: [1]", "k: [3]"))))
+    assert record.summary["steps_completed"] == 2 and record.summary["retries"] == 0
+    assert record.summary["nonfinite_costs"] == 2 * 3 * 24
+    assert all(np.isfinite(row["gap"]) for row in record.rows)
+
+
+def test_dubins_infeasible_rebuild_flags_the_partial_record(tmp_path, monkeypatch):
+    real, roots = bench_dubins.dubins_problem, []
+
+    def third_build_fails(spec, known_candidate=None):
+        roots.append(spec.x0)
+        if len(roots) == 3:
+            raise InfeasibleProblemError("no feasible plan from here")
+        return real(spec, known_candidate=known_candidate)
+
+    monkeypatch.setattr(bench_dubins, "dubins_problem", third_build_fails)
+    [record] = run_dubins(load_config(write_cfg(tmp_path, TINY_DUBINS)))
+    assert record.flagged
+    assert record.flag_reason == "step 2: no feasible plan from here"
+    assert record.summary["steps_completed"] == len(record.rows) == 2
+    assert record.summary["safe"] is False
+    np.testing.assert_array_equal(roots[0], DubinsSpec().x0)
+    for root, plot in zip(roots[1:], record.plot_rows):  # re-rooted at the driven state
+        assert (root[0], root[1]) == (plot["px"], plot["py"])
+
+
+def test_dubins_sampler_abort_flags_the_record(tmp_path, monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_RETRIES", 2)
+    # every sample breaks the rate bound; the straight known-feasible row does not
+    text = TINY_DUBINS.replace(
+        "sim_steps: 4", "sim_steps: 3\nproblem: {w_max: 1.0e-6, obstacles: []}"
+    )
+    [record] = run_dubins(load_config(write_cfg(tmp_path, text)))
+    assert record.flagged
+    assert record.flag_reason == "step 0: all 128 samples infeasible at iteration 0"
+    assert record.summary["steps_completed"] == 0 and record.rows == []
+    assert math.isnan(record.summary["average_cost"])
+    assert record.summary["safe"] is False
+
+
+def test_dubins_applied_control_is_clipped_to_the_rate_bound(tmp_path, monkeypatch):
+    real_run, real_cost = optimizer.run, bench_dubins.dubins_stage_cost
+    plans, applied = [], []
+
+    def recording_run(*args, **kwargs):
+        [(solved, trace)] = real_run(*args, **kwargs)
+        plans.append(solved.mean[0])
+        return [(solved, trace)]
+
+    def recording_cost(spec, x_next, u):
+        applied.append(u[0])
+        return real_cost(spec, x_next, u)
+
+    monkeypatch.setattr(optimizer, "run", recording_run)
+    monkeypatch.setattr(bench_dubins, "dubins_stage_cost", recording_cost)
+    # eta > 1 extrapolates past the weighted mean, so the plan can leave the box
+    text = TINY_DUBINS.replace("seeds: [0]", "seeds: [1]").replace(
+        "optimizer: {n_samples: 128}",
+        "problem: {w_max: 1.0}\nsampling: {sigma2: 0.04}\noptimizer: {n_samples: 64, eta: 4.0}",
+    )
+    [record] = run_dubins(load_config(write_cfg(tmp_path, text)))
+    assert not record.flagged and len(applied) == len(plans) == 4
+    assert max(abs(p) for p in plans) > 1.0
+    assert applied == [min(max(p, -1.0), 1.0) for p in plans]
+
+
 # ---------------------------------------------------------------------------
 # theory suite
 # ---------------------------------------------------------------------------
@@ -569,6 +714,23 @@ def test_cli_experiment_config_mismatch(tmp_path, capsys):
     path = write_cfg(tmp_path, TINY_DUBINS)
     assert cli.main(["run", "--experiment", "lqr", "--config", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["lqr", "dubins", "theory"])
+def test_cli_uncreatable_out_is_a_config_error(tmp_path, capsys, experiment):
+    texts = {"lqr": TINY_LQR, "dubins": TINY_DUBINS}
+    if experiment in texts:
+        config = write_cfg(tmp_path, texts[experiment])
+    else:
+        config = ROOT / "configs" / "theory.yaml"
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert cli.main(["run", "--experiment", experiment, "--config", str(config),
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: cannot create output directory {out}: " in captured.err
+    assert captured.out == ""  # refused before anything ran
 
 
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
@@ -845,6 +1007,31 @@ def test_perfbench_tracer_finds_every_wrap_target(monkeypatch):
         assert tracer.missing == []
     finally:
         tracer.close()
+
+
+def test_perfbench_tracer_sees_the_dubins_closed_loop(tmp_path, monkeypatch):
+    """A traced Dubins run records the spans of every layer its closed loop crosses.
+
+    Runs in-process: the traced `dubins_loop` benchmark takes about 25 s.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    cfg = load_config(write_cfg(tmp_path, TINY_DUBINS))
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        [record] = run_dubins(cfg, max_workers=1)
+    finally:
+        tracer.close()
+    assert not record.flagged
+    calls = collections.Counter(span[0] for span in tracer.spans)
+    assert calls["problems.build"] == calls["optimizer.run"] == 4  # one per sim step
+    assert calls["optimizer.step"] == 4 > 0
+    for name in ("sampling.draw", "sampling.evaluate", "sampling.weigh"):
+        assert calls[name] >= 4
+    parents = {tracer.spans[span[3]][0] for span in tracer.spans if span[0] == "optimizer.step"}
+    assert parents == {"optimizer.run"}
 
 
 @pytest.mark.parametrize("workload", ["lqr_sampled", "lqr_fd"])

@@ -1,4 +1,4 @@
-"""Preconditioned iteration: updates, exact mode, retries, receding horizon."""
+"""Preconditioned iteration: updates, exact mode, retries, lockstep lanes."""
 
 import dataclasses
 
@@ -11,7 +11,6 @@ from mppigrad.optimizer import (
     PgdConfig,
     grad_estimate,
     pgd_step,
-    receding_horizon,
     run,
     run_exact,
     step_size_rule,
@@ -240,11 +239,6 @@ def test_records_count_the_nonfinite_costs_of_each_batch():
     [(_, trace)] = run(nan_share_problem(), [(policy, PgdConfig(k=3, n_samples=64))], seed=0)
     assert [r.nonfinite for r in trace.records] == [24, 24, 24]
     assert all(np.isfinite(r.best_cost) for r in trace.records)  # weigh's mask, not NaN
-    steps = receding_horizon(
-        lambda state, candidate: nan_share_problem(), policy, PgdConfig(k=3, n_samples=64),
-        sim_steps=2, seed=0, stage_cost=lambda x, u: 0.0,
-    ).steps
-    assert [s.nonfinite for s in steps] == [72, 72]
     [(_, clean)] = run(box_problem_1d(1.0), [(GaussianPolicy(np.zeros(1), 0.01, tau=1.0),
                                               PgdConfig(k=2, n_samples=16))], seed=0)
     assert [r.nonfinite for r in clean.records] == [0, 0]
@@ -414,124 +408,3 @@ def test_step_size_rule_values():
         step_size_rule(0.0)
     with pytest.raises(ValueError):
         step_size_rule(-1.0)
-
-
-# ---------------------------------------------------------------------------
-# receding horizon
-# ---------------------------------------------------------------------------
-
-
-def _lqr_family(spec):
-    def family(state, candidate):
-        rooted = spec if state is None else dataclasses.replace(spec, x0=np.asarray(state))
-        return lqr_problem(rooted)
-
-    return family
-
-
-def test_fixed_point_dynamics_keep_state_constant():
-    x0 = np.array([1.0, -2.0])
-
-    def family(state, candidate):
-        return TrajectoryProblem(
-            control_dim=1,
-            horizon=4,
-            initial_state=x0 if state is None else state,
-            dynamics=lambda x, u: x,  # parked: controls are ignored
-            evaluate=lambda U: (np.einsum("ij,ij->i", U, U), np.ones(U.shape[0], bool)),
-            known_feasible=np.zeros(4),
-        )
-
-    policy = GaussianPolicy(np.zeros(4), 0.1, tau=1.0)
-    trace = receding_horizon(
-        family, policy, PgdConfig(n_samples=32), sim_steps=5, seed=0,
-        stage_cost=lambda x, u: float(u @ u),
-    )
-    assert len(trace.steps) == 5 and not trace.unsafe
-    for step in trace.steps:
-        np.testing.assert_array_equal(step.state, x0)
-
-
-def test_warm_start_shift_reproduces_next_plan():
-    """Step s+1 starts from step s's plan shifted by one block, zero-padded."""
-    spec = double_integrator()
-    policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
-    cfg = PgdConfig(k=2, n_samples=64)
-    trace = receding_horizon(
-        _lqr_family(spec), policy, cfg, sim_steps=3, seed=7,
-        stage_cost=lambda x, u: float(x @ x + u @ u),
-    )
-    assert len(trace.steps) == 3 and not trace.unsafe
-    for s in range(2):
-        warm = np.concatenate([trace.steps[s].plan[1:], np.zeros(1)])
-        rooted = dataclasses.replace(spec, x0=trace.steps[s].state)
-        [(replay, _)] = run(
-            lqr_problem(rooted), [(policy.with_mean(warm), cfg)], seed=7,
-            iter_offset=(s + 1) * cfg.k,
-        )
-        np.testing.assert_array_equal(trace.steps[s + 1].plan, replay.mean)
-
-
-def test_family_infeasibility_flags_partial_trace():
-    from mppigrad.errors import InfeasibleProblemError
-
-    spec = double_integrator()
-    base = _lqr_family(spec)
-    calls = {"n": 0}
-
-    def family(state, candidate):
-        if calls["n"] == 2:
-            raise InfeasibleProblemError("no feasible plan from here")
-        calls["n"] += 1
-        return base(state, candidate)
-
-    policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
-    trace = receding_horizon(
-        family, policy, PgdConfig(n_samples=64), sim_steps=5, seed=0,
-        stage_cost=lambda x, u: 0.0,
-    )
-    assert trace.unsafe
-    assert "step 2" in trace.abort_reason
-    assert len(trace.steps) == 2
-
-
-def test_sampler_abort_flags_partial_trace(monkeypatch):
-    monkeypatch.setattr(optimizer, "MAX_RETRIES", 2)
-
-    def family(state, candidate):
-        return box_problem_1d(1e-6)
-
-    policy = GaussianPolicy(np.array([5.0]), 0.01, tau=1.0)
-    trace = receding_horizon(
-        family, policy, PgdConfig(n_samples=16), sim_steps=3, seed=0,
-        stage_cost=lambda x, u: 0.0,
-    )
-    assert trace.unsafe
-    assert "infeasible" in trace.abort_reason
-    assert len(trace.steps) == 0
-
-
-def test_closed_loop_step_totals_retries_and_worst_ess():
-    # the first inner iteration needs two retries (see the retry test above)
-    policy = GaussianPolicy(np.array([0.5]), 0.01, tau=1.0)
-    cfg = PgdConfig(k=3, n_samples=64)
-    trace = receding_horizon(
-        lambda state, candidate: box_problem_1d(0.2), policy, cfg, sim_steps=1, seed=1,
-        stage_cost=lambda x, u: 0.0,
-    )
-    [(_, inner)] = run(box_problem_1d(0.2), [(policy, cfg)], seed=1)
-    step = trace.steps[0]
-    assert step.retries == sum(r.retries for r in inner.records) >= 2
-    assert step.ess_min == inner.column("ess").min()
-
-
-def test_clip_control_is_applied():
-    spec = double_integrator()
-    policy = GaussianPolicy(np.zeros(10), 0.5, tau=1.0)  # wide: raw u0 varies
-    trace = receding_horizon(
-        _lqr_family(spec), policy, PgdConfig(n_samples=32), sim_steps=2, seed=1,
-        stage_cost=lambda x, u: 0.0,
-        clip_control=lambda u: np.clip(u, -0.01, 0.01),
-    )
-    for step in trace.steps:
-        assert np.all(np.abs(step.control) <= 0.01)
