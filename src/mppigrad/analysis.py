@@ -5,11 +5,12 @@ of the objective are statistics of one Gibbs tilt, kept in one record,
 `TiltMoments` (mean, covariance, log Z), with two exact routes: closed form
 for quadratic costs (`QuadraticOracle`) and Simpson quadrature for arbitrary
 1-D/2-D costs on boxes (`QuadratureOracle`).  Exact mode (`run_exact`) takes
-any oracle with `moments(mean) -> TiltMoments`.  Also here: the
-preconditioned Hessian, smoothness constants (closed form, diameter bound,
-numeric), the projected finite-difference baseline, the estimator bias
-probe, and the variational identity check.  These are the second routes that
-the sampled optimizer is validated against.
+any oracle with `moments(mean) -> TiltMoments`; either oracle gives L_Sigma at
+a mean as `oracle.l_sigma(mean)`.  Also here: the preconditioned Hessian,
+smoothness constants (closed form, diameter bound, numeric), the projected
+finite-difference baseline (`fd_baseline` returns `(costs, final_u)`), the
+estimator bias probe, and the variational identity check.  These are the
+second routes that the sampled optimizer is validated against.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class TiltMoments:
 
 
 class TiltOracle:
-    """Exact-mode oracle: free energy, gradient and Hessian read off one tilt record.
+    """Exact-mode oracle: free energy, gradient, Hessian and L_Sigma read off one tilt record.
 
     Subclasses set `policy` (fixed covariance and temperature; each method's
     mean argument is the iterate) and implement `moments(mean) -> TiltMoments`.
@@ -63,6 +64,11 @@ class TiltOracle:
 
     def hessian(self, mean: Array) -> Array:
         return hessian_f_gaussian(self.policy, self.moments(mean).cov)
+
+    def l_sigma(self, mean: Array) -> float:
+        """Spectral norm of the preconditioned Hessian at `mean` (symmetric eigendecomposition)."""
+        m = preconditioned_hessian(self.policy, self.moments(mean).cov)
+        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
 class QuadraticOracle(TiltOracle):
@@ -106,9 +112,6 @@ class QuadraticOracle(TiltOracle):
         tilted = self.tilted_cov @ h
         log_z = 0.5 * float(h @ tilted) - 0.5 * float(mu @ s) - 0.5 * self._logdet
         return TiltMoments(mean=tilted, cov=self.tilted_cov, log_z=log_z)
-
-    def l_sigma(self) -> float:
-        return _curvature_norm(self.policy, self.tilted_cov)
 
 
 START_CELLS = 64  # cells per axis of the first Simpson pass
@@ -244,30 +247,19 @@ def preconditioned_hessian(policy: GaussianPolicy, cov_tilt: Array) -> Array:
 
 
 @dataclass(frozen=True)
-class SmoothnessEstimate:
+class DiameterBound:
     l_sigma: float
-    method: str
+    d2_metric: float
 
 
-@dataclass(frozen=True)
-class DiameterBound(SmoothnessEstimate):
-    d2_metric: float = 0.0
-
-
-def l_sigma_quadratic(cov, q, tau: float) -> SmoothnessEstimate:
+def l_sigma_quadratic(cov, q, tau: float) -> float:
     """Exact smoothness constant for a quadratic cost (unconstrained tilt).
 
     The spectral norm of I - Sigma^{-1/2} (Sigma^{-1} + Q/tau)^{-1}
-    Sigma^{-1/2}, computed by symmetric eigendecomposition.
+    Sigma^{-1/2}, which does not depend on the mean.
     """
     policy = GaussianPolicy(np.zeros(np.atleast_2d(np.asarray(q)).shape[0]), cov, tau)
-    oracle = QuadraticOracle(policy, q, np.zeros(policy.dim))
-    return SmoothnessEstimate(l_sigma=oracle.l_sigma(), method="closed_form_quadratic")
-
-
-def _curvature_norm(policy: GaussianPolicy, cov_tilt: Array) -> float:
-    """Spectral norm of the preconditioned Hessian, by symmetric eigendecomposition."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(preconditioned_hessian(policy, cov_tilt)))))
+    return QuadraticOracle(policy, q, np.zeros(policy.dim)).l_sigma(policy.mean)
 
 
 def l_sigma_scalar(sigma2: float, q, tau: float) -> float:
@@ -283,7 +275,7 @@ def l_sigma_numeric(
     policy: GaussianPolicy,
     mean_grid: Sequence[Array],
     rel_tol: float = 1e-8,
-) -> SmoothnessEstimate:
+) -> float:
     """sup over a mean grid of the truncated-tilt preconditioned curvature norm.
 
     This is the constraint-aware route: the tilt covariance comes from box
@@ -292,11 +284,7 @@ def l_sigma_numeric(
     supplied grid of means only — choose it to bracket the curvature peak.
     """
     oracle = QuadratureOracle(f0, box_lo, box_hi, policy, rel_tol)
-    worst = 0.0
-    for mean in mean_grid:
-        tilt = oracle.moments(np.atleast_1d(np.asarray(mean, dtype=float)))
-        worst = max(worst, _curvature_norm(policy, tilt.cov))
-    return SmoothnessEstimate(l_sigma=worst, method="numeric_hessian")
+    return max([0.0] + [oracle.l_sigma(np.atleast_1d(mean)) for mean in mean_grid])
 
 
 def l_sigma_diameter_bound(cov, box_lo, box_hi) -> DiameterBound:
@@ -315,13 +303,12 @@ def l_sigma_diameter_bound(cov, box_lo, box_hi) -> DiameterBound:
         raise ValueError("box upper bounds must dominate lower bounds")
     edges = box_hi - box_lo
     d = box_lo.shape[0]
-    lam_min, _ = GaussianPolicy(np.zeros(d), cov, 1.0).cov_eig_range()  # validates cov
+    policy = GaussianPolicy(np.zeros(d), cov, 1.0)  # validates cov
     if np.ndim(cov) < 2:  # scalar or diagonal Sigma
         d2_metric = float((edges**2 / np.asarray(cov, dtype=float)).sum())
     else:
-        d2_metric = float(edges @ edges) / lam_min
-    bound = max(1.0, d2_metric / 4.0 - 1.0)
-    return DiameterBound(l_sigma=bound, method="diameter_bound", d2_metric=d2_metric)
+        d2_metric = float(edges @ edges) / float(np.linalg.eigvalsh(policy.cov_matrix()).min())
+    return DiameterBound(l_sigma=max(1.0, d2_metric / 4.0 - 1.0), d2_metric=d2_metric)
 
 
 def max_two_point_variance(diameter: float) -> float:
@@ -344,17 +331,6 @@ def max_two_point_variance(diameter: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FdTrace:
-    costs: Array
-    final_u: Array
-    evals_per_iteration: int
-
-    @property
-    def total_evaluations(self) -> int:
-        return self.evals_per_iteration * (len(self.costs) - 1)
-
-
 def fd_baseline(
     problem: TrajectoryProblem,
     u0: Array,
@@ -362,7 +338,7 @@ def fd_baseline(
     alpha: float,
     iters: int,
     projector: Optional[Callable[[Array], Array]] = None,
-) -> FdTrace:
+) -> tuple[Array, Array]:
     """Projected gradient descent with forward-difference gradients.
 
     Each iteration evaluates the objective at the base point and at d*T
@@ -370,7 +346,8 @@ def fd_baseline(
     back onto the feasible set (a qp.FeasibleSetProjector, an exact LDP
     solve, for the constrained linear-quadratic case; identity when omitted).
     Projector errors propagate.  On a quadratic with Hessian Q the iteration
-    is stable only for alpha * lambda_max(Q) < 2.  Deterministic.
+    is stable only for alpha * lambda_max(Q) < 2.  Deterministic.  Returns the
+    iters + 1 costs (the last at the final iterate) and the final iterate.
     """
     n = problem.n_controls
     u = np.asarray(u0, dtype=float).copy()
@@ -387,7 +364,7 @@ def fd_baseline(
         if projector is not None:
             u = projector(u)
     costs[iters] = problem.batch_objective(_check_controls(u, n, "final FD iterate")[None, :])[0]
-    return FdTrace(costs=costs, final_u=u, evals_per_iteration=n + 1)
+    return costs, u
 
 
 # ---------------------------------------------------------------------------

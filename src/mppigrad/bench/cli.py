@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 config error, 2 oracle, start or projection failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -27,6 +28,14 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _print_lines(lines: List[str]) -> None:
+    """Print to stdout, and stop quietly once its reader has gone away (a closed pipe)."""
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:  # point stdout at devnull, so the exit flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,7 +93,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (QuadratureError, ConvergenceError) as exc:
             print(f"oracle failure: {exc}", file=sys.stderr)
             return 2
-        print(format_report(rows))
+        _print_lines([format_report(rows)])
         emit_report(rows, out_dir)
         cfg.write_snapshot(out_dir / "config_snapshot.yaml")
         return 0 if passed else 3
@@ -101,15 +110,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     emit(records, out_dir)
     cfg.write_snapshot(out_dir / "config_snapshot.yaml")
     failed = False
+    lines = []
     for record in sorted(records, key=lambda r: r.name):
         if record.flagged:
-            print(f"{record.name}: FLAGGED ({record.flag_reason})")
+            lines.append(f"{record.name}: FLAGGED ({record.flag_reason})")
             failed = failed or "method" in record.cell  # the oracle, the start or FD
         else:
             keys = ("final_gap", "average_cost", "acceptance_rate")
             parts = [f"{k}={record.summary[k]:.6g}" for k in keys if k in record.summary]
-            print(f"{record.name}: " + ", ".join(parts))
-    print(f"wrote {len(records)} records to {out_dir}")
+            lines.append(f"{record.name}: " + ", ".join(parts))
+    _print_lines(lines + [f"wrote {len(records)} records to {out_dir}"])
     return 2 if failed else 0
 
 

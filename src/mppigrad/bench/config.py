@@ -189,7 +189,7 @@ def _check_types(experiment: str, resolved: Dict[str, Any]) -> None:
 
 
 def _check_ranges(experiment: str, resolved: Dict[str, Any]) -> None:
-    """The checks beyond the type rule: seeds, non-empty grid axes, positive settings."""
+    """Checks beyond the type rule: seeds, grid axes (non-empty, no repeats), positive settings."""
     seeds = resolved["seeds"]
     if not seeds:
         raise ConfigError("seeds must be a non-empty list of integers")
@@ -198,9 +198,12 @@ def _check_ranges(experiment: str, resolved: Dict[str, Any]) -> None:
     if max(seeds) >= 2**64:  # the Philox key holds the seed in 64 bits
         raise ConfigError(f"seeds must be below 2**64, got {max(seeds)}")
     grid = resolved.get("grid", {})
-    for key, values in grid.items():
+    for key, values in [("seeds", seeds), *((f"grid.{k}", v) for k, v in grid.items())]:
         if not values:
-            raise ConfigError(f"grid entry {key!r} must be a non-empty list")
+            raise ConfigError(f"{key} must be a non-empty list")
+        repeats = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeats:  # a repeat only reruns its cells, under record names that may collide
+            raise ConfigError(f"{key} lists {repeats[0]!r} twice")
     if experiment == "theory":
         return
     sampling = resolved["sampling"]

@@ -38,9 +38,9 @@ class _Lane:
         self, problem: TrajectoryProblem, lifted: qp.QpProblem, cfg: RunConfig, cell: Dict[str, Any]
     ):
         self.cell = cell
-        self.smooth = analysis.l_sigma_quadratic(cell["sigma2"], lifted.q, cell["tau"])
+        self.l_sigma = analysis.l_sigma_quadratic(cell["sigma2"], lifted.q, cell["tau"])
         if cell["eta"] == "rule":
-            self.eta, self.rule = step_size_rule(self.smooth.l_sigma), "one_over_l_sigma"
+            self.eta, self.rule = step_size_rule(self.l_sigma), "one_over_l_sigma"
         else:
             self.eta, self.rule = float(cell["eta"]), "fixed"
         opt_cfg = cfg.section("optimizer")
@@ -77,11 +77,10 @@ def _cell_record(
     record = RunRecord(
         experiment="lqr", cell=dict(lane.cell), seed=seed, config_snapshot=cfg.snapshot()
     )
-    smooth = lane.smooth
     if trace.abort is not None:
         record.flagged = True
         record.flag_reason = f"optimizer abort: {trace.abort}"
-        record.summary = {"eta_resolved": lane.eta, "rule": lane.rule, "l_sigma": smooth.l_sigma}
+        record.summary = {"eta_resolved": lane.eta, "rule": lane.rule, "l_sigma": lane.l_sigma}
         return record
 
     means = np.array([r.mean for r in trace.records] + [final_policy.mean])
@@ -107,8 +106,8 @@ def _cell_record(
         **oracle,
         "eta_resolved": lane.eta,
         "rule": lane.rule,
-        "l_sigma": smooth.l_sigma,
-        "l_sigma_method": smooth.method,
+        "l_sigma": lane.l_sigma,
+        "l_sigma_method": "closed_form_quadratic",
         "final_gap": float(gaps[-1]),
         "min_gap": float(gaps.min()),
         "final_cost": float(costs[-1]),
@@ -130,13 +129,14 @@ def _fd_record(
     t_start = time.perf_counter()
     fd_cfg = cfg.section("fd")
     budget = int(fd_cfg["budget_evals"])
-    iters = budget // (problem.n_controls + 1)
+    per = problem.n_controls + 1  # evaluations per FD iteration
+    iters = budget // per
     projector = qp.FeasibleSetProjector(lifted)
     record = RunRecord(
         experiment="lqr", cell={"method": "fd"}, seed=0, config_snapshot=cfg.snapshot()
     )
     try:
-        trace = analysis.fd_baseline(
+        costs, _ = analysis.fd_baseline(
             problem,
             np.zeros(problem.n_controls),
             h=float(fd_cfg["h"]),
@@ -148,8 +148,7 @@ def _fd_record(
         record.flagged = True
         record.flag_reason = f"projection failure: {err}"
         return record
-    gaps = trace.costs - oracle["f_star"]
-    per = trace.evals_per_iteration
+    gaps = costs - oracle["f_star"]
     nan = float("nan")
     for k, gap in enumerate(gaps):
         record.rows.append(
@@ -159,7 +158,7 @@ def _fd_record(
                 "grad_norm_P": nan,
                 "ess": nan,
                 "acceptance": nan,
-                "best_cost": float(trace.costs[k]),
+                "best_cost": float(costs[k]),
                 "ms": nan,
             }
         )
@@ -173,7 +172,7 @@ def _fd_record(
         "final_gap": float(gaps[-1]),
         "min_gap": float(gaps.min()),
         "iterations": iters,
-        "evaluations": trace.total_evaluations,
+        "evaluations": iters * per,
         "runtime_seconds": time.perf_counter() - t_start,
     }
     return record

@@ -68,7 +68,7 @@ def _descent_checks() -> List[CheckRow]:
     c = np.array([0.4, -0.2])
     policy = GaussianPolicy([1.5, -2.0], np.array([0.6, 0.3]), 0.9)
     oracle = analysis.QuadraticOracle(policy, q, c)
-    l_sigma = oracle.l_sigma()
+    l_sigma = oracle.l_sigma(policy.mean)
     rows: List[CheckRow] = []
     for frac in (1.0, 1.8):
         eta = frac / l_sigma
@@ -119,7 +119,7 @@ def _certificate_checks() -> List[CheckRow]:
         a = rng.standard_normal((3, 3))
         qmat = a @ a.T
         scalar = analysis.l_sigma_scalar(sigma2, qmat, tau)
-        eig = analysis.l_sigma_quadratic(sigma2 * np.ones(3), qmat, tau).l_sigma
+        eig = analysis.l_sigma_quadratic(sigma2 * np.ones(3), qmat, tau)
         worst = max(worst, abs(scalar - eig))
     rows.append(check_row("l_sigma_two_routes", 0.0, worst, 1e-12, relative=False))
     return rows

@@ -116,11 +116,6 @@ class GaussianPolicy:
     def cov_matrix(self) -> Array:
         return np.diag(self._cov) if self._chol is None else self._cov.copy()
 
-    def cov_eig_range(self) -> tuple[float, float]:
-        """(smallest, largest) eigenvalue of Sigma."""
-        w = self._cov if self._chol is None else np.linalg.eigvalsh(self._cov)
-        return float(w.min()), float(w.max())
-
     def sqrt_mul(self, z: Array) -> Array:
         """Rows of z mapped through a square root of Sigma (z @ L^T)."""
         if self._chol is None:

@@ -189,7 +189,7 @@ def test_criterion_4_descent_and_stationarity(announce):
         mu0 = rng.uniform(-2.0, 2.0, size=d)
         policy = GaussianPolicy(mu0, cov, tau)
         oracle = analysis.QuadraticOracle(policy, q, c)
-        l_sigma = oracle.l_sigma()
+        l_sigma = oracle.l_sigma(policy.mean)
         f_star = oracle.free_energy(-np.linalg.solve(q, c))
         p_mat = np.diag(cov) / tau
         for mult in (0.5, 1.0, 1.9):
@@ -214,7 +214,7 @@ def test_criterion_4_descent_and_stationarity(announce):
     dw = lambda pts: 2.0 * (pts[:, 0] ** 2 - 1.0) ** 2
     l_dw = analysis.l_sigma_numeric(
         dw, [-2.0], [2.0], dw_policy, np.linspace(-1.5, 1.5, 61)[:, None]
-    ).l_sigma
+    )
     dw_oracle = analysis.QuadratureOracle(dw, [-2.0], [2.0], dw_policy, QUAD_TOL)
     _, dw_trace = run_exact(dw_oracle, dw_policy, PgdConfig(eta=4.0 / l_dw, k=40, n_samples=2))
     n_increases = int((np.diff(dw_trace.column("free_energy")) > 0).sum())
@@ -258,7 +258,7 @@ def test_criterion_5_diameter_bound(announce):
         q = a @ a.T + 0.2 * np.eye(d)
         lo = rng.uniform(-3.0, 0.0, size=d)
         hi = lo + rng.uniform(0.5, 5.0, size=d)
-        closed = analysis.l_sigma_quadratic(diag, q, tau).l_sigma
+        closed = analysis.l_sigma_quadratic(diag, q, tau)
         cert = analysis.l_sigma_diameter_bound(diag, lo, hi)
         dominated &= closed <= cert.l_sigma + 1e-12
         d2 = float((((hi - lo) ** 2) / diag).sum())
@@ -290,7 +290,7 @@ def test_criterion_6_scalar_smoothness_formula(announce):
         a = rng.standard_normal((d, d))
         q = a @ a.T + rng.uniform(0.0, 0.5) * np.eye(d)
         scalar = analysis.l_sigma_scalar(sigma2, q, tau)
-        eigen = analysis.l_sigma_quadratic(sigma2, q, tau).l_sigma
+        eigen = analysis.l_sigma_quadratic(sigma2, q, tau)
         worst = max(worst, abs(scalar - eigen))
     runtime = time.monotonic() - t0
     ok = worst <= 1e-12 and runtime < 5.0

@@ -826,6 +826,10 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
         ("lqr", "seeds: [18446744073709551616]", "seeds must be below 2**64"),
         ("lqr", "sampling: {tau: " + "9" * 400 + "}", "sampling.tau must be a finite number"),
         ("dubins", "sim_steps: " + "9" * 4301, "not valid YAML"),
+        # a repeat would run its cells twice under one record name
+        ("lqr", "seeds: [0, 0]", "seeds lists 0 twice"),
+        ("lqr", "grid: {eta: [1.0], tau: [1, 1.0]}", "grid.tau lists 1.0 twice"),
+        ("dubins", "grid: {k: [1, 1]}", "grid.k lists 1 twice"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
@@ -845,7 +849,8 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "dubins_boolean_r_weight", "dubins_infinite_w_max", "lqr_text_fd_enabled",
          "theory_text_inject_bug", "dubins_nan_x0", "dubins_infinite_obstacle_radius",
          "lqr_nan_x0", "lqr_boolean_fd_h", "lqr_misspelt_section", "dubins_misspelt_sampling_key",
-         "lqr_seed_beyond_64_bits", "lqr_int_tau_beyond_float_range", "dubins_int_past_digit_limit"],
+         "lqr_seed_beyond_64_bits", "lqr_int_tau_beyond_float_range", "dubins_int_past_digit_limit",
+         "lqr_repeated_seed", "lqr_tau_repeated_as_int_and_float", "dubins_repeated_k"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message
@@ -922,6 +927,9 @@ def test_cli_bad_grid_override(tmp_path, capsys):
         code = cli.main(["run", "--experiment", "lqr", "--config", str(path), "--grid", bad])
         assert code == 1
         assert "config error: grid override" in capsys.readouterr().err
+    code = cli.main(["run", "--experiment", "lqr", "--config", str(path), "--grid", "tau=1,1.0"])
+    assert code == 1
+    assert "config error: grid.tau lists 1.0 twice" in capsys.readouterr().err
 
 
 def test_cli_theory_ok_and_injected_failure(tmp_path, capsys):
@@ -976,6 +984,26 @@ def test_cli_unusable_start_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "lqr_method-start_seed0: FLAGGED (start failure:" in capsys.readouterr().out
+
+
+def test_cli_run_survives_a_reader_that_closes_stdout(tmp_path):
+    """A closed pipe on stdout (as under `| head -1`) ends the printing, not the run."""
+    cfg = write_cfg(tmp_path, TINY_DUBINS.replace("seeds: [0]", "seeds: [0, 1]")
+                    .replace("k: [1]", "k: [1, 2]"))
+    out = tmp_path / "d"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "mppigrad.bench.cli", "run", "--experiment", "dubins",
+         "--config", str(cfg), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # long before the child's first print: it is still importing
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == 0, stderr
+    assert "Traceback" not in stderr
+    summaries = sorted(p.name for p in out.glob("summary_*.json"))
+    assert summaries == [f"summary_dubins_k-{k}_seed{s}.json" for k in (1, 2) for s in (0, 1)]
 
 
 def test_cli_seed_and_grid_overrides_reach_the_run(tmp_path):
