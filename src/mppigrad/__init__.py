@@ -1,9 +1,9 @@
 """Sampling-based trajectory optimization as preconditioned gradient descent.
 
-The package splits into: `problems` (dynamics, costs, feasibility),
-`qp` (the lifted quadratic program and its verified reference solver),
-`sampling` (Gaussian draws and self-normalized weights), `optimizer`
-(the preconditioned iteration, exact mode, receding horizon), `analysis`
+The package splits into: `problems` (costs, feasibility and the specs'
+stepwise dynamics), `qp` (the lifted quadratic program and its verified
+reference solver), `sampling` (Gaussian draws and self-normalized weights),
+`optimizer` (the sampled preconditioned iteration and exact mode), `analysis`
 (exact oracles, smoothness certificates, probes), and `bench` (the CLI
 harness).
 """

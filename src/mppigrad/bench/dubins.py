@@ -60,7 +60,7 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, cell: Dict[str, Any], seed: int)
             abort = f"step {s}: {inner.abort}"
             break
         u0 = np.clip(solved.mean[:1], -spec.w_max, spec.w_max)
-        state = np.asarray(problem.dynamics(state, u0), dtype=float)
+        state = spec.step(state, u0)
         cost = dubins_stage_cost(spec, state, u0)  # charged on (next state, applied control)
         acceptance = float(inner.column("acceptance").mean())
         total += cost

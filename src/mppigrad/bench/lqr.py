@@ -217,7 +217,7 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     }
 
     try:
-        problem = lqr_problem(spec, lifted)  # frozen, and `evaluate` is pure: the threads share it
+        problem = lqr_problem(lifted)  # frozen, and `evaluate` is pure: the threads share it
     except InfeasibleProblemError as err:
         reason = f"start failure: the zero control sequence is infeasible: {err}"
         return _failure(cfg, "start", reason)

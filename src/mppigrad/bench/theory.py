@@ -17,7 +17,7 @@ import numpy as np
 from .. import analysis, qp
 from ..analysis import CheckRow, check_row
 from ..optimizer import PgdConfig, run_exact
-from ..problems import double_integrator, lqr_problem, lqr_stage_cost, rollout
+from ..problems import double_integrator, lqr_stage_cost, rollout
 from ..sampling import GaussianPolicy, SampleBatch, weigh
 from .config import RunConfig
 from .records import _write_text
@@ -197,14 +197,13 @@ def _lift_checks() -> List[CheckRow]:
     # The direct side steps the dynamics one transition at a time, so it
     # shares nothing with the response map M that the lift is built from.
     spec = double_integrator()
-    problem = lqr_problem(spec)
     lifted = qp.lift(spec)
     rng = np.random.default_rng(3)
     u = rng.uniform(-1.0, 1.0, size=(100, lifted.dim))
 
     def stepwise_cost(row: np.ndarray) -> float:
         controls = row.reshape(spec.horizon, spec.control_dim)
-        return sum(lqr_stage_cost(spec, x, c) for x, c in zip(rollout(problem, row)[1:], controls))
+        return sum(lqr_stage_cost(spec, x, c) for x, c in zip(rollout(spec, row)[1:], controls))
 
     direct = np.array([stepwise_cost(row) for row in u])
     via_qp = 0.5 * np.einsum("ij,jk,ik->i", u, lifted.q, u) + u @ lifted.c + lifted.constant

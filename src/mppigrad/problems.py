@@ -5,19 +5,20 @@ steps, step-major: u = [u_0, u_1, ..., u_{T-1}]). Stage costs follow the
 convention that controls u_0..u_{T-1} are paid together with the states
 x_1..x_T they produce; the fixed initial state x_0 is not penalized and not
 constraint-checked (it is not controllable).
+
+The sampler sees a problem only as a `TrajectoryProblem`: a batch evaluator
+and a feasible certificate.  Each spec owns its dynamics (`spec.step`), and
+`rollout(spec, u)` steps them as the reference the evaluators are checked by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InfeasibleProblemError
-
-if TYPE_CHECKING:
-    from .qp import QpProblem
 
 Array = np.ndarray
 
@@ -33,7 +34,7 @@ def _check_controls(u: Array, expected: int, what: str = "control sequence") -> 
 
 @dataclass(frozen=True)
 class TrajectoryProblem:
-    """A finite-horizon control problem exposed through one batch evaluator.
+    """A finite-horizon control problem: one batch evaluator and its certificate.
 
     `evaluate` maps an (N, d*T) array of flat control sequences to their
     costs, shape (N,), and their hard feasibility flags, shape (N,): control
@@ -46,21 +47,17 @@ class TrajectoryProblem:
     sequence must be supplied at construction so the weighted-sampling
     machinery is never started on an empty feasible set.  `known_feasible`
     may also stack candidate rows in order of preference: one call scores
-    them all, and the first feasible row is kept as the certificate.
+    them all, and the first feasible row is kept as the certificate.  The
+    kept row fixes the problem's dimension, `n_controls`.
     """
 
-    control_dim: int
-    horizon: int
-    initial_state: Array
-    dynamics: Callable[[Array, Array], Array]
     evaluate: Callable[[Array], Tuple[Array, Array]]
     known_feasible: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=float))
         stack = np.atleast_2d(np.array(self.known_feasible, dtype=float))
-        if stack.ndim != 2 or stack.shape[1] != self.n_controls:
-            raise DimensionMismatchError(self.n_controls, int(stack[0].size), "known-feasible row")
+        if stack.ndim != 2:
+            raise ValueError(f"known-feasible candidates must be a row or rows, not {stack.ndim}-D")
         if not np.isfinite(stack).all():
             raise ValueError("known-feasible row contains non-finite entries")
         costs, flags = self.evaluate_batch(stack)
@@ -75,7 +72,7 @@ class TrajectoryProblem:
 
     @property
     def n_controls(self) -> int:
-        return self.control_dim * self.horizon
+        return self.known_feasible.shape[0]
 
     def evaluate_batch(self, controls: Array) -> Tuple[Array, Array]:
         """Costs and feasibility flags of each row of an (N, d*T) array."""
@@ -89,15 +86,15 @@ class TrajectoryProblem:
         return self.evaluate_batch(controls)[1]
 
 
-def rollout(problem: TrajectoryProblem, controls: Array) -> Array:
-    """Roll the dynamics forward; returns states of shape (T+1, n), x_0 first."""
-    u = _check_controls(controls, problem.n_controls)
-    d = problem.control_dim
-    x = np.asarray(problem.initial_state, dtype=float)
-    states = np.empty((problem.horizon + 1, x.shape[0]))
+def rollout(spec: Union[LqrSpec, DubinsSpec], controls: Array) -> Array:
+    """Step `spec.step` forward from `spec.x0`; returns states of shape (T+1, n), x_0 first."""
+    d = spec.control_dim
+    u = _check_controls(controls, d * spec.horizon)
+    x = spec.x0
+    states = np.empty((spec.horizon + 1, x.shape[0]))
     states[0] = x
-    for t in range(problem.horizon):
-        x = problem.dynamics(x, u[t * d : (t + 1) * d])
+    for t in range(spec.horizon):
+        x = spec.step(x, u[t * d : (t + 1) * d])
         states[t + 1] = x
     return states
 
@@ -141,6 +138,10 @@ class LqrSpec:
                 raise ValueError(f"{name} must be symmetric")
             if np.linalg.eigvalsh(mat).min() < -1e-10:
                 raise ValueError(f"{name} must be positive semidefinite")
+        for name, dim in (("x0", n), ("x_min", n), ("x_max", n), ("u_min", m), ("u_max", m)):
+            shape = getattr(self, name).shape
+            if shape != (dim,):
+                raise ValueError(f"{name} must have length {dim}, got shape {shape}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
@@ -151,6 +152,9 @@ class LqrSpec:
     @property
     def control_dim(self) -> int:
         return self.b.shape[1]
+
+    def step(self, x: Array, u: Array) -> Array:
+        return self.a @ x + self.b @ u
 
 
 def double_integrator(horizon: int = 10) -> LqrSpec:
@@ -195,24 +199,20 @@ def lqr_response(spec: LqrSpec) -> Tuple[Array, Array]:
     return big_m, b
 
 
-def lqr_problem(spec: LqrSpec, lifted: Optional["QpProblem"] = None) -> TrajectoryProblem:
-    """The LQR problem as a view of its QP lift (`qp.lift`).
+def lqr_problem(lifted) -> TrajectoryProblem:
+    """The LQR problem as a view of its QP lift, `lqr_problem(qp.lift(spec))`.
 
     The trajectory cost is exactly 1/2 u'Q_qp u + c'u + constant, and the
     constraint set is the lift's control box plus lin_lo <= M u <= lin_hi, so
     the cost formula and the bounds exist only in the lift.  A batch U costs
     one product with Q_qp and one with M (for the state band); Q_qp is used
     as it is, never factored, so a positive semidefinite R stays admissible.
-    A caller that already holds `lift(spec)` passes it as `lifted`.
+    The zero control sequence is the certificate.
 
     Feasibility is checked constraint-major: the box rows (U') and the band
     rows (M U') fill one (n_box + n_band, N) array that is compared with the
     stacked bounds and reduced along its long contiguous axis.
     """
-    from .qp import lift  # local: qp imports this module
-
-    if lifted is None:
-        lifted = lift(spec)
     n_box = lifted.dim
     lo = np.concatenate([lifted.lb, lifted.lin_lo])[:, None]
     hi = np.concatenate([lifted.ub, lifted.lin_hi])[:, None]
@@ -227,14 +227,7 @@ def lqr_problem(spec: LqrSpec, lifted: Optional["QpProblem"] = None) -> Trajecto
         ok &= rows <= hi
         return costs, ok.all(axis=0)
 
-    return TrajectoryProblem(
-        control_dim=spec.control_dim,
-        horizon=spec.horizon,
-        initial_state=spec.x0,
-        dynamics=lambda x, u: spec.a @ x + spec.b @ u,
-        evaluate=evaluate,
-        known_feasible=np.zeros(lifted.dim),
-    )
+    return TrajectoryProblem(evaluate=evaluate, known_feasible=np.zeros(lifted.dim))
 
 
 def lqr_stage_cost(spec: LqrSpec, x_next: Array, u: Array) -> float:
@@ -282,6 +275,7 @@ class DubinsSpec:
     r_weight: float = 0.001
     w_max: float = 1.5 * np.pi
     obstacles: Array = field(default_factory=lambda: np.array(DEFAULT_OBSTACLES))
+    control_dim = 1  # the turn rate; a class attribute, not a field
 
     def __post_init__(self):
         for name in ("x0", "target", "q_weights", "obstacles"):
@@ -290,10 +284,21 @@ class DubinsSpec:
             object.__setattr__(self, "obstacles", np.empty((0, 3)))
         if self.obstacles.ndim != 2 or self.obstacles.shape[1] != 3:
             raise ValueError("obstacles must be rows of (cx, cy, radius)")
+        if not (self.obstacles[:, 2] > 0).all():
+            raise ValueError("every obstacle radius must be positive")
+        for name in ("x0", "target", "q_weights"):
+            shape = getattr(self, name).shape
+            if shape != (3,):
+                raise ValueError(f"{name} must have length 3, got shape {shape}")
         if self.w_max <= 0 or self.dt <= 0 or self.speed < 0:
             raise ValueError("dt and w_max must be positive, speed non-negative")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+
+    def step(self, x: Array, u: Array) -> Array:
+        return x + self.dt * np.array(
+            [self.speed * np.cos(x[2]), self.speed * np.sin(x[2]), float(u[0])]
+        )
 
 
 def _dubins_rollout(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
@@ -346,17 +351,7 @@ def dubins_clear(spec: DubinsSpec, state: Array) -> bool:
 def dubins_problem(spec: DubinsSpec, known_candidate: Optional[Array] = None) -> TrajectoryProblem:
     """Build the TrajectoryProblem; `known_candidate` seeds the feasible search
     (useful when re-rooting at a mid-flight state with a warm-started plan)."""
-
-    def dyn(x: Array, u: Array) -> Array:
-        return x + spec.dt * np.array(
-            [spec.speed * np.cos(x[2]), spec.speed * np.sin(x[2]), float(u[0])]
-        )
-
     return TrajectoryProblem(
-        control_dim=1,
-        horizon=spec.horizon,
-        initial_state=spec.x0,
-        dynamics=dyn,
         evaluate=lambda U: dubins_evaluate_batch(spec, U),
         known_feasible=_find_feasible_controls(spec, extra=known_candidate),
     )

@@ -1,16 +1,16 @@
 """Convex QP lift of the box-constrained linear-quadratic problem.
 
 The trajectory cost of an `LqrSpec` is an exact quadratic in the stacked
-control vector once states are eliminated through x = M u + b.  This module
-builds that quadratic and solves both QPs the benchmark needs with one exact,
-finite active-set method: least-distance programming (LDP) by non-negative
-least squares (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
-ch. 23).  Euclidean projection onto the joint box-plus-linear feasible set
-(used by the finite-difference baseline) is an LDP problem as it stands; the
-reference solve becomes one after a Cholesky change of variables.  The
-reference value is certified by weak duality before it is trusted as an
-optimality-gap reference: the solver's multipliers give a lower bound on the
-optimum that shares only the problem data with the solver.
+control vector once states are eliminated through x = M u + b.  `lift(spec)`
+builds that quadratic, the one input of `problems.lqr_problem`.  Both QPs the
+benchmark needs are solved with one exact, finite active-set method:
+least-distance programming (LDP) by non-negative least squares (Lawson &
+Hanson, *Solving Least Squares Problems*, 1974, ch. 23).  Projection onto the
+joint box-plus-linear feasible set (for the FD baseline) is an LDP problem as
+it stands; the reference solve becomes one after a Cholesky change of
+variables.  The reference value is certified by weak duality before it is
+trusted as an optimality-gap reference: the solver's multipliers give a lower
+bound on the optimum that shares only the problem data with the solver.
 
 scipy is imported only where a QP is solved (the LQR oracle and the FD
 projector), so loading a config, a Dubins run and the theory suite never pay

@@ -454,10 +454,6 @@ def test_criterion_10_bias_probe(announce):
     policy = GaussianPolicy(np.array([1.0]), sigma2, tau)
     f0 = quad_f0(q, c)
     prob = TrajectoryProblem(
-        control_dim=1,
-        horizon=1,
-        initial_state=np.zeros(1),
-        dynamics=lambda x, u: x,
         evaluate=lambda U: (f0(U), np.abs(U[:, 0]) <= 3.0),
         known_feasible=np.zeros(1),
     )

@@ -315,10 +315,6 @@ def quadratic_problem(q, c, feasible_radius=np.inf):
     n = c.shape[0]
     batch = quadratic_batch(q, c)
     return TrajectoryProblem(
-        control_dim=n,
-        horizon=1,
-        initial_state=np.zeros(1),
-        dynamics=lambda x, u: x,
         evaluate=lambda U: (batch(U), np.linalg.norm(U, axis=1) <= feasible_radius),
         known_feasible=np.zeros(n),
     )
@@ -392,7 +388,7 @@ def test_fd_baseline_matches_the_stacked_reference_bitwise(config, iters, projec
     fd = cfg.section("fd")
     spec = _build_spec(cfg.section("problem"))
     lifted = qp.lift(spec)
-    problem = lqr_problem(spec, lifted)
+    problem = lqr_problem(lifted)
     n = problem.n_controls
     iters = iters or fd["budget_evals"] // (n + 1)
     projector = qp.FeasibleSetProjector(lifted) if projected else None
@@ -443,8 +439,7 @@ def test_bias_probe_is_unbiased_for_constant_cost():
     # constant cost makes the weights exactly uniform, so the estimator is a
     # plain sample average: zero bias up to the trial CI
     prob = TrajectoryProblem(
-        control_dim=1, horizon=2, initial_state=np.zeros(1),
-        dynamics=lambda x, u: x, known_feasible=np.zeros(2),
+        known_feasible=np.zeros(2),
         evaluate=lambda U: (np.ones(U.shape[0]), np.ones(U.shape[0], bool)),
     )
     policy = GaussianPolicy(np.array([0.3, -0.1]), 0.8, tau=1.0)
@@ -481,10 +476,7 @@ def test_bias_probe_counts_a_nan_cost_as_infeasible():
     flagged = lambda U: (batch(U), (np.abs(U[:, 0]) <= 3.0) & (U[:, 0] <= 1.5))
     probes = [
         analysis.bias_probe(
-            TrajectoryProblem(
-                control_dim=1, horizon=1, initial_state=np.zeros(1),
-                dynamics=lambda x, u: x, known_feasible=np.zeros(1), evaluate=evaluate,
-            ),
+            TrajectoryProblem(evaluate, known_feasible=np.zeros(1)),
             policy, np.array([0.1]), n_list=[20, 200], trials=100, seed=3,
         )
         for evaluate in (nan_costs, flagged)
@@ -497,8 +489,7 @@ def test_bias_probe_counts_a_nan_cost_as_infeasible():
 def test_bias_probe_needs_a_largest_sample_size_of_two():
     policy = GaussianPolicy(np.array([1.0]), 0.5, tau=0.25)
     prob = TrajectoryProblem(
-        control_dim=1, horizon=1, initial_state=np.zeros(1), dynamics=lambda x, u: x,
-        known_feasible=np.zeros(1), evaluate=lambda U: (U[:, 0] ** 2, np.ones(len(U), bool)),
+        known_feasible=np.zeros(1), evaluate=lambda U: (U[:, 0] ** 2, np.ones(len(U), bool))
     )
     with pytest.raises(ValueError, match=r"n_list must be at least 2, got \[1\]"):
         analysis.bias_probe(prob, policy, np.zeros(1), n_list=[1], trials=4, seed=0)

@@ -542,7 +542,7 @@ def _replay_dubins(cfg, k, seed):
             problem, [(policy.with_mean(warm), pgd)], seed, iter_offset=s * pgd.k
         )
         u0 = np.clip(solved.mean[:1], -spec.w_max, spec.w_max)
-        state = problem.dynamics(state, u0)
+        state = spec.step(state, u0)
         steps.append((state, dubins_stage_cost(spec, state, u0), inner))
         warm = np.concatenate([solved.mean[1:], np.zeros(1)])
     return steps
@@ -830,6 +830,19 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
         ("lqr", "seeds: [0, 0]", "seeds lists 0 twice"),
         ("lqr", "grid: {eta: [1.0], tau: [1, 1.0]}", "grid.tau lists 1.0 twice"),
         ("dubins", "grid: {k: [1, 1]}", "grid.k lists 1 twice"),
+        # a spec vector of the wrong length, and an obstacle of negative radius
+        ("lqr", "problem: {x0: [2.5]}", "invalid lqr config: x0 must have length 2"),
+        ("lqr", "problem: {x_min: [-5.0]}", "invalid lqr config: x_min must have length 2"),
+        ("lqr", "problem: {x_max: [5.0, 1.0, 3.0]}", "invalid lqr config: x_max must have length 2"),
+        ("lqr", "problem: {u_min: [-1.0, -1.0]}", "invalid lqr config: u_min must have length 1"),
+        ("lqr", "problem: {u_max: []}", "invalid lqr config: u_max must have length 1"),
+        ("dubins", "problem: {x0: [0.0, 0.0]}", "invalid dubins config: x0 must have length 3"),
+        ("dubins", "problem: {target: [6.0, 6.0]}",
+         "invalid dubins config: target must have length 3"),
+        ("dubins", "problem: {q_weights: [1.0, 1.0]}",
+         "invalid dubins config: q_weights must have length 3"),
+        ("dubins", "problem: {obstacles: [[1.0, 1.0, -0.5]]}",
+         "invalid dubins config: every obstacle radius must be positive"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
@@ -850,7 +863,10 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "theory_text_inject_bug", "dubins_nan_x0", "dubins_infinite_obstacle_radius",
          "lqr_nan_x0", "lqr_boolean_fd_h", "lqr_misspelt_section", "dubins_misspelt_sampling_key",
          "lqr_seed_beyond_64_bits", "lqr_int_tau_beyond_float_range", "dubins_int_past_digit_limit",
-         "lqr_repeated_seed", "lqr_tau_repeated_as_int_and_float", "dubins_repeated_k"],
+         "lqr_repeated_seed", "lqr_tau_repeated_as_int_and_float", "dubins_repeated_k",
+         "lqr_short_x0", "lqr_short_x_min", "lqr_long_x_max", "lqr_long_u_min", "lqr_empty_u_max",
+         "dubins_short_x0", "dubins_short_target", "dubins_short_q_weights",
+         "dubins_negative_obstacle_radius"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message
@@ -1181,3 +1197,119 @@ def test_scipy_loads_only_where_a_qp_is_solved():
     assert outputs[0] == ["[]"], f"scipy loaded before any QP solve: {outputs[0]}"
     gap, loaded = outputs[1]
     assert abs(float(gap)) < 1e-6 and loaded == "True"
+
+
+# the contract across hosts: discrete values equal, continuous ones within this
+CROSS_HOST_RTOL = 1e-9
+
+CROSS_HOST_CONFIGS = {
+    "lqr": """
+version: 1
+experiment: lqr
+seeds: [0]
+optimizer: {n_samples: 200, iterations: 100}
+grid: {eta: [1.0]}
+fd: {enabled: true, budget_evals: 2200}
+""",
+    "dubins": """
+version: 1
+experiment: dubins
+seeds: [0]
+sim_steps: 10
+optimizer: {n_samples: 128}
+grid: {k: [2]}
+""",
+}
+
+ENABLED_DISPATCH_PROBE = """\
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(" ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f)))
+"""
+
+
+def _agree(a, b):
+    """Equal, or two floats within CROSS_HOST_RTOL * (1 + |a|); containers item by item."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_agree(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_agree, a, b))
+    if type(a) is float and type(b) is float:
+        close = abs(a - b) <= CROSS_HOST_RTOL * (1.0 + abs(a))
+        return a == b or close or (math.isnan(a) and math.isnan(b))
+    return type(a) is type(b) and a == b
+
+
+def _csv_value(text):
+    """An int where the text is one (`k`, evaluation counts), else a float, else the text."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _output_docs(out_dir):
+    """Every CSV and JSON output as plain values, less `ms`, `runtime_seconds` and `config.out`.
+
+    The config snapshot (an input) and the theory report's text rendering are left out.
+    """
+    docs = {}
+    for path in sorted(out_dir.glob("*.csv")):
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        keep = [i for i, col in enumerate(header) if col != "ms"]
+        docs[path.name] = [[_csv_value(row[i]) for i in keep] for row in [header, *rows]]
+    for path in sorted(out_dir.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if isinstance(doc, dict):  # a run summary; the theory report is a list of rows
+            doc["summary"].pop("runtime_seconds", None)
+            doc["config"].pop("out", None)
+        docs[path.name] = doc
+    return docs
+
+
+def test_outputs_agree_across_cpu_dispatch(tmp_path):
+    """The cross-host contract, with another host stood in for by the child's CPU dispatch.
+
+    One child runs as it is; the other runs with numpy's dispatched CPU
+    features turned off and OpenBLAS held to its Haswell kernels, which
+    rounds some sums differently.  Discrete fields must be equal and
+    continuous ones within the documented tolerance.
+    """
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    for key in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE"):
+        env.pop(key, None)
+
+    def child(args, extra_env):
+        done = subprocess.run(
+            [sys.executable, *args], cwd=root, env={**env, **extra_env},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    dispatched = child(["-c", ENABLED_DISPATCH_PROBE], {}).split()
+    if not dispatched:
+        pytest.skip("numpy dispatches no optional CPU feature on this host: nothing to disable")
+    other_host = {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched), "OPENBLAS_CORETYPE": "Haswell"}
+    assert child(["-c", ENABLED_DISPATCH_PROBE], other_host).split() == []
+
+    configs = {name: write_cfg(tmp_path, text, f"{name}.yaml")
+               for name, text in CROSS_HOST_CONFIGS.items()}
+    configs["theory"] = root / "configs" / "theory.yaml"
+    for name, cfg in configs.items():
+        outputs = []
+        for label, extra_env in (("here", {}), ("other", other_host)):
+            out = tmp_path / f"{name}_{label}"
+            child(["-m", "mppigrad.bench.cli", "run", "--experiment", name,
+                   "--config", str(cfg), "--out", str(out)], extra_env)
+            outputs.append(_output_docs(out))
+        here, other = outputs
+        assert here and here.keys() == other.keys()
+        for file in here:
+            assert _agree(here[file], other[file]), f"{name}: {file} breaks the contract"

@@ -16,16 +16,13 @@ from mppigrad.optimizer import (
     step_size_rule,
 )
 from mppigrad.problems import TrajectoryProblem, double_integrator, lqr_problem
+from mppigrad.qp import lift
 from mppigrad.sampling import GaussianPolicy, SampleBatch, draw, weigh, weighted_mean
 
 
 def box_problem_1d(width, objective=lambda u: float(u[0] ** 2)):
     """Scalar toy problem: cost on u, feasible iff |u| <= width."""
     return TrajectoryProblem(
-        control_dim=1,
-        horizon=1,
-        initial_state=np.zeros(1),
-        dynamics=lambda x, u: x + u,
         evaluate=lambda U: (np.array([objective(row) for row in U]), np.abs(U[:, 0]) <= width),
         known_feasible=np.zeros(1),
     )
@@ -117,7 +114,7 @@ def test_grad_matches_quadrature_fd_pooled():
 
 
 def test_unit_step_reduces_to_weighted_mean_bitwise():
-    prob = lqr_problem(double_integrator())
+    prob = lqr_problem(lift(double_integrator()))
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
     cfg = PgdConfig(eta=1.0, n_samples=128, antithetic=True)
     new_policy, _ = pgd_step(prob, policy, cfg, seed=4, iteration=2)
@@ -130,7 +127,7 @@ def test_unit_step_reduces_to_weighted_mean_bitwise():
 
 
 def test_half_step_is_midpoint():
-    prob = lqr_problem(double_integrator())
+    prob = lqr_problem(lift(double_integrator()))
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
     cfg = PgdConfig(eta=0.5, n_samples=128)
     new_policy, _ = pgd_step(prob, policy, cfg, seed=4, iteration=0)
@@ -144,7 +141,7 @@ def test_half_step_is_midpoint():
 def test_vanishing_step_leaves_mean_in_place():
     # eta = 0 itself is rejected by the config (invariant eta > 0); the
     # no-movement limit is realized by a vanishing step instead
-    prob = lqr_problem(double_integrator())
+    prob = lqr_problem(lift(double_integrator()))
     policy = GaussianPolicy(np.full(10, 0.05), 1e-4, tau=1.0)
     cfg = PgdConfig(eta=1e-12, n_samples=64)
     new_policy, _ = pgd_step(prob, policy, cfg, seed=0)
@@ -153,7 +150,7 @@ def test_vanishing_step_leaves_mean_in_place():
 
 def test_explicit_natural_preconditioner_matches_relaxed_form():
     """The relaxed update is mu - eta P g with P = Sigma/tau written out as a matrix."""
-    prob = lqr_problem(double_integrator())
+    prob = lqr_problem(lift(double_integrator()))
     sigma2, tau, eta = 1e-4, 1.0, 0.7
     policy = GaussianPolicy(np.zeros(10), sigma2, tau)
     cfg = PgdConfig(eta=eta, n_samples=256)
@@ -175,12 +172,12 @@ def test_step_forms_the_weighted_mean_once(monkeypatch):
 
     monkeypatch.setattr(optimizer, "weighted_mean", counted)
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
-    pgd_step(lqr_problem(double_integrator()), policy, PgdConfig(n_samples=64), seed=0)
+    pgd_step(lqr_problem(lift(double_integrator())), policy, PgdConfig(n_samples=64), seed=0)
     assert calls == [0]
 
 
 def test_record_carries_pre_update_iterate():
-    prob = lqr_problem(double_integrator())
+    prob = lqr_problem(lift(double_integrator()))
     mu0 = np.full(10, 0.01)
     policy = GaussianPolicy(mu0, 1e-4, tau=1.0)
     _, record = pgd_step(prob, policy, PgdConfig(n_samples=64), seed=0)
@@ -227,10 +224,7 @@ def nan_share_problem():
         flags[2::4] = False
         return costs, flags
 
-    return TrajectoryProblem(
-        control_dim=1, horizon=2, initial_state=np.zeros(1), dynamics=lambda x, u: x + u,
-        evaluate=evaluate, known_feasible=np.zeros(2),
-    )
+    return TrajectoryProblem(evaluate=evaluate, known_feasible=np.zeros(2))
 
 
 def test_records_count_the_nonfinite_costs_of_each_batch():
@@ -250,7 +244,7 @@ def test_records_count_the_nonfinite_costs_of_each_batch():
 
 
 def test_run_is_deterministic_and_length_bounded():
-    prob = lqr_problem(double_integrator())
+    prob = lqr_problem(lift(double_integrator()))
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
     cfg = PgdConfig(k=7, n_samples=128)
     [(pa, ta)] = run(prob, [(policy, cfg)], seed=3)
@@ -263,7 +257,7 @@ def test_run_is_deterministic_and_length_bounded():
 
 
 def test_run_single_step_equals_pgd_step():
-    prob = lqr_problem(double_integrator())
+    prob = lqr_problem(lift(double_integrator()))
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
     cfg = PgdConfig(k=1, n_samples=128)
     [(via_run, _)] = run(prob, [(policy, cfg)], seed=5)
@@ -272,7 +266,7 @@ def test_run_single_step_equals_pgd_step():
 
 
 def test_iter_offset_changes_the_noise_stream():
-    prob = lqr_problem(double_integrator())
+    prob = lqr_problem(lift(double_integrator()))
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
     cfg = PgdConfig(k=1, n_samples=64)
     [(a, _)] = run(prob, [(policy, cfg)], seed=0, iter_offset=0)

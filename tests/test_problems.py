@@ -10,6 +10,7 @@ from mppigrad.errors import DimensionMismatchError, InfeasibleProblemError
 from mppigrad.problems import (
     DubinsSpec,
     LqrSpec,
+    TrajectoryProblem,
     double_integrator,
     dubins_clear,
     dubins_evaluate_batch,
@@ -19,12 +20,13 @@ from mppigrad.problems import (
     lqr_stage_cost,
     rollout,
 )
+from mppigrad.qp import lift
 
 
-def stepwise_cost(problem, stage_cost, u):
-    """Reference cost: the dynamics stepped one transition at a time."""
-    controls = u.reshape(problem.horizon, problem.control_dim)
-    return sum(stage_cost(x, c) for x, c in zip(rollout(problem, u)[1:], controls))
+def stepwise_cost(spec, stage_cost, u):
+    """Reference cost: the spec's dynamics stepped one transition at a time."""
+    controls = u.reshape(spec.horizon, spec.control_dim)
+    return sum(stage_cost(x, c) for x, c in zip(rollout(spec, u)[1:], controls))
 
 
 # ---------------------------------------------------------------------------
@@ -34,24 +36,20 @@ def stepwise_cost(problem, stage_cost, u):
 
 def test_lqr_zero_input_state_is_fixed():
     # A (2.5, 0) = (2.5, 0): zero input leaves the state pinned
-    prob = lqr_problem(double_integrator())
-    states = rollout(prob, np.zeros(10))
+    states = rollout(double_integrator(), np.zeros(10))
     assert states.shape == (11, 2)
     np.testing.assert_array_equal(states, np.tile([2.5, 0.0], (11, 1)))
 
 
 def test_lqr_single_impulse_hand_value():
-    prob = lqr_problem(double_integrator())
     u = np.zeros(10)
     u[0] = 1.0
-    states = rollout(prob, u)
+    states = rollout(double_integrator(), u)
     np.testing.assert_allclose(states[1], [3.0, 1.0], rtol=0, atol=1e-15)
 
 
 def test_dubins_straight_line_motion():
-    spec = DubinsSpec(obstacles=np.empty((0, 3)))
-    prob = dubins_problem(spec)
-    states = rollout(prob, np.zeros(20))
+    states = rollout(DubinsSpec(obstacles=np.empty((0, 3))), np.zeros(20))
     # heading pi/2: px frozen, py up by v*dt = 0.4 per step
     np.testing.assert_allclose(states[:, 0], 0.0, atol=1e-14)
     np.testing.assert_allclose(states[:, 1], 0.4 * np.arange(21), atol=1e-12)
@@ -59,27 +57,25 @@ def test_dubins_straight_line_motion():
 
 
 def test_rollout_dimension_mismatch_names_lengths():
-    prob = lqr_problem(double_integrator())
     with pytest.raises(DimensionMismatchError) as err:
-        rollout(prob, np.zeros(7))
+        rollout(double_integrator(), np.zeros(7))
     assert err.value.expected == 10
     assert err.value.actual == 7
     assert "10" in str(err.value) and "7" in str(err.value)
 
 
 def test_rollout_rejects_nonfinite_controls():
-    prob = lqr_problem(double_integrator())
     u = np.zeros(10)
     u[3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        rollout(prob, u)
+        rollout(double_integrator(), u)
 
 
 def test_rollout_is_deterministic_bitwise():
-    prob = lqr_problem(double_integrator())
+    spec = double_integrator()
     u = np.random.default_rng(0).uniform(-1, 1, 10)
-    a = rollout(prob, u)
-    b = rollout(prob, u)
+    a = rollout(spec, u)
+    b = rollout(spec, u)
     assert np.array_equal(a, b)
 
 
@@ -89,8 +85,8 @@ def test_rollout_is_deterministic_bitwise():
 
 
 def test_lqr_zero_control_cost_62_5():
-    spec = double_integrator()
-    assert lqr_problem(spec).batch_objective(np.zeros((1, 10)))[0] == pytest.approx(62.5, abs=1e-12)
+    prob = lqr_problem(lift(double_integrator()))
+    assert prob.batch_objective(np.zeros((1, 10)))[0] == pytest.approx(62.5, abs=1e-12)
 
 
 def test_lqr_zero_state_zero_control_costs_nothing():
@@ -106,18 +102,15 @@ def test_lqr_zero_state_zero_control_costs_nothing():
         x_min=[-5.0, -1.0],
         x_max=[5.0, 1.0],
     )
-    assert lqr_problem(spec).batch_objective(np.zeros((1, 10)))[0] == 0.0
+    assert lqr_problem(lift(spec)).batch_objective(np.zeros((1, 10)))[0] == 0.0
 
 
 def test_lqr_objective_matches_qp_lift_on_random_u():
-    from mppigrad import qp
-
     spec = double_integrator()
-    lifted = qp.lift(spec)
+    lifted = lift(spec)
     rng = np.random.default_rng(11)
     u = rng.uniform(-1.0, 1.0, size=(100, 10))
-    prob = lqr_problem(spec)
-    direct = np.array([stepwise_cost(prob, partial(lqr_stage_cost, spec), row) for row in u])
+    direct = np.array([stepwise_cost(spec, partial(lqr_stage_cost, spec), row) for row in u])
     quad = 0.5 * np.einsum("ij,jk,ik->i", u, lifted.q, u) + u @ lifted.c + lifted.constant
     np.testing.assert_allclose(direct, quad, rtol=1e-10, atol=1e-10)
 
@@ -125,8 +118,6 @@ def test_lqr_objective_matches_qp_lift_on_random_u():
 def test_lqr_problem_builds_when_the_lifted_hessian_is_singular():
     # two identical inputs and R = 0: Q_qp cannot tell them apart, so it is
     # singular; the evaluator must not need a factor of it
-    from mppigrad import qp
-
     spec = LqrSpec(
         a=[[1.0, 1.0], [0.0, 1.0]],
         b=[[0.5, 0.5], [1.0, 1.0]],
@@ -139,16 +130,15 @@ def test_lqr_problem_builds_when_the_lifted_hessian_is_singular():
         x_min=[-5.0, -1.0],
         x_max=[5.0, 1.0],
     )
-    assert np.linalg.eigvalsh(qp.lift(spec).q).min() < 1e-10
-    prob = lqr_problem(spec)
+    assert np.linalg.eigvalsh(lift(spec).q).min() < 1e-10
+    prob = lqr_problem(lift(spec))
     U = np.random.default_rng(2).uniform(-0.3, 0.3, size=(20, 8))
-    expected = [stepwise_cost(prob, partial(lqr_stage_cost, spec), row) for row in U]
+    expected = [stepwise_cost(spec, partial(lqr_stage_cost, spec), row) for row in U]
     np.testing.assert_allclose(prob.batch_objective(U), expected, rtol=1e-12, atol=1e-14)
 
 
 def test_lqr_feasibility_box_and_state_bounds():
-    spec = double_integrator()
-    prob = lqr_problem(spec)
+    prob = lqr_problem(lift(double_integrator()))
     bad = np.zeros(10)
     bad[0] = 1.5  # violates |u| <= 1
     # constant max thrust drives velocity past the x_max bound of 1
@@ -157,8 +147,7 @@ def test_lqr_feasibility_box_and_state_bounds():
 
 
 def test_lqr_batch_paths_agree_with_scalar_paths():
-    spec = double_integrator()
-    prob = lqr_problem(spec)
+    prob = lqr_problem(lift(double_integrator()))
     rng = np.random.default_rng(5)
     U = rng.uniform(-1, 1, size=(20, 10))
     batch_costs = prob.batch_objective(U)
@@ -171,15 +160,15 @@ def test_lqr_batch_paths_agree_with_scalar_paths():
 def test_lqr_one_pass_evaluator_matches_stepwise_rollout():
     # uniform draws from the control box: many rows break the state bounds
     spec = double_integrator()
-    prob = lqr_problem(spec)
+    prob = lqr_problem(lift(spec))
     rng = np.random.default_rng(23)
     U = rng.uniform(spec.u_min[0], spec.u_max[0], size=(400, 10))
     costs, flags = prob.evaluate_batch(U)
     stage = partial(lqr_stage_cost, spec)
-    expected_costs = [stepwise_cost(prob, stage, row) for row in U]
+    expected_costs = [stepwise_cost(spec, stage, row) for row in U]
     expected_flags = []
     for row in U:
-        states = rollout(prob, row)[1:]
+        states = rollout(spec, row)[1:]
         in_box = np.all((row >= spec.u_min) & (row <= spec.u_max))
         expected_flags.append(in_box and np.all((states >= spec.x_min) & (states <= spec.x_max)))
     np.testing.assert_allclose(costs, expected_costs, rtol=1e-12, atol=0)
@@ -200,10 +189,10 @@ def test_dubins_one_pass_evaluator_matches_stepwise_rollout():
     W[::5, 7] = 1.02 * spec.w_max  # every fifth row breaks the rate bound
     costs, flags = prob.evaluate_batch(W)
     stage = partial(dubins_stage_cost, spec)
-    expected_costs = [stepwise_cost(prob, stage, row) for row in W]
+    expected_costs = [stepwise_cost(spec, stage, row) for row in W]
     expected_flags = [
         np.all(np.abs(row) <= spec.w_max)
-        and all(dubins_clear(spec, x) for x in rollout(prob, row)[1:])
+        and all(dubins_clear(spec, x) for x in rollout(spec, row)[1:])
         for row in W
     ]
     np.testing.assert_allclose(costs, expected_costs, rtol=1e-12, atol=0)
@@ -277,10 +266,9 @@ def test_feasibility_monotone_under_obstacle_removal():
 
 def test_dubins_batch_rollout_matches_scalar_dynamics():
     spec = DubinsSpec(obstacles=np.empty((0, 3)))
-    prob = dubins_problem(spec)
     rng = np.random.default_rng(3)
     w = rng.uniform(-1.0, 1.0, 20)
-    scalar_states = rollout(prob, w)[1:]
+    scalar_states = rollout(spec, w)[1:]
     pos, heading = problems._dubins_rollout(spec, w[None, :])
     batch_states = np.column_stack([pos[0, 0], pos[1, 0], heading[0]])
     np.testing.assert_allclose(batch_states, scalar_states, rtol=1e-12, atol=1e-12)
@@ -298,34 +286,35 @@ def test_dubins_clear_single_state():
 # ---------------------------------------------------------------------------
 
 
-def square_problem(evaluate, known_feasible):
-    return problems.TrajectoryProblem(
-        control_dim=1,
-        horizon=2,
-        initial_state=np.zeros(1),
-        dynamics=lambda x, u: x + u,
-        evaluate=evaluate,
-        known_feasible=known_feasible,
-    )
-
-
 def test_trajectory_problem_rejects_infeasible_certificate():
     never = lambda U: (np.einsum("ij,ij->i", U, U), np.zeros(U.shape[0], bool))
     for certificate in (np.zeros(2), np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 2.0]])):
         with pytest.raises(InfeasibleProblemError):
-            square_problem(never, certificate)
+            TrajectoryProblem(never, certificate)
 
 
 def test_trajectory_problem_rejects_nonfinite_objective_on_certificate():
+    never_finite = lambda U: (np.full(U.shape[0], np.inf), np.ones(U.shape[0], bool))
     with pytest.raises(ValueError, match="finite"):
-        square_problem(lambda U: (np.full(U.shape[0], np.inf), np.ones(U.shape[0], bool)), np.zeros(2))
+        TrajectoryProblem(never_finite, np.zeros(2))
     # a stack: the first row is infeasible, the first feasible one costs +inf,
     # and a finite feasible row after it does not rescue the certificate
     stack = np.array([[5.0, 5.0], [1.0, 1.0], [0.0, 0.0]])
     evaluate = lambda U: (np.where(U[:, 0] == 1.0, np.inf, 0.0), U[:, 0] < 2.0)
     with pytest.raises(ValueError, match="finite"):
-        square_problem(evaluate, stack)
-    np.testing.assert_array_equal(square_problem(evaluate, stack[[0, 2]]).known_feasible, [0.0, 0.0])
+        TrajectoryProblem(evaluate, stack)
+    prob = TrajectoryProblem(evaluate, stack[[0, 2]])
+    np.testing.assert_array_equal(prob.known_feasible, [0.0, 0.0])
+
+
+def test_trajectory_problem_takes_its_dimension_from_its_certificate():
+    only_row_two = lambda U: (U.sum(axis=1), U[:, 0] > 0.0)
+    stack = np.array([[-1.0, 0.0, 0.0, 0.0], [2.0, 1.0, 0.0, -1.0]])
+    prob = TrajectoryProblem(only_row_two, known_feasible=stack)
+    np.testing.assert_array_equal(prob.known_feasible, stack[1])
+    assert prob.n_controls == 4
+    with pytest.raises(ValueError, match="3-D"):
+        TrajectoryProblem(only_row_two, known_feasible=stack[None])
 
 
 def test_dubins_build_scores_its_certificate_once(monkeypatch):
@@ -461,11 +450,8 @@ LQR_EDGE_ROWS = np.array(
 
 @pytest.mark.parametrize("n", [1, 9, 128, 1000])
 def test_lqr_constraint_major_check_equals_the_row_major_one_bitwise(n):
-    from mppigrad import qp
-
-    spec = double_integrator()
-    lifted = qp.lift(spec)
-    prob = lqr_problem(spec, lifted)
+    lifted = lift(double_integrator())
+    prob = lqr_problem(lifted)
     rng = np.random.default_rng(n)
     for scale in (0.05, 0.4, 1.5):
         batch = _with_edge_rows(rng.normal(0.0, scale, (n, 10)), LQR_EDGE_ROWS[::-1])

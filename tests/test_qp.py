@@ -13,7 +13,6 @@ from mppigrad.errors import ConvergenceError, InfeasibleProblemError, NotSpdErro
 from mppigrad.problems import (
     LqrSpec,
     double_integrator,
-    lqr_problem,
     lqr_response,
     lqr_stage_cost,
     rollout,
@@ -77,10 +76,9 @@ def test_lift_identity_on_random_controls():
     assert lifted.q.shape == (10, 10)
     rng = np.random.default_rng(2)
     u = rng.uniform(-1.0, 1.0, size=(100, 10))
-    prob = lqr_problem(spec)
     direct = np.array(
         [
-            sum(lqr_stage_cost(spec, x, c) for x, c in zip(rollout(prob, row)[1:], row[:, None]))
+            sum(lqr_stage_cost(spec, x, c) for x, c in zip(rollout(spec, row)[1:], row[:, None]))
             for row in u
         ]
     )
@@ -96,7 +94,7 @@ def test_lift_states_match_affine_map():
     rng = np.random.default_rng(8)
     u = rng.uniform(-1, 1, 10)
     stacked = lifted.lin_mat @ u + lqr_response(spec)[1]
-    rolled = rollout(lqr_problem(spec), u)[1:].ravel()
+    rolled = rollout(spec, u)[1:].ravel()
     np.testing.assert_allclose(stacked, rolled, atol=1e-12)
 
 

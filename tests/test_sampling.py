@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mppigrad import sampling
 from mppigrad.errors import AllInfeasibleError, DimensionMismatchError, NotSpdError
 from mppigrad.problems import double_integrator, lqr_problem
+from mppigrad.qp import lift
 from mppigrad.sampling import (
     GaussianPolicy,
     SampleBatch,
@@ -329,7 +330,7 @@ def test_conjugate_weighted_mean_within_mc_interval():
 
 
 def test_evaluate_fills_costs_and_flags():
-    prob = lqr_problem(double_integrator())
+    prob = lqr_problem(lift(double_integrator()))
     policy = GaussianPolicy(np.zeros(10), 1e-4, tau=1.0)
     batch = evaluate(draw(policy, 16, seed=0), prob)
     assert batch.costs.shape == (16,)
