@@ -843,6 +843,15 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "invalid dubins config: q_weights must have length 3"),
         ("dubins", "problem: {obstacles: [[1.0, 1.0, -0.5]]}",
          "invalid dubins config: every obstacle radius must be positive"),
+        # an inverted box, and a ragged matrix or obstacle list
+        ("lqr", "problem: {u_min: [2.0], u_max: [1.0]}",
+         "invalid lqr config: u_min must not exceed u_max: coordinate 0"),
+        ("lqr", "problem: {x_min: [-5.0, 1.0], x_max: [5.0, -1.0]}",
+         "invalid lqr config: x_min must not exceed x_max: coordinate 1"),
+        ("lqr", "problem: {a: [[1.0, 1.0], [0.0]]}",
+         "invalid lqr config: a must be a rectangular array of numbers"),
+        ("dubins", "problem: {obstacles: [[1.0, 1.0, 1.0], [1.0, 1.0]]}",
+         "invalid dubins config: obstacles must be a rectangular array of numbers"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
@@ -866,7 +875,8 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "lqr_repeated_seed", "lqr_tau_repeated_as_int_and_float", "dubins_repeated_k",
          "lqr_short_x0", "lqr_short_x_min", "lqr_long_x_max", "lqr_long_u_min", "lqr_empty_u_max",
          "dubins_short_x0", "dubins_short_target", "dubins_short_q_weights",
-         "dubins_negative_obstacle_radius"],
+         "dubins_negative_obstacle_radius", "lqr_inverted_u_box", "lqr_inverted_x_box",
+         "lqr_ragged_a", "dubins_ragged_obstacles"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message

@@ -1,5 +1,9 @@
 """Problem definitions: rollouts, costs, feasibility, and the two benchmarks."""
 
+import dataclasses
+import inspect
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -358,6 +362,15 @@ def test_lqr_spec_validates_stage_matrices():
         )
 
 
+def test_lqr_spec_accepts_equal_bounds_that_pin_a_coordinate():
+    pinned = dataclasses.replace(
+        double_integrator(), u_min=[0.5], u_max=[0.5], x_min=[-5.0, 0.0], x_max=[5.0, 0.0]
+    )
+    assert pinned.u_min[0] == pinned.u_max[0] and pinned.x_min[1] == pinned.x_max[1]
+    with pytest.raises(ValueError, match="u_min must not exceed u_max: coordinate 0"):
+        dataclasses.replace(pinned, u_min=[np.nextafter(0.5, 1.0)])
+
+
 def test_dubins_spec_validation():
     with pytest.raises(ValueError):
         DubinsSpec(dt=0.0)
@@ -463,6 +476,57 @@ def test_lqr_constraint_major_check_equals_the_row_major_one_bitwise(n):
     with np.errstate(invalid="ignore", over="ignore"):
         flags = prob.batch_feasible(LQR_EDGE_ROWS)
     assert flags.tolist() == [True, True] + [False] * 6
+
+
+def _assert_equals_row_major(prob, lifted, batch):
+    with np.errstate(invalid="ignore", over="ignore"):
+        costs, flags = prob.evaluate_batch(batch)
+        want_costs, want_flags = row_major_lqr_evaluate(lifted, batch)
+    assert np.array_equal(costs, want_costs, equal_nan=True)
+    assert np.array_equal(flags, want_flags)
+
+
+# the sampler's N, the cell record's K+1 and FD's n+1 sizes, and the certificate's 1
+ALTERNATING_SIZES = (1000, 251, 11, 1, 1000, 11, 251, 1)
+
+
+def test_lqr_bound_blocks_follow_the_batch_size_bitwise():
+    lifted = lift(double_integrator())
+    prob = lqr_problem(lifted)
+    rng = np.random.default_rng(22)
+    for n in ALTERNATING_SIZES:
+        batch = _with_edge_rows(rng.normal(0.0, 0.4, (n, 10)), LQR_EDGE_ROWS)
+        _assert_equals_row_major(prob, lifted, batch)
+    bound_blocks = inspect.getclosurevars(prob.evaluate).nonlocals["bound_blocks"]
+    n_rows = lifted.dim + lifted.lin_mat.shape[0]
+    for n in set(ALTERNATING_SIZES):
+        for block in bound_blocks(n):
+            assert block.shape == (n_rows, n) and block.flags.c_contiguous
+            assert not block.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0.0
+
+
+def test_lqr_bound_blocks_are_shared_by_threads():
+    lifted = lift(double_integrator())
+    prob = lqr_problem(lifted)
+    rng = np.random.default_rng(23)
+    batches = [
+        _with_edge_rows(rng.normal(0.0, 0.4, (n, 10)), LQR_EDGE_ROWS)
+        for n in ALTERNATING_SIZES * 4
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [
+                pool.submit(_assert_equals_row_major, prob, lifted, batch)
+                for batch in batches[::-1] + batches
+            ]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("obstacles", [DubinsSpec().obstacles, np.empty((0, 3))],

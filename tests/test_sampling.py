@@ -153,6 +153,26 @@ def test_inflate_scales_covariance_only():
     np.testing.assert_allclose(fat.cov_matrix(), 2.0 * policy.cov_matrix(), atol=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["scalar", "equal_vector", "diagonal", "inflated"])
+def test_sqrt_mul_equals_the_per_call_square_root_bitwise(kind):
+    rng = np.random.default_rng(7)
+    dim = 10
+    cov = {
+        "scalar": 1e-4,
+        "equal_vector": np.full(dim, 0.3),
+        "diagonal": rng.uniform(0.01, 4.0, dim),
+        "inflated": 1e-4,
+    }[kind]
+    policy = GaussianPolicy(np.zeros(dim), cov, tau=1.0)
+    if kind == "inflated":
+        policy = policy.inflate(2.0).inflate(2.0)  # as two all-infeasible retries do
+    z = rng.standard_normal((1000, dim))
+    z[0, :6] = [0.0, -0.0, 5e-324, -np.inf, np.inf, np.nan]
+    want = z * np.sqrt(np.diag(policy.cov_matrix()))  # the square root taken per call
+    assert np.array_equal(policy.sqrt_mul(z).view(np.uint64), want.view(np.uint64))
+    assert isinstance(policy._scale, float) == (kind != "diagonal")
+
+
 # ---------------------------------------------------------------------------
 # draw
 # ---------------------------------------------------------------------------
