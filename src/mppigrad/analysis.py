@@ -5,8 +5,8 @@ of the objective are statistics of one Gibbs tilt, kept in one record,
 `TiltMoments` (mean, covariance, log Z), with two exact routes: closed form
 for quadratic costs (`QuadraticOracle`) and Simpson quadrature for arbitrary
 1-D/2-D costs on boxes (`QuadratureOracle`).  Exact mode (`run_exact`) takes
-any oracle with `moments(mean) -> TiltMoments`; either oracle gives L_Sigma at
-a mean as `oracle.l_sigma(mean)`.  Also here: the preconditioned Hessian,
+either oracle and starts from its `policy`; either gives L_Sigma at a mean as
+`oracle.l_sigma(mean)`.  Also here: the preconditioned Hessian,
 smoothness constants (closed form, diameter bound, numeric), the projected
 finite-difference baseline (`fd_baseline` returns `(costs, final_u)`), the
 estimator bias probe, and the variational identity check.  These are the
@@ -53,6 +53,8 @@ class TiltOracle:
 
     Subclasses set `policy` (fixed covariance and temperature; each method's
     mean argument is the iterate) and implement `moments(mean) -> TiltMoments`.
+    `run_exact` starts from `policy.mean` and measures every iterate with
+    this policy's Sigma and tau, the ones the tilt is formed under.
     """
 
     def free_energy(self, mean: Array) -> float:
@@ -89,9 +91,15 @@ class QuadraticOracle(TiltOracle):
             raise ValueError("quadratic cost matrix must be symmetric")
         self.policy = policy
         sigma = policy.cov_matrix()
-        self._sigma_inv = np.linalg.inv(sigma)
-        lam = self._sigma_inv + q / policy.tau
-        lam = 0.5 * (lam + lam.T)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+            self._sigma_inv = np.linalg.inv(sigma)
+            lam = self._sigma_inv + q / policy.tau
+            lam = 0.5 * (lam + lam.T)
+        if not np.isfinite(lam).all():  # a tiny tau or variance overflows Sigma^{-1} + Q/tau
+            raise NotSpdError(
+                f"tilted precision Sigma^-1 + Q/tau is not finite for tau = {policy.tau:g} "
+                f"and Sigma with least variance {float(np.diag(sigma).min()):g}"
+            )
         if np.linalg.eigvalsh(lam).min() <= 0:
             raise NotSpdError("tilted precision is not positive definite")
         cov = np.linalg.inv(lam)

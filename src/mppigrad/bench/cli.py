@@ -3,8 +3,8 @@
     mppigrad run --experiment {lqr|dubins|theory} --config cfg.yaml \
         [--seed S] [--out DIR] [--grid key=v1,v2,...] [--workers N]
 
-Exit codes: 0 success, 1 config error, 2 oracle, start or projection failure,
-3 theory-check failure.
+Exit codes: 0 success, 1 config error, 2 oracle, start, L_sigma or projection
+failure, 3 theory-check failure.
 """
 
 from __future__ import annotations

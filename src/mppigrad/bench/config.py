@@ -49,7 +49,7 @@ _DUBINS_DEFAULTS: Dict[str, Any] = {
     "seeds": [0, 1, 2],
 }
 
-_THEORY_DEFAULTS: Dict[str, Any] = {"inject_bug": False, "seeds": [0]}
+_THEORY_DEFAULTS: Dict[str, Any] = {"inject_bug": False}  # its battery reads no seed
 
 _DEFAULTS = {"lqr": _LQR_DEFAULTS, "dubins": _DUBINS_DEFAULTS, "theory": _THEORY_DEFAULTS}
 
@@ -72,6 +72,20 @@ def _deep_merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any
         else:
             out[key] = copy.deepcopy(val)
     return out
+
+
+class _SnapshotDumper(yaml.SafeDumper):
+    """Block style for the document's own mapping, even when every value is a scalar.
+
+    Inner collections of scalars stay in flow style (`seeds: [0, 1, 2]`).
+    """
+
+    document_started = False
+
+    def represent_mapping(self, tag, mapping, flow_style=None):
+        if not self.document_started:  # the first mapping is the document itself
+            self.document_started, flow_style = True, False
+        return super().represent_mapping(tag, mapping, flow_style)
 
 
 @dataclass(frozen=True)
@@ -114,7 +128,9 @@ class RunConfig:
 
     def write_snapshot(self, path: Union[str, Path]) -> None:
         Path(path).write_text(
-            yaml.safe_dump(self.snapshot(), sort_keys=True, default_flow_style=None),
+            yaml.dump(
+                self.snapshot(), Dumper=_SnapshotDumper, sort_keys=True, default_flow_style=None
+            ),
             encoding="utf-8",
         )
 
@@ -189,7 +205,12 @@ def _check_types(experiment: str, resolved: Dict[str, Any]) -> None:
 
 
 def _check_ranges(experiment: str, resolved: Dict[str, Any]) -> None:
-    """Checks beyond the type rule: seeds, grid axes (non-empty, no repeats), positive settings."""
+    """Checks beyond the type rule: seeds, grid axes (non-empty, no repeats), positive settings.
+
+    Theory has neither seeds nor grid axes, so it has nothing to check here.
+    """
+    if experiment == "theory":
+        return
     seeds = resolved["seeds"]
     if not seeds:
         raise ConfigError("seeds must be a non-empty list of integers")
@@ -204,8 +225,6 @@ def _check_ranges(experiment: str, resolved: Dict[str, Any]) -> None:
         repeats = [value for i, value in enumerate(values) if value in values[:i]]
         if repeats:  # a repeat only reruns its cells, under record names that may collide
             raise ConfigError(f"{key} lists {repeats[0]!r} twice")
-    if experiment == "theory":
-        return
     sampling = resolved["sampling"]
     for key in ("sigma2", "tau"):  # each swept value as written, or the setting it defaults to
         for value in grid.get(key, [sampling[key]]):
@@ -269,6 +288,8 @@ def load_config(
     experiment = doc["experiment"]
     user = {k: v for k, v in doc.items() if k not in ("version", "experiment")}
     if seed_override is not None:
+        if experiment == "theory":
+            raise ConfigError("--seed does not apply to the theory experiment: it reads no seed")
         user["seeds"] = [int(seed_override)]
     if out_override is not None:
         user["out"] = str(out_override)

@@ -90,7 +90,6 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, cell: Dict[str, Any], seed: int)
     terminal_err = (
         float(np.linalg.norm(states[-1][:2] - spec.target[:2])) if states else float("nan")
     )
-    record.flagged = bool(abort)
     record.flag_reason = abort
     record.summary = {
         "average_cost": float(np.mean(costs)) if costs else float("nan"),

@@ -78,7 +78,6 @@ def _cell_record(
         experiment="lqr", cell=dict(lane.cell), seed=seed, config_snapshot=cfg.snapshot()
     )
     if trace.abort is not None:
-        record.flagged = True
         record.flag_reason = f"optimizer abort: {trace.abort}"
         record.summary = {"eta_resolved": lane.eta, "rule": lane.rule, "l_sigma": lane.l_sigma}
         return record
@@ -145,7 +144,6 @@ def _fd_record(
             projector=projector,
         )
     except ConvergenceError as err:
-        record.flagged = True
         record.flag_reason = f"projection failure: {err}"
         return record
     gaps = costs - oracle["f_star"]
@@ -186,7 +184,6 @@ def _failure(cfg: RunConfig, method: str, reason: str) -> List[RunRecord]:
             cell={"method": method},
             seed=0,
             config_snapshot=cfg.snapshot(),
-            flagged=True,
             flag_reason=reason,
         )
     ]
@@ -200,9 +197,11 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     normals; up to `max_workers` seeds run concurrently.
 
     The QP oracle is solved once and certified by weak duality before any
-    cell runs.  An oracle failure, or a start the sampler cannot use (the zero
-    control sequence outside the constraint set), returns one flagged record
-    in place of all others (the CLI maps that to exit code 2).
+    cell runs.  An oracle failure, a start the sampler cannot use (the zero
+    control sequence outside the constraint set), or a cell whose closed-form
+    L_sigma cannot be formed (a temperature or variance so small that
+    Sigma^-1 + Q/tau overflows) returns one flagged record in place of all
+    others (the CLI maps that to exit code 2).
     """
     spec = _build_spec(cfg.section("problem"))
     lifted = qp.lift(spec)
@@ -221,7 +220,10 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     except InfeasibleProblemError as err:
         reason = f"start failure: the zero control sequence is infeasible: {err}"
         return _failure(cfg, "start", reason)
-    lanes = [_Lane(problem, lifted, cfg, cell) for cell in cfg.cells()]
+    try:
+        lanes = [_Lane(problem, lifted, cfg, cell) for cell in cfg.cells()]
+    except NotSpdError as err:
+        return _failure(cfg, "l_sigma", f"l_sigma failure: {err}")
     seeds = cfg.seeds
     with ThreadPoolExecutor(max_workers=min(max_workers, len(seeds))) as pool:
         by_seed = list(

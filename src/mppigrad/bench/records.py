@@ -42,9 +42,12 @@ class RunRecord:
     summary: Dict[str, Any] = field(default_factory=dict)
     plot_rows: List[Dict[str, float]] = field(default_factory=list)
     config_snapshot: Dict[str, Any] = field(default_factory=dict)
-    flagged: bool = False
-    flag_reason: str = ""
+    flag_reason: str = ""  # why the record is flagged; empty when it is not
     tool_version: str = _tool_version
+
+    @property
+    def flagged(self) -> bool:
+        return bool(self.flag_reason)
 
     @property
     def name(self) -> str:

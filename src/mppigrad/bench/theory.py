@@ -72,8 +72,8 @@ def _descent_checks() -> List[CheckRow]:
     rows: List[CheckRow] = []
     for frac in (1.0, 1.8):
         eta = frac / l_sigma
-        cfg = PgdConfig(eta=eta, k=60, n_samples=2)
-        final, trace = run_exact(oracle, policy, cfg)
+        cfg = PgdConfig(eta=eta, k=60)
+        final, trace = run_exact(oracle, cfg)
         f_vals = np.append(trace.column("free_energy"), oracle.free_energy(final.mean))
         norms = trace.column("grad_norm_p")
         factor = eta * (1.0 - eta * l_sigma / 2.0)

@@ -8,9 +8,10 @@ mu <- (1-eta) mu + eta * (weighted sample mean), and at eta = 1 it reduces
 exactly to the classical weighted-mean update.  An exact mode replaces the
 Monte Carlo tilted mean with an oracle so the descent inequality can be
 checked without sampling noise.  The sampled `run` steps several
-(policy, config) lanes of one seed in lockstep, so the lanes read each
-iteration's base normals from one draw.  The closed loop that replans with
-`run` at every simulation step lives in the Dubins benchmark runner.
+(policy, config) lanes of one seed in lockstep, so lanes that sample alike
+read each iteration's base normals from one draw.  The closed loop that
+replans with `run` at every simulation step lives in the Dubins benchmark
+runner.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AllInfeasibleError, UnsupportedProblemError
+from .errors import AllInfeasibleError
 from .problems import TrajectoryProblem
 from .sampling import (
     GaussianPolicy,
@@ -107,35 +108,6 @@ def _apply_update(policy: GaussianPolicy, eta: float, wmean: Array) -> Array:
     return (1.0 - eta) * policy.mean + eta * wmean
 
 
-def _sample_weighted(
-    problem: TrajectoryProblem,
-    policy: GaussianPolicy,
-    config: PgdConfig,
-    seed: int,
-    iteration: int,
-    normals: Optional[dict],
-):
-    """Draw/evaluate/weigh with all-infeasible retries under inflated noise."""
-    sampler = policy
-    for retry in range(MAX_RETRIES + 1):
-        batch = draw(
-            sampler,
-            config.n_samples,
-            seed,
-            iteration,
-            antithetic=config.antithetic,
-            retry=retry,
-            normals=normals,
-        )
-        evaluate(batch, problem)
-        try:
-            return sampler, batch, weigh(batch, sampler.tau), retry
-        except AllInfeasibleError:
-            if retry == MAX_RETRIES:
-                raise
-            sampler = sampler.inflate(INFLATION)
-
-
 def pgd_step(
     problem: TrajectoryProblem,
     policy: GaussianPolicy,
@@ -153,9 +125,25 @@ def pgd_step(
     `normals` is the base-normal cache handed to every `draw` (see there).
     """
     t0 = time.perf_counter()
-    sampler, batch, summary, retries = _sample_weighted(
-        problem, policy, config, seed, iteration, normals
-    )
+    sampler = policy
+    for retries in range(MAX_RETRIES + 1):
+        batch = draw(
+            sampler,
+            config.n_samples,
+            seed,
+            iteration,
+            antithetic=config.antithetic,
+            retry=retries,
+            normals=normals,
+        )
+        evaluate(batch, problem)
+        try:
+            summary = weigh(batch, sampler.tau)
+            break
+        except AllInfeasibleError:
+            if retries == MAX_RETRIES:
+                raise
+            sampler = sampler.inflate(INFLATION)
     wmean = weighted_mean(batch, summary)
     new_mean = _apply_update(policy, config.eta, wmean)
     finite = np.isfinite(batch.costs)  # `weigh` counts the rest as infeasible
@@ -186,21 +174,16 @@ def run(
     seed, so at each iteration they share the base normals z of every retry
     index (common random numbers): the first lane that needs a block draws
     it, and the others build their own samples mean + Sigma^{1/2} z from the
-    same block.  Each lane's result is bitwise the one it gets alone, which
-    needs equal `n_samples`, `antithetic` and policy dimension in every lane.
-    `iter_offset` shifts the RNG iteration counter so nested uses (e.g. the
-    Dubins closed loop) never reuse a noise stream.  If sampling aborts
-    in a lane, that lane stops with its partial trace and the error as the
-    trace's `abort`; the other lanes go on.
+    same block.  `draw` keys a block by sample count, dimension and
+    antithetic flag too, so lanes may differ in any setting, and each lane's
+    result is bitwise the one it gets alone.  `iter_offset` shifts the RNG
+    iteration counter so nested uses (e.g. the Dubins closed loop) never
+    reuse a noise stream.  If sampling aborts in a lane, that lane stops with
+    its partial trace and the error as the trace's `abort`; the other lanes
+    go on.
     """
     if not lanes:
         raise ValueError("run needs at least one (policy, config) lane")
-    shared = {(c.n_samples, c.antithetic, p.dim) for p, c in lanes}
-    if len(shared) > 1:
-        raise ValueError(
-            "lanes share their base normals, so they must agree on n_samples, antithetic "
-            f"and policy dimension; got (n_samples, antithetic, dim) in {sorted(shared)}"
-        )
     policies = [policy for policy, _ in lanes]
     traces = [OptimizerTrace() for _ in lanes]
     for k in range(max(config.k for _, config in lanes)):
@@ -221,19 +204,17 @@ def run(
     return list(zip(policies, traces))
 
 
-def run_exact(oracle, policy: GaussianPolicy, config: PgdConfig) -> tuple[GaussianPolicy, OptimizerTrace]:
-    """Deterministic iteration using an exact tilt oracle.
+def run_exact(oracle, config: PgdConfig) -> tuple[GaussianPolicy, OptimizerTrace]:
+    """Deterministic iteration from `oracle.policy` using an exact `TiltOracle`.
 
-    `oracle.moments(mean)` gives the tilted mean and log Z for the policy's
-    fixed covariance and temperature (see the analysis module); it is called
-    once per iterate.  The trace records the exact free energy -tau log Z and
-    the exact preconditioned gradient norm, which the descent checks consume.
+    The oracle's policy is the start and fixes the covariance and temperature
+    of every iterate, so the metric P = Sigma/tau of the records is the one
+    the tilt was formed under.  `oracle.moments(mean)` is called once per
+    iterate; the trace records the exact free energy -tau log Z and the exact
+    preconditioned gradient norm, which the descent checks consume.  Only
+    `config.eta` and `config.k` are read.
     """
-    if not hasattr(oracle, "moments"):
-        raise UnsupportedProblemError(
-            f"oracle of type {type(oracle).__name__} lacks moments(), which gives the "
-            "tilted_mean and log Z; exact mode needs a closed-form or quadrature oracle"
-        )
+    policy = oracle.policy
     trace = OptimizerTrace()
     for k in range(config.k):
         t0 = time.perf_counter()

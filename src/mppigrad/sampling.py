@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -247,8 +248,11 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     """Self-normalized weights w_j ∝ exp(-cost_j/tau) over feasible samples.
 
     A sample whose cost is not finite counts as infeasible: one NaN or -inf
-    cost would otherwise make every weight NaN.  Raises AllInfeasibleError
-    when no sample is feasible, leaving the retry decision to the caller.
+    cost would otherwise make every weight NaN.  When the largest usable
+    -cost/tau overflows, the weights are exp(-(cost - least cost)/tau), the
+    tau -> 0 limit, and `log_mean_weight` keeps its true value, +-inf.  Raises
+    AllInfeasibleError when no sample is feasible, leaving the retry decision
+    to the caller.
     """
     if batch.costs is None or batch.feasible_flags is None:
         raise ValueError("batch must be evaluated before weighing")
@@ -259,7 +263,10 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
         raise AllInfeasibleError(n, batch.iteration)
     log_w = np.where(flags, -costs / tau, _NEG_INF)
     shift = log_w.max()  # the -inf of an infeasible row never wins
-    raw = np.exp(log_w - shift)  # exp(-inf - shift) is exactly 0
+    if math.isfinite(shift):
+        raw = np.exp(log_w - shift)  # exp(-inf - shift) is exactly 0
+    else:  # inf - inf would make every weight NaN
+        raw = np.exp(np.where(flags, costs[flags].min() - costs, _NEG_INF) / tau)
     total = raw.sum()
     normalized = raw / total
     ess = 1.0 / float((normalized**2).sum())

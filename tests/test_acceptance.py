@@ -141,7 +141,7 @@ def test_criterion_3_conjugate_fixed_point(announce):
 
     policy = GaussianPolicy(np.array([mu0]), sigma2, tau)
     oracle = analysis.QuadraticOracle(policy, 1.0, 0.0)
-    _, trace = run_exact(oracle, policy, PgdConfig(eta=1.0, k=50, n_samples=2))
+    _, trace = run_exact(oracle, PgdConfig(eta=1.0, k=50))
     exact_path = trace.column("mean").ravel()
     exact_err = float(np.max(np.abs(exact_path - mu0 * ratio ** np.arange(50))))
 
@@ -194,7 +194,7 @@ def test_criterion_4_descent_and_stationarity(announce):
         p_mat = np.diag(cov) / tau
         for mult in (0.5, 1.0, 1.9):
             eta = mult / l_sigma
-            final, trace = run_exact(oracle, policy, PgdConfig(eta=eta, k=200, n_samples=2))
+            final, trace = run_exact(oracle, PgdConfig(eta=eta, k=200))
             means = list(trace.column("mean")) + [final.mean]
             f_vals = np.array([oracle.free_energy(m) for m in means])
             grads = np.array([oracle.grad(m) for m in means[:-1]])
@@ -216,7 +216,7 @@ def test_criterion_4_descent_and_stationarity(announce):
         dw, [-2.0], [2.0], dw_policy, np.linspace(-1.5, 1.5, 61)[:, None]
     )
     dw_oracle = analysis.QuadratureOracle(dw, [-2.0], [2.0], dw_policy, QUAD_TOL)
-    _, dw_trace = run_exact(dw_oracle, dw_policy, PgdConfig(eta=4.0 / l_dw, k=40, n_samples=2))
+    _, dw_trace = run_exact(dw_oracle, PgdConfig(eta=4.0 / l_dw, k=40))
     n_increases = int((np.diff(dw_trace.column("free_energy")) > 0).sum())
 
     runtime = time.monotonic() - t0

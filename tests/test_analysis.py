@@ -58,6 +58,16 @@ def test_indefinite_tilt_precision_is_rejected():
         analysis.QuadraticOracle(policy, -10.0, 0.0).moments(policy.mean)
 
 
+@pytest.mark.parametrize("sigma2, tau, named", [
+    (1e-4, 1e-306, "for tau = 1e-306 and Sigma with least variance 0.0001"),  # Q/tau overflows
+    (1e-320, 1.0, "for tau = 1 and Sigma with least variance 9.99989e-321"),  # so does Sigma^-1
+], ids=["tiny_tau", "tiny_sigma2"])
+def test_overflowing_tilt_precision_is_rejected(sigma2, tau, named):
+    policy = GaussianPolicy(np.zeros(2), sigma2, tau)
+    with pytest.raises(NotSpdError, match=f"Q/tau is not finite {named}"):
+        analysis.QuadraticOracle(policy, 400.0 * np.eye(2), np.zeros(2))
+
+
 def test_tilt_covariance_does_not_depend_on_the_mean():
     q = np.array([[2.0, 0.3], [0.3, 1.0]])
     for mu in (np.zeros(2), np.array([5.0, -7.0])):

@@ -99,7 +99,7 @@ def test_shipped_configs_load(tmp_path, config):
     """Every config the desk runs or the benchmark feeds loads, and so does its snapshot."""
     cfg = load_config(ROOT / config)
     assert cfg.experiment == yaml.safe_load((ROOT / config).read_text())["experiment"]
-    assert cfg.seeds
+    assert cfg.experiment == "theory" or cfg.seeds  # the theory battery reads no seed
     cfg.write_snapshot(tmp_path / "snap.yaml")
     reloaded = load_config(tmp_path / "snap.yaml")
     assert (reloaded.experiment, reloaded.resolved) == (cfg.experiment, cfg.resolved)
@@ -494,6 +494,24 @@ def test_lqr_unusable_start_is_flagged(tmp_path):
     assert "zero control sequence is infeasible" in records[0].flag_reason
 
 
+@pytest.mark.parametrize("sampling", ["{sigma2: 1.0e-4, tau: 1.0e-306}",
+                                      "{sigma2: 1.0e-320, tau: 1.0}"],
+                         ids=["tiny_tau", "tiny_sigma2"])
+def test_cli_lqr_overflowing_tilted_precision_is_one_flagged_record(tmp_path, capsys, sampling):
+    text = (f"version: 1\nexperiment: lqr\nseeds: [0]\nsampling: {sampling}\n"
+            "optimizer: {n_samples: 64, iterations: 3}\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--experiment", "lqr", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    [summary] = out.glob("summary_*.json")
+    doc = json.loads(summary.read_text())
+    assert (summary.name, doc["flagged"]) == ("summary_lqr_method-l_sigma_seed0.json", True)
+    assert doc["flag_reason"].startswith(
+        "l_sigma failure: tilted precision Sigma^-1 + Q/tau is not finite for tau = "
+    )
+
+
 # ---------------------------------------------------------------------------
 # closed-loop runner
 # ---------------------------------------------------------------------------
@@ -514,6 +532,49 @@ def test_dubins_runner_summary_and_rows(tmp_path):
     assert "k=sim step" in rec.summary["csv_semantics"]
     assert {"step", "px", "py", "stage_cost"} == set(rec.plot_rows[0])
     assert 0.0 < rec.summary["acceptance_rate"] <= 1.0
+
+
+MULTI_CELL_DUBINS = """
+version: 1
+experiment: dubins
+seeds: [0, 1]
+sim_steps: 3
+optimizer: {n_samples: 64}
+grid: {k: [1, 2]}
+"""
+
+
+def test_dubins_records_do_not_depend_on_the_worker_count(tmp_path):
+    # four cells on four threads, switching as often as they can, against one worker
+    cfg = load_config(write_cfg(tmp_path, MULTI_CELL_DUBINS))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_dubins(cfg, max_workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = run_dubins(cfg, max_workers=1)
+    assert len(threaded) == len(serial) == 4
+    for a, b in zip(threaded, serial):
+        _same_record(a, b)
+
+
+def test_cli_dubins_overflowing_log_weights_take_the_least_cost_sample(tmp_path, capsys):
+    # every -cost/tau overflows; the loop must neither abort nor carry a NaN mean
+    text = ("version: 1\nexperiment: dubins\nseeds: [0]\nsim_steps: 3\n"
+            "sampling: {tau: 1.0e-307}\noptimizer: {n_samples: 64}\ngrid: {k: [2]}\n")
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = cli.main(["run", "--experiment", "dubins", "--config",
+                         str(write_cfg(tmp_path, text)), "--out", str(out), "--workers", "1"])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((out / "summary_dubins_k-2_seed0.json").read_text())
+    assert doc["flagged"] is False and doc["summary"]["steps_completed"] == 3
+    assert doc["summary"]["ess_min"] == 1.0
+    lines = (out / "dubins_k-2_seed0.csv").read_text().splitlines()[1:]
+    ess = [float(line.split(",")[3]) for line in lines]
+    assert len(ess) == 3 and not any(math.isnan(e) for e in ess)
 
 
 def test_dubins_rows_are_reproducible_up_to_timing(tmp_path):
@@ -742,6 +803,15 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_seed_for_theory_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["run", "--experiment", "theory", "--config", "configs/theory.yaml",
+                     "--seed", "12345", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --seed does not apply to the theory experiment")
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize(
     "experiment, section, message",
     [
@@ -815,6 +885,7 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
         ("dubins", "problem: {w_max: .inf}", "problem.w_max must be a finite number, got inf"),
         ("lqr", "fd: {enabled: 'no'}", "fd.enabled must be true or false, got 'no'"),
         ("theory", "inject_bug: 'false'", "inject_bug must be true or false, got 'false'"),
+        ("theory", "seeds: [0]", "unknown config key 'seeds'"),  # a snapshot from before
         ("dubins", "problem: {x0: [.nan, 0.0, 0.0]}",
          "problem.x0[0] must be a finite number, got nan"),
         ("dubins", "problem: {obstacles: [[1.0, 1.0, .inf]]}",
@@ -869,7 +940,7 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
          "lqr_boolean_horizon", "lqr_fractional_horizon", "dubins_fractional_horizon",
          "dubins_zero_horizon", "dubins_boolean_speed", "dubins_boolean_dt",
          "dubins_boolean_r_weight", "dubins_infinite_w_max", "lqr_text_fd_enabled",
-         "theory_text_inject_bug", "dubins_nan_x0", "dubins_infinite_obstacle_radius",
+         "theory_text_inject_bug", "theory_seeds_key", "dubins_nan_x0", "dubins_infinite_obstacle_radius",
          "lqr_nan_x0", "lqr_boolean_fd_h", "lqr_misspelt_section", "dubins_misspelt_sampling_key",
          "lqr_seed_beyond_64_bits", "lqr_int_tau_beyond_float_range", "dubins_int_past_digit_limit",
          "lqr_repeated_seed", "lqr_tau_repeated_as_int_and_float", "dubins_repeated_k",
@@ -966,7 +1037,8 @@ def test_cli_theory_ok_and_injected_failure(tmp_path, capsys):
     assert code == 0
     assert (out / "theory_report.json").exists()
     assert (out / "theory_report.txt").exists()
-    assert (out / "config_snapshot.yaml").exists()
+    snapshot = (out / "config_snapshot.yaml").read_text().splitlines()
+    assert snapshot[:2] == ["experiment: theory", "inject_bug: false"]  # block style, no seeds
     assert "pass" in capsys.readouterr().out
 
     bugged = write_cfg(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mppigrad import analysis, optimizer
-from mppigrad.errors import AllInfeasibleError, UnsupportedProblemError
+from mppigrad.errors import AllInfeasibleError
 from mppigrad.optimizer import (
     PgdConfig,
     grad_estimate,
@@ -301,15 +301,25 @@ def test_lockstep_lanes_equal_lone_runs_and_an_abort_stops_only_its_lane():
         _same_trace(trace, alone)
 
 
-@pytest.mark.parametrize("other", [
-    (GaussianPolicy(np.zeros(2), 0.1, tau=1.0), PgdConfig(n_samples=32)),
-    (GaussianPolicy(np.zeros(2), 0.1, tau=1.0), PgdConfig(n_samples=64, antithetic=False)),
-    (GaussianPolicy(np.zeros(3), 0.1, tau=1.0), PgdConfig(n_samples=64)),
-], ids=["n_samples", "antithetic", "dimension"])
-def test_run_rejects_lanes_that_cannot_share_their_noise(other):
-    lane = (GaussianPolicy(np.zeros(2), 0.1, tau=1.0), PgdConfig(n_samples=64))
-    with pytest.raises(ValueError, match="must agree on n_samples, antithetic and policy dim"):
-        run(nan_share_problem(), [lane, other], seed=0)
+def test_lanes_that_sample_differently_equal_their_lone_runs():
+    # the base-normal key keeps apart the lanes that differ in n_samples or
+    # antithetic; the last lane shares the first one's blocks
+    prob = lqr_problem(lift(double_integrator()))
+    zero = np.zeros(10)
+    lanes = [
+        (GaussianPolicy(zero, 1e-4, tau=1.0), PgdConfig(k=5, n_samples=200)),
+        (GaussianPolicy(zero, 2e-4, tau=0.5), PgdConfig(eta=0.5, k=3, n_samples=64)),
+        (GaussianPolicy(zero, 1e-4, tau=1.0), PgdConfig(k=4, n_samples=64, antithetic=False)),
+        (GaussianPolicy(zero, 3e-4, tau=2.0), PgdConfig(eta=0.7, k=4, n_samples=200)),
+    ]
+    together = run(prob, lanes, seed=2)
+    for lane, (final, trace) in zip(lanes, together):
+        [(alone_final, alone)] = run(prob, [lane], seed=2)
+        assert np.array_equal(final.mean, alone_final.mean)
+        _same_trace(trace, alone)
+
+
+def test_run_needs_a_lane():
     with pytest.raises(ValueError, match="at least one"):
         run(nan_share_problem(), [], seed=0)
 
@@ -323,8 +333,8 @@ def test_exact_conjugate_geometric_decay():
     sigma2, tau, mu0 = 0.4, 1.1, 3.0
     policy = GaussianPolicy(np.array([mu0]), sigma2, tau)
     oracle = analysis.QuadraticOracle(policy, 1.0, 0.0)
-    cfg = PgdConfig(eta=1.0, k=50, n_samples=2)
-    _, trace = run_exact(oracle, policy, cfg)
+    cfg = PgdConfig(eta=1.0, k=50)
+    _, trace = run_exact(oracle, cfg)
     ratio = tau / (tau + sigma2)
     expected = mu0 * ratio ** np.arange(50)
     np.testing.assert_allclose(trace.column("mean").ravel(), expected, atol=1e-10)
@@ -336,7 +346,7 @@ def test_exact_descent_inside_admissible_band():
         policy, np.array([[3.0, 0.5], [0.5, 1.0]]), np.array([0.4, -0.2])
     )
     eta = 1.0 / oracle.l_sigma(policy.mean)
-    final, trace = run_exact(oracle, policy, PgdConfig(eta=eta, k=40, n_samples=2))
+    final, trace = run_exact(oracle, PgdConfig(eta=eta, k=40))
     f = np.append(trace.column("free_energy"), oracle.free_energy(final.mean))
     assert np.all(np.diff(f) <= 1e-12)
 
@@ -347,17 +357,28 @@ def test_exact_divergence_when_step_credits_exceed_two():
     oracle = analysis.QuadraticOracle(policy, 9.0, 0.0)
     l_sigma = oracle.l_sigma(policy.mean)
     assert l_sigma == pytest.approx(0.9, abs=1e-12)
-    _, trace = run_exact(oracle, policy, PgdConfig(eta=4.0 / l_sigma, k=12, n_samples=2))
+    _, trace = run_exact(oracle, PgdConfig(eta=4.0 / l_sigma, k=12))
     means = trace.column("mean").ravel()
     np.testing.assert_allclose(means[1:] / means[:-1], -3.0, atol=1e-9)
     f = trace.column("free_energy")
     assert np.any(np.diff(f) > 0)  # non-monotone: the step is way too long
 
 
-def test_exact_mode_needs_an_oracle():
-    policy = GaussianPolicy(np.zeros(1), 1.0, tau=1.0)
-    with pytest.raises(UnsupportedProblemError, match="tilted_mean"):
-        run_exact(object(), policy, PgdConfig(n_samples=2))
+def test_exact_mode_starts_from_and_measures_with_the_oracle_policy():
+    # sigma2 = 0.5, tau = 1, q = 1 at mu = 2: tilted mean 4/3, so
+    # |g|_P = sqrt(tau (2/3)^2 / sigma2) and F = 4/3 + log(1.5)/2
+    policy = GaussianPolicy(np.array([2.0]), 0.5, tau=1.0)
+    oracle = analysis.QuadraticOracle(policy, 1.0, 0.0)
+    _, trace = run_exact(oracle, PgdConfig(eta=0.5, k=4))
+    first = trace.records[0]
+    assert np.array_equal(first.mean, policy.mean)
+    assert first.grad_norm_p == pytest.approx(np.sqrt(8.0 / 9.0), rel=1e-14)
+    assert first.free_energy == pytest.approx(4.0 / 3.0 + 0.5 * np.log(1.5), rel=1e-14)
+    p_mat = policy.cov_matrix() / policy.tau
+    for r in trace.records:
+        g = oracle.grad(r.mean)
+        assert r.grad_norm_p == pytest.approx(np.sqrt(g @ p_mat @ g), rel=1e-12)
+        assert r.free_energy == pytest.approx(oracle.free_energy(r.mean), rel=1e-12)
 
 
 def test_exact_mode_reads_one_tilt_record_per_iterate(monkeypatch):
@@ -371,7 +392,7 @@ def test_exact_mode_reads_one_tilt_record_per_iterate(monkeypatch):
     monkeypatch.setattr(analysis, "tilted_moments_quadrature", counting)
     policy = GaussianPolicy(np.array([0.8]), 0.4, tau=0.9)
     oracle = analysis.QuadratureOracle(lambda pts: 0.5 * pts[:, 0] ** 2, [-10.0], [10.0], policy)
-    _, trace = run_exact(oracle, policy, PgdConfig(eta=1.0, k=40, n_samples=2))
+    _, trace = run_exact(oracle, PgdConfig(eta=1.0, k=40))
     assert len(trace) == 40
     assert len(calls) == 40
 
@@ -381,9 +402,9 @@ def test_exact_mode_accepts_quadrature_oracle():
     oracle = analysis.QuadratureOracle(
         lambda pts: 0.5 * pts[:, 0] ** 2, [-10.0], [10.0], policy
     )
-    _, trace = run_exact(oracle, policy, PgdConfig(eta=1.0, k=5, n_samples=2))
+    _, trace = run_exact(oracle, PgdConfig(eta=1.0, k=5))
     closed = analysis.QuadraticOracle(policy, 1.0, 0.0)
-    _, trace_closed = run_exact(closed, policy, PgdConfig(eta=1.0, k=5, n_samples=2))
+    _, trace_closed = run_exact(closed, PgdConfig(eta=1.0, k=5))
     np.testing.assert_allclose(
         trace.column("mean"), trace_closed.column("mean"), atol=1e-7
     )

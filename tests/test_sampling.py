@@ -311,6 +311,19 @@ def test_extreme_costs_do_not_overflow():
     assert s.normalized_weights[0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("costs, tau, weights, log_mean", [
+    ([-1e300, 5.0, 4.0], 1e-10, [1.0, 0.0, 0.0], np.inf),  # the least -cost/tau is +inf
+    ([100.0, 50.0, 40.0], 1e-307, [0.0, 0.0, 1.0], -np.inf),  # every -cost/tau is -inf
+    ([np.nan, 60.0, 40.0, 40.0], 1e-307, [0.0, 0.0, 0.5, 0.5], -np.inf),
+], ids=["plus_inf", "minus_inf", "tied_with_nan"])
+def test_overflowing_log_weights_take_the_low_temperature_limit(costs, tau, weights, log_mean):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _, s = _weighed(np.array(costs), tau=tau)
+    np.testing.assert_array_equal(s.normalized_weights, weights)
+    assert s.effective_sample_size == 1.0 / np.sum(np.square(weights))
+    assert s.log_mean_weight == log_mean
+
+
 def test_weighted_mean_trivial_cases():
     rng = np.random.default_rng(6)
     samples = rng.standard_normal((5, 3))
