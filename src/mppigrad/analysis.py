@@ -10,7 +10,8 @@ either oracle and starts from its `policy`; either gives L_Sigma at a mean as
 smoothness constants (closed form, diameter bound, numeric), the projected
 finite-difference baseline (`fd_baseline` returns `(costs, final_u)`), the
 estimator bias probe, and the variational identity check.  These are the
-second routes that the sampled optimizer is validated against.
+second routes that the sampled optimizer is validated against.  The three
+routines that take a box check it one way, when called.
 """
 
 from __future__ import annotations
@@ -151,76 +152,66 @@ def _simpson_tilt(log_pi: Array, f_vals: Array, tau: float, weights: Array):
     return log_g, density, z0, shift + np.log(z0)
 
 
-def _tilted_grid_pass(f0, box_lo, box_hi, policy: GaussianPolicy, cells: int) -> TiltMoments:
-    nodes, weights = _simpson_weights(box_lo[0], box_hi[0], cells)
-    pts = nodes[:, None]
-    if policy.dim == 2:  # tensor grid, first axis slowest
-        n1, w1 = _simpson_weights(box_lo[1], box_hi[1], cells)
-        pts = np.column_stack([np.repeat(nodes, n1.size), np.tile(n1, nodes.size)])
-        weights = np.outer(weights, w1).ravel()
-    f_vals = np.asarray(f0(pts), dtype=float)
-    _, density, z0, log_z = _simpson_tilt(policy.log_density(pts), f_vals, policy.tau, weights)
-    mean = (density @ pts) / z0
-    centered = pts - mean
-    cov = (density[:, None] * centered).T @ centered / z0
-    return TiltMoments(mean=mean, cov=0.5 * (cov + cov.T), log_z=log_z)
-
-
-def tilted_moments_quadrature(
-    f0: Callable[[Array], Array],
-    box_lo,
-    box_hi,
-    policy: GaussianPolicy,
-    rel_tol: float = 1e-8,
-) -> TiltMoments:
-    """Simpson moments of the constrained tilt on a 1-D/2-D box.
-
-    `f0` must accept an (n, d) array of points and return n costs.  The cell
-    count doubles until log Z, the mean, and the covariance all move by less
-    than `rel_tol`; exceeding the cap raises QuadratureError carrying the
-    last estimate.
-    """
-    d = policy.dim
-    if d not in (1, 2):
-        raise UnsupportedProblemError(f"quadrature oracle supports 1 or 2 dims, got {d}")
-    box_lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
-    box_hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
-    if box_lo.shape != (d,) or box_hi.shape != (d,):
-        raise DimensionMismatchError(d, box_lo.size, "quadrature box")
-    if not (np.all(np.isfinite(box_lo)) and np.all(np.isfinite(box_hi))):
-        raise ValueError("quadrature box must be bounded")
-    cap = MAX_CELLS_1D if d == 1 else MAX_CELLS_2D
-
-    cells = START_CELLS
-    prev = _tilted_grid_pass(f0, box_lo, box_hi, policy, cells)
-    while cells < cap:
-        cells *= 2
-        cur = _tilted_grid_pass(f0, box_lo, box_hi, policy, cells)
-        dz = abs(cur.log_z - prev.log_z) / (1.0 + abs(cur.log_z))
-        dm = float(np.max(np.abs(cur.mean - prev.mean))) / (1.0 + float(np.max(np.abs(cur.mean))))
-        dc = float(np.max(np.abs(cur.cov - prev.cov))) / (1.0 + float(np.max(np.abs(cur.cov))))
-        if max(dz, dm, dc) < rel_tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"no convergence at {cells} cells per axis", last_estimate=prev.log_z
-    )
+def _box(box_lo, box_hi, d: int) -> tuple[Array, Array]:
+    """A box as two float arrays of length d: finite, upper bounds dominating lower."""
+    lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
+    if lo.shape != (d,) or hi.shape != (d,):
+        raise DimensionMismatchError(d, lo.size if lo.shape != (d,) else hi.size, "box")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("box must be bounded")
+    if np.any(hi < lo):
+        raise ValueError("box upper bounds must dominate lower bounds")
+    return lo, hi
 
 
 class QuadratureOracle(TiltOracle):
-    """Exact-mode oracle backed by quadrature; works for any smooth 1-D/2-D f0."""
+    """Exact-mode oracle: Simpson moments of the constrained tilt on a 1-D/2-D box.
+
+    `f0` must accept an (n, d) array of points and return n costs.  The
+    dimension and the box are checked here, once.  `moments` doubles the
+    cell count from `START_CELLS` until log Z, the mean and the covariance
+    all move by less than `rel_tol`; exceeding the cap raises QuadratureError
+    carrying the last estimate.
+    """
 
     def __init__(self, f0, box_lo, box_hi, policy: GaussianPolicy, rel_tol: float = 1e-8):
+        if policy.dim not in (1, 2):
+            raise UnsupportedProblemError(f"quadrature supports 1 or 2 dims, got {policy.dim}")
+        self.box_lo, self.box_hi = _box(box_lo, box_hi, policy.dim)
         self.f0 = f0
-        self.box_lo = box_lo
-        self.box_hi = box_hi
         self.rel_tol = rel_tol
         self.policy = policy
 
+    def _grid_pass(self, policy: GaussianPolicy, cells: int) -> TiltMoments:
+        nodes, weights = _simpson_weights(self.box_lo[0], self.box_hi[0], cells)
+        pts = nodes[:, None]
+        if policy.dim == 2:  # tensor grid, first axis slowest
+            n1, w1 = _simpson_weights(self.box_lo[1], self.box_hi[1], cells)
+            pts = np.column_stack([np.repeat(nodes, n1.size), np.tile(n1, nodes.size)])
+            weights = np.outer(weights, w1).ravel()
+        f_vals = np.asarray(self.f0(pts), dtype=float)
+        _, density, z0, log_z = _simpson_tilt(policy.log_density(pts), f_vals, policy.tau, weights)
+        mean = (density @ pts) / z0
+        centered = pts - mean
+        cov = (density[:, None] * centered).T @ centered / z0
+        return TiltMoments(mean=mean, cov=0.5 * (cov + cov.T), log_z=log_z)
+
     def moments(self, mean: Array) -> TiltMoments:
-        return tilted_moments_quadrature(
-            self.f0, self.box_lo, self.box_hi, self.policy.with_mean(mean), self.rel_tol
-        )
+        policy = self.policy.with_mean(mean)
+        cap = MAX_CELLS_1D if policy.dim == 1 else MAX_CELLS_2D  # module globals, read per call
+        cells = START_CELLS
+        prev = self._grid_pass(policy, cells)
+        while cells < cap:
+            cells *= 2
+            cur = self._grid_pass(policy, cells)
+            dz = abs(cur.log_z - prev.log_z) / (1.0 + abs(cur.log_z))
+            dm = float(np.max(np.abs(cur.mean - prev.mean))) / (1.0 + float(np.max(np.abs(cur.mean))))
+            dc = float(np.max(np.abs(cur.cov - prev.cov))) / (1.0 + float(np.max(np.abs(cur.cov))))
+            if max(dz, dm, dc) < self.rel_tol:
+                return cur
+            prev = cur
+        raise QuadratureError(f"no convergence at {cells} cells per axis", last_estimate=prev.log_z)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +294,9 @@ def l_sigma_diameter_bound(cov, box_lo, box_hi) -> DiameterBound:
     the Euclidean diameter over sqrt(lmin(Sigma)); D^2 is reported as
     `d2_metric`.  The unit step is certified (bound < 2) exactly when D^2 < 12.
     """
-    box_lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
-    box_hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
-    if not (np.all(np.isfinite(box_lo)) and np.all(np.isfinite(box_hi))):
-        raise ValueError("diameter bound needs a bounded box")
-    if np.any(box_hi < box_lo):
-        raise ValueError("box upper bounds must dominate lower bounds")
+    box_lo, box_hi = _box(box_lo, box_hi, np.size(box_lo))
     edges = box_hi - box_lo
-    d = box_lo.shape[0]
-    policy = GaussianPolicy(np.zeros(d), cov, 1.0)  # validates cov
+    policy = GaussianPolicy(np.zeros(edges.size), cov, 1.0)  # validates cov
     if np.ndim(cov) < 2:  # scalar or diagonal Sigma
         d2_metric = float((edges**2 / np.asarray(cov, dtype=float)).sum())
     else:
@@ -461,8 +446,7 @@ def gibbs_identity_check(
     """
     if policy.dim != 1:
         raise UnsupportedProblemError("identity check is implemented in 1-D")
-    lo = float(np.atleast_1d(box_lo)[0])
-    hi = float(np.atleast_1d(box_hi)[0])
+    (lo,), (hi,) = _box(box_lo, box_hi, 1)
     nodes, w = _simpson_weights(lo, hi, GIBBS_CELLS)
     pts = nodes[:, None]
     tau = policy.tau

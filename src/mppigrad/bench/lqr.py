@@ -19,7 +19,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from .. import analysis, qp
-from ..errors import ConvergenceError, InfeasibleProblemError, NotSpdError
+from ..errors import ConvergenceError, InfeasibleProblemError, NotSpdError, StepSizeError
 from ..optimizer import OptimizerTrace, run, step_size_rule
 from ..problems import LqrSpec, TrajectoryProblem, lqr_problem
 from ..sampling import GaussianPolicy
@@ -86,7 +86,9 @@ def _cell_record(
     costs, feasible = problem.evaluate_batch(means)
     gaps = costs - oracle["f_star"]
     n = lane.pgd.n_samples
+    evaluations = 0  # cumulative; each all-infeasible retry scores another n samples
     for r, gap in zip(trace.records, gaps[:-1]):
+        evaluations += (1 + r.retries) * n
         record.rows.append(
             {
                 "k": r.k,
@@ -99,7 +101,7 @@ def _cell_record(
             }
         )
         record.plot_rows.append(
-            {"iteration": r.k, "evaluations": (r.k + 1) * n, "gap": float(gap)}
+            {"iteration": r.k, "evaluations": evaluations, "gap": float(gap)}
         )
     record.summary = {
         **oracle,
@@ -116,7 +118,7 @@ def _cell_record(
         "nonfinite_costs": sum(r.nonfinite for r in trace.records),
         "infeasible_mean_iterations": [int(i) for i in np.nonzero(~feasible)[0]],
         "iterations": len(trace),
-        "evaluations": len(trace) * n,
+        "evaluations": evaluations,
         "runtime_seconds": time.perf_counter() - t_start,
     }
     return record
@@ -200,8 +202,9 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     cell runs.  An oracle failure, a start the sampler cannot use (the zero
     control sequence outside the constraint set), or a cell whose closed-form
     L_sigma cannot be formed (a temperature or variance so small that
-    Sigma^-1 + Q/tau overflows) returns one flagged record in place of all
-    others (the CLI maps that to exit code 2).
+    Sigma^-1 + Q/tau overflows) or whose rule step 1/L_sigma overflows
+    returns one flagged record in place of all others (the CLI maps that to
+    exit code 2).
     """
     spec = _build_spec(cfg.section("problem"))
     lifted = qp.lift(spec)
@@ -222,7 +225,7 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
         return _failure(cfg, "start", reason)
     try:
         lanes = [_Lane(problem, lifted, cfg, cell) for cell in cfg.cells()]
-    except NotSpdError as err:
+    except (NotSpdError, StepSizeError) as err:
         return _failure(cfg, "l_sigma", f"l_sigma failure: {err}")
     seeds = cfg.seeds
     with ThreadPoolExecutor(max_workers=min(max_workers, len(seeds))) as pool:

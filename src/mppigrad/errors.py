@@ -54,8 +54,12 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
 
 
+class StepSizeError(ValueError):
+    """A step-size rule cannot turn its smoothness constant into a finite positive step."""
+
+
 class UnsupportedProblemError(TypeError):
-    """An exact-mode routine was handed a problem without the needed oracle."""
+    """An exact-mode routine was asked for a dimension it does not implement."""
 
 
 class ConfigError(ValueError):

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AllInfeasibleError
+from .errors import AllInfeasibleError, NotSpdError, StepSizeError
 from .problems import TrajectoryProblem
 from .sampling import (
     GaussianPolicy,
@@ -120,8 +120,9 @@ def pgd_step(
 
     On an all-infeasible batch the draw is retried (new counter-based stream)
     up to `MAX_RETRIES` times, with covariance inflated by the factor
-    `INFLATION` per retry; the inflated covariance applies to that step's
-    sampling only — the returned policy keeps the original covariance.
+    `INFLATION` per retry, and fewer if the next inflation would overflow;
+    the inflated covariance applies to that step's sampling only — the
+    returned policy keeps the original covariance.
     `normals` is the base-normal cache handed to every `draw` (see there).
     """
     t0 = time.perf_counter()
@@ -140,10 +141,13 @@ def pgd_step(
         try:
             summary = weigh(batch, sampler.tau)
             break
-        except AllInfeasibleError:
+        except AllInfeasibleError as err:
             if retries == MAX_RETRIES:
                 raise
-            sampler = sampler.inflate(INFLATION)
+            try:
+                sampler = sampler.inflate(INFLATION)
+            except NotSpdError:  # the inflated covariance is not finite: give up on the batch
+                raise err from None
     wmean = weighted_mean(batch, summary)
     new_mean = _apply_update(policy, config.eta, wmean)
     finite = np.isfinite(batch.costs)  # `weigh` counts the rest as infeasible
@@ -236,7 +240,8 @@ def run_exact(oracle, config: PgdConfig) -> tuple[GaussianPolicy, OptimizerTrace
 
 
 def step_size_rule(l_sigma: float) -> float:
-    """Midpoint of the admissible interval (0, 2/L): eta = 1/L."""
-    if l_sigma <= 0:
-        raise ValueError(f"smoothness constant must be positive, got {l_sigma}")
-    return 1.0 / float(l_sigma)
+    """Midpoint of the admissible interval (0, 2/L): eta = 1/L; finite, or StepSizeError."""
+    eta = 1.0 / float(l_sigma) if l_sigma > 0 else float("nan")
+    if not np.isfinite(eta):  # L_sigma not positive, NaN, or too small to invert
+        raise StepSizeError(f"eta = 1/L_sigma is not a finite positive step for L_sigma = {l_sigma}")
+    return eta

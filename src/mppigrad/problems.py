@@ -77,7 +77,7 @@ class TrajectoryProblem:
         first = int(np.argmax(flags))
         object.__setattr__(self, "known_feasible", stack[first])
         if not np.isfinite(costs[first]):
-            raise ValueError("objective is not finite on the known-feasible sequence")
+            raise InfeasibleProblemError("objective is not finite on the known-feasible sequence")
 
     @property
     def n_controls(self) -> int:

@@ -165,8 +165,9 @@ class GaussianPolicy:
         return moved
 
     def inflate(self, factor: float) -> "GaussianPolicy":
-        """Same mean and temperature with covariance scaled by `factor`."""
-        return GaussianPolicy(self.mean, self._cov * factor, self.tau)
+        """Same mean and temperature with covariance scaled by `factor`; NotSpdError on overflow."""
+        with np.errstate(over="ignore"):  # the constructor rejects a non-finite covariance
+            return GaussianPolicy(self.mean, self._cov * factor, self.tau)
 
 
 @dataclass

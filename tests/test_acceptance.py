@@ -64,7 +64,7 @@ def test_criterion_1_gradient_exactness(announce):
         if abs(g_fd) < 0.1:  # keep the relative-error denominator well posed
             continue
         accepted += 1
-        m = analysis.tilted_moments_quadrature(f0, [lo], [hi], policy, QUAD_TOL).mean
+        m = quadrature.moments(policy.mean).mean
         g_exact = -tau / sigma2 * (m[0] - mu)
         worst = max(worst, abs(g_exact - g_fd) / abs(g_fd))
     runtime = time.monotonic() - t0
@@ -94,11 +94,11 @@ def test_criterion_2_hessian_exactness(announce):
         lo, hi = mu - rng.uniform(3.0, 5.0), mu + rng.uniform(3.0, 5.0)
         policy = GaussianPolicy(np.array([mu]), sigma2, tau)
         f0 = quad_f0(q, c)
-        cov_tilt = analysis.tilted_moments_quadrature(f0, [lo], [hi], policy, rel_tol).cov
+        quadrature = analysis.QuadratureOracle(f0, [lo], [hi], policy, rel_tol)
+        cov_tilt = quadrature.moments(policy.mean).cov
         m_exact = analysis.preconditioned_hessian(policy, cov_tilt)[0, 0]
 
         h = 5e-3
-        quadrature = analysis.QuadratureOracle(f0, [lo], [hi], policy, rel_tol)
         f = lambda m_: quadrature.free_energy([m_])
         second = (f(mu + h) - 2.0 * f(mu) + f(mu - h)) / h**2
         m_fd = sigma2 / tau * second  # sandwich by P = Sigma/tau in 1-D
@@ -457,7 +457,7 @@ def test_criterion_10_bias_probe(announce):
         evaluate=lambda U: (f0(U), np.abs(U[:, 0]) <= 3.0),
         known_feasible=np.zeros(1),
     )
-    mom = analysis.tilted_moments_quadrature(f0, [-3.0], [3.0], policy, 1e-12)
+    mom = analysis.QuadratureOracle(f0, [-3.0], [3.0], policy, 1e-12).moments(policy.mean)
     exact = -tau / sigma2 * (mom.mean - policy.mean)
     small, large = analysis.bias_probe(prob, policy, exact, n_list=[100, 10_000], trials=3200, seed=0)
     separated = small.bias_norm - small.ci_half_width > large.bias_norm + large.ci_half_width

@@ -10,6 +10,7 @@ from mppigrad.bench.config import load_config
 from mppigrad.bench.lqr import _build_spec
 from mppigrad.errors import (
     ConvergenceError,
+    DimensionMismatchError,
     NotSpdError,
     QuadratureError,
     UnsupportedProblemError,
@@ -134,7 +135,7 @@ def test_quadrature_oracle_smoothness_sees_the_truncated_tilt():
     f0 = lambda pts: 0.5 * pts[:, 0] ** 2
     policy = GaussianPolicy(np.zeros(1), 1.0, tau=1.0)
     oracle = analysis.QuadratureOracle(f0, [-0.5], [3.0], policy)
-    var = analysis.tilted_moments_quadrature(f0, [-0.5], [3.0], policy).cov[0, 0]
+    var = oracle.moments(policy.mean).cov[0, 0]
     l_sigma = oracle.l_sigma(policy.mean)
     assert l_sigma == pytest.approx(abs(1.0 - var), abs=1e-12)
     # truncation only shrinks a Gaussian's variance, so the curvature exceeds the closed form
@@ -163,11 +164,11 @@ def test_free_energy_dominates_the_minimum_cost():
 def test_quadrature_matches_closed_form_on_a_wide_box_1d():
     sigma2, tau, q, c = 0.6, 1.2, 1.5, -0.4
     policy = GaussianPolicy(np.array([0.9]), sigma2, tau)
-    mom = analysis.tilted_moments_quadrature(quadratic_batch(q, c), [-25.0], [25.0], policy, WIDE)
+    quadrature = analysis.QuadratureOracle(quadratic_batch(q, c), [-25.0], [25.0], policy, WIDE)
+    mom = quadrature.moments(policy.mean)
     exact = analysis.QuadraticOracle(policy, q, c).moments(policy.mean)
     np.testing.assert_allclose(mom.mean, exact.mean, atol=1e-8)
     np.testing.assert_allclose(mom.cov, exact.cov, atol=1e-8)
-    quadrature = analysis.QuadratureOracle(quadratic_batch(q, c), [-25.0], [25.0], policy, WIDE)
     f = quadrature.free_energy(policy.mean)
     exact_f = analysis.QuadraticOracle(policy, q, c).free_energy(policy.mean)
     assert f == pytest.approx(exact_f, abs=1e-8)
@@ -177,9 +178,9 @@ def test_quadrature_matches_closed_form_on_a_wide_box_2d():
     q = np.array([[1.2, 0.3], [0.3, 0.8]])
     c = np.array([0.2, -0.1])
     policy = GaussianPolicy(np.array([0.4, -0.6]), np.array([[0.7, 0.15], [0.15, 0.5]]), 0.9)
-    mom = analysis.tilted_moments_quadrature(
+    mom = analysis.QuadratureOracle(
         quadratic_batch(q, c), [-12.0, -12.0], [12.0, 12.0], policy, 1e-9
-    )
+    ).moments(policy.mean)
     exact = analysis.QuadraticOracle(policy, q, c).moments(policy.mean)
     np.testing.assert_allclose(mom.mean, exact.mean, atol=1e-6)
     np.testing.assert_allclose(mom.cov, exact.cov, atol=1e-6)
@@ -188,9 +189,9 @@ def test_quadrature_matches_closed_form_on_a_wide_box_2d():
 
 def test_truncation_shrinks_the_tilt_variance():
     policy = GaussianPolicy(np.zeros(1), 4.0, tau=1.0)
-    mom = analysis.tilted_moments_quadrature(
+    mom = analysis.QuadratureOracle(
         lambda pts: np.zeros(len(pts)), [-0.1], [0.1], policy, WIDE
-    )
+    ).moments(policy.mean)
     assert mom.cov[0, 0] < 4.0
     assert abs(mom.mean[0]) <= 0.1
 
@@ -201,23 +202,38 @@ def test_quadrature_cell_cap_raises_with_last_estimate(monkeypatch):
     policy = GaussianPolicy(np.zeros(1), 1.0, tau=1.0)
     tiny = 1e-14
     with pytest.raises(QuadratureError, match="8 cells") as err:
-        analysis.tilted_moments_quadrature(
+        analysis.QuadratureOracle(
             lambda pts: np.cos(40.0 * pts[:, 0]), [-3.0], [3.0], policy, tiny
-        )
+        ).moments(policy.mean)
     assert np.isfinite(err.value.last_estimate)
 
 
 def test_quadrature_rejects_three_dims_and_unbounded_boxes():
     with pytest.raises(UnsupportedProblemError, match="1 or 2"):
-        analysis.tilted_moments_quadrature(
+        analysis.QuadratureOracle(
             lambda pts: np.zeros(len(pts)), [-1.0] * 3, [1.0] * 3,
             GaussianPolicy(np.zeros(3), 1.0, 1.0),
         )
     with pytest.raises(ValueError, match="bounded"):
-        analysis.tilted_moments_quadrature(
+        analysis.QuadratureOracle(
             lambda pts: np.zeros(len(pts)), [-np.inf], [1.0],
             GaussianPolicy(np.zeros(1), 1.0, 1.0),
         )
+
+
+@pytest.mark.parametrize(
+    "dim, lo, hi, error, match",
+    [
+        (1, [-1.0, -1.0], [1.0, 1.0], DimensionMismatchError, "expected length 1, got 2"),
+        (2, [-1.0, -1.0], [1.0], DimensionMismatchError, "expected length 2, got 1"),
+        (1, [3.0], [-0.5], ValueError, "dominate"),  # not "integrand vanished" from a later pass
+    ],
+    ids=["long_box", "short_upper", "reversed"],
+)
+def test_quadrature_oracle_checks_its_box_when_built(dim, lo, hi, error, match):
+    policy = GaussianPolicy(np.zeros(dim), 1.0, 1.0)
+    with pytest.raises(error, match=match):
+        analysis.QuadratureOracle(lambda pts: np.zeros(len(pts)), lo, hi, policy)
 
 
 def test_quadrature_oracle_gradient_matches_closed_form():
@@ -307,6 +323,8 @@ def test_diameter_bound_rejects_bad_boxes():
         analysis.l_sigma_diameter_bound(1.0, [0.0], [np.inf])
     with pytest.raises(ValueError, match="dominate"):
         analysis.l_sigma_diameter_bound(1.0, [1.0], [0.0])
+    with pytest.raises(DimensionMismatchError):  # not a silent broadcast
+        analysis.l_sigma_diameter_bound(1.0, [0.0, 0.0], [1.0])
 
 
 def test_two_point_variance_attains_the_quarter_square():
@@ -467,9 +485,9 @@ def test_bias_probe_detects_small_sample_bias():
     sigma2, tau, q, c = 0.5, 0.25, 2.0, 0.5
     policy = GaussianPolicy(np.array([1.0]), sigma2, tau)
     prob = quadratic_problem(np.array([[q]]), np.array([c]), feasible_radius=3.0)
-    mom = analysis.tilted_moments_quadrature(
+    mom = analysis.QuadratureOracle(
         quadratic_batch(q, c), [-3.0], [3.0], policy, 1e-12
-    )
+    ).moments(policy.mean)
     exact = -tau / sigma2 * (mom.mean - policy.mean)
     rows = analysis.bias_probe(prob, policy, exact, n_list=[50, 5000], trials=1600, seed=0)
     small, large = rows
@@ -532,6 +550,11 @@ def test_gibbs_identity_input_validation():
         analysis.gibbs_identity_check(f0, [-2.0], [2.0], policy, lambda pts: pts[:, 0])
     with pytest.raises(ValueError, match="no mass"):
         analysis.gibbs_identity_check(f0, [-2.0], [2.0], policy, lambda pts: np.zeros(len(pts)))
+    ones = lambda pts: np.ones(len(pts))
+    with pytest.raises(ValueError, match="dominate"):  # a reversed box is not a massless rho
+        analysis.gibbs_identity_check(f0, [3.0], [-0.5], policy, ones)
+    with pytest.raises(DimensionMismatchError):  # nor is a long one cut to its first bound
+        analysis.gibbs_identity_check(f0, [-2.0, 0.0], [2.0, 1.0], policy, ones)
     with pytest.raises(UnsupportedProblemError):
         analysis.gibbs_identity_check(
             f0, [-2.0, -2.0], [2.0, 2.0], GaussianPolicy(np.zeros(2), 1.0, 1.0),

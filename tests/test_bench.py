@@ -276,6 +276,27 @@ def test_lqr_gap_column_starts_at_the_zero_control_cost(tiny_lqr_records):
         assert plot["evaluations"] == (row["k"] + 1) * 200
 
 
+RETRYING_LQR = """
+version: 1
+experiment: lqr
+seeds: [0]
+sampling: {sigma2: 0.08, tau: 1.0}
+optimizer: {n_samples: 16, iterations: 40}
+grid: {eta: [1.0]}
+"""
+
+
+def test_lqr_evaluations_count_the_retried_batches(tmp_path):
+    # a wide policy leaves some batches all infeasible; each retry scores 16 more samples
+    [rec] = run_lqr(load_config(write_cfg(tmp_path, RETRYING_LQR)))
+    assert not rec.flagged and rec.summary["retries"] > 0
+    assert rec.summary["evaluations"] == 16 * (40 + rec.summary["retries"])
+    steps = [plot["evaluations"] for plot in rec.plot_rows]
+    assert steps[-1] == rec.summary["evaluations"]
+    increments = np.diff([0] + steps)  # (1 + that iteration's retries) batches of 16
+    assert set(increments) <= {16 * (1 + r) for r in range(optimizer.MAX_RETRIES + 1)}
+
+
 SHARED_LQR = """
 version: 1
 experiment: lqr
@@ -510,6 +531,58 @@ def test_cli_lqr_overflowing_tilted_precision_is_one_flagged_record(tmp_path, ca
     assert doc["flag_reason"].startswith(
         "l_sigma failure: tilted precision Sigma^-1 + Q/tau is not finite for tau = "
     )
+
+
+def test_cli_lqr_overflowing_rule_step_is_one_flagged_record(tmp_path, capsys):
+    # at tau = 1e308 the closed-form L_sigma is subnormal, so eta = 1/L_sigma is infinite
+    text = ("version: 1\nexperiment: lqr\nseeds: [0]\nsampling: {sigma2: 1.0e-4, tau: 1.0e+308}\n"
+            "optimizer: {n_samples: 64, iterations: 3}\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", "--experiment", "lqr", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    [summary] = out.glob("summary_*.json")
+    doc = json.loads(summary.read_text())
+    assert (summary.name, doc["flagged"]) == ("summary_lqr_method-l_sigma_seed0.json", True)
+    assert doc["flag_reason"].startswith("l_sigma failure: eta = 1/L_sigma is not a finite")
+
+
+@pytest.mark.parametrize("experiment, rest", [
+    ("lqr", "optimizer: {n_samples: 16, iterations: 3}\ngrid: {eta: [1.0]}\n"),
+    ("dubins", "sim_steps: 2\noptimizer: {n_samples: 16}\ngrid: {k: [2]}\n"),
+], ids=["lqr", "dubins"])
+def test_cli_overflowing_retry_inflation_aborts_the_lane(tmp_path, capsys, experiment, rest):
+    # every sample of sigma2 = 1e308 scores infeasible, and one doubling overflows;
+    # the rollouts (and LQR's closed-form log det) overflow on the way, with warnings
+    text = (f"version: 1\nexperiment: {experiment}\nseeds: [0]\n"
+            f"sampling: {{sigma2: 1.0e+308, tau: 1.0}}\n{rest}")
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["run", "--experiment", experiment, "--config",
+                         str(write_cfg(tmp_path, text)), "--out", str(out), "--workers", "1"])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    [summary] = out.glob("summary_*.json")
+    doc = json.loads(summary.read_text())
+    assert doc["flagged"] is True
+    assert doc["flag_reason"].endswith("all 16 samples infeasible at iteration 0")
+
+
+@pytest.mark.parametrize("problem", [
+    "{speed: 1.0e+308}", "{dt: 1.0e+300}", "{q_weights: [1.0e+308, 1.0e+308, 1.0]}",
+], ids=["speed", "dt", "q_weights"])
+def test_cli_dubins_non_finite_certificate_cost_is_a_flagged_step(tmp_path, capsys, problem):
+    text = ("version: 1\nexperiment: dubins\nseeds: [0]\nsim_steps: 2\n"
+            f"problem: {problem}\noptimizer: {{n_samples: 16}}\ngrid: {{k: [2]}}\n")
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = cli.main(["run", "--experiment", "dubins", "--config",
+                         str(write_cfg(tmp_path, text)), "--out", str(out), "--workers", "1"])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((out / "summary_dubins_k-2_seed0.json").read_text())
+    assert doc["flagged"] is True
+    assert doc["flag_reason"] == "step 0: objective is not finite on the known-feasible sequence"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mppigrad import analysis, optimizer
-from mppigrad.errors import AllInfeasibleError
+from mppigrad.errors import AllInfeasibleError, StepSizeError
 from mppigrad.optimizer import (
     PgdConfig,
     grad_estimate,
@@ -209,6 +209,14 @@ def test_retries_exhausted_raises_with_trace(monkeypatch):
     assert np.array_equal(final.mean, policy.mean)
 
 
+def test_retries_end_when_the_inflated_covariance_would_overflow():
+    # one doubling of 1e308 is not finite: the batch's own error ends the step, at retry 0
+    prob = box_problem_1d(1e-6, objective=lambda u: 0.0)
+    policy = GaussianPolicy(np.array([5.0]), 1e308, tau=1.0)
+    with pytest.raises(AllInfeasibleError, match="all 16 samples infeasible at iteration 0"):
+        pgd_step(prob, policy, PgdConfig(n_samples=16), seed=0)
+
+
 def nan_share_problem():
     """Cost u'u, except NaN on rows 1, 5, 9, ... and +inf on rows 3, 11, 19, ...
 
@@ -383,13 +391,13 @@ def test_exact_mode_starts_from_and_measures_with_the_oracle_policy():
 
 def test_exact_mode_reads_one_tilt_record_per_iterate(monkeypatch):
     calls = []
-    quadrature = analysis.tilted_moments_quadrature
+    moments = analysis.QuadratureOracle.moments
 
-    def counting(*args, **kwargs):
+    def counting(self, mean):
         calls.append(1)
-        return quadrature(*args, **kwargs)
+        return moments(self, mean)
 
-    monkeypatch.setattr(analysis, "tilted_moments_quadrature", counting)
+    monkeypatch.setattr(analysis.QuadratureOracle, "moments", counting)
     policy = GaussianPolicy(np.array([0.8]), 0.4, tau=0.9)
     oracle = analysis.QuadratureOracle(lambda pts: 0.5 * pts[:, 0] ** 2, [-10.0], [10.0], policy)
     _, trace = run_exact(oracle, PgdConfig(eta=1.0, k=40))
@@ -423,3 +431,6 @@ def test_step_size_rule_values():
         step_size_rule(0.0)
     with pytest.raises(ValueError):
         step_size_rule(-1.0)
+    for l_sigma in (1e-320, float("nan")):  # 1/L is infinite, or L is no number at all
+        with pytest.raises(StepSizeError, match="L_sigma"):
+            step_size_rule(l_sigma)

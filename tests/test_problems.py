@@ -299,13 +299,13 @@ def test_trajectory_problem_rejects_infeasible_certificate():
 
 def test_trajectory_problem_rejects_nonfinite_objective_on_certificate():
     never_finite = lambda U: (np.full(U.shape[0], np.inf), np.ones(U.shape[0], bool))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(InfeasibleProblemError, match="finite"):
         TrajectoryProblem(never_finite, np.zeros(2))
     # a stack: the first row is infeasible, the first feasible one costs +inf,
     # and a finite feasible row after it does not rescue the certificate
     stack = np.array([[5.0, 5.0], [1.0, 1.0], [0.0, 0.0]])
     evaluate = lambda U: (np.where(U[:, 0] == 1.0, np.inf, 0.0), U[:, 0] < 2.0)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(InfeasibleProblemError, match="finite"):
         TrajectoryProblem(evaluate, stack)
     prob = TrajectoryProblem(evaluate, stack[[0, 2]])
     np.testing.assert_array_equal(prob.known_feasible, [0.0, 0.0])
