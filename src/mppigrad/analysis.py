@@ -179,6 +179,8 @@ class QuadratureOracle(TiltOracle):
         if policy.dim not in (1, 2):
             raise UnsupportedProblemError(f"quadrature supports 1 or 2 dims, got {policy.dim}")
         self.box_lo, self.box_hi = _box(box_lo, box_hi, policy.dim)
+        if np.any(self.box_hi == self.box_lo):  # Simpson weights vanish on a flat axis
+            raise ValueError("quadrature needs a box of positive width on every axis")
         self.f0 = f0
         self.rel_tol = rel_tol
         self.policy = policy
@@ -447,6 +449,8 @@ def gibbs_identity_check(
     if policy.dim != 1:
         raise UnsupportedProblemError("identity check is implemented in 1-D")
     (lo,), (hi,) = _box(box_lo, box_hi, 1)
+    if hi == lo:
+        raise ValueError("quadrature needs a box of positive width")
     nodes, w = _simpson_weights(lo, hi, GIBBS_CELLS)
     pts = nodes[:, None]
     tau = policy.tau

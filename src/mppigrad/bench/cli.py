@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..errors import ConfigError, ConvergenceError, QuadratureError
+from ..errors import ConfigError, QuadratureError
 from .config import load_config, parse_grid_override
 from .dubins import run_dubins
 from .lqr import run_lqr
@@ -90,37 +90,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     if cfg.experiment == "theory":
         try:
             rows, passed = run_theory_suite(cfg)
-        except (QuadratureError, ConvergenceError) as exc:
+        except QuadratureError as exc:  # the battery solves no QP
             print(f"oracle failure: {exc}", file=sys.stderr)
             return 2
-        _print_lines([format_report(rows)])
         emit_report(rows, out_dir)
-        cfg.write_snapshot(out_dir / "config_snapshot.yaml")
-        return 0 if passed else 3
-
-    try:
-        if cfg.experiment == "lqr":
-            records = run_lqr(cfg, max_workers=args.workers)
-        else:
-            records = run_dubins(cfg, max_workers=args.workers)
-    except (QuadratureError, ConvergenceError) as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return 2
-
-    emit(records, out_dir)
+        lines, code = [format_report(rows)], 0 if passed else 3
+    else:  # the runners turn every oracle, start, L_sigma and projection error into a flag
+        run = run_lqr if cfg.experiment == "lqr" else run_dubins
+        records = run(cfg, max_workers=args.workers)
+        emit(records, out_dir)
+        failed, lines = False, []
+        for record in sorted(records, key=lambda r: r.name):
+            if record.flagged:
+                lines.append(f"{record.name}: FLAGGED ({record.flag_reason})")
+                failed = failed or "method" in record.cell  # the oracle, the start or FD
+            else:
+                keys = ("final_gap", "average_cost", "acceptance_rate")
+                parts = [f"{k}={record.summary[k]:.6g}" for k in keys if k in record.summary]
+                lines.append(f"{record.name}: " + ", ".join(parts))
+        lines.append(f"wrote {len(records)} records to {out_dir}")
+        code = 2 if failed else 0
     cfg.write_snapshot(out_dir / "config_snapshot.yaml")
-    failed = False
-    lines = []
-    for record in sorted(records, key=lambda r: r.name):
-        if record.flagged:
-            lines.append(f"{record.name}: FLAGGED ({record.flag_reason})")
-            failed = failed or "method" in record.cell  # the oracle, the start or FD
-        else:
-            keys = ("final_gap", "average_cost", "acceptance_rate")
-            parts = [f"{k}={record.summary[k]:.6g}" for k in keys if k in record.summary]
-            lines.append(f"{record.name}: " + ", ".join(parts))
-    _print_lines(lines + [f"wrote {len(records)} records to {out_dir}"])
-    return 2 if failed else 0
+    _print_lines(lines)
+    return code
 
 
 if __name__ == "__main__":

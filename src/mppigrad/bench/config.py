@@ -212,12 +212,6 @@ def _check_ranges(experiment: str, resolved: Dict[str, Any]) -> None:
     if experiment == "theory":
         return
     seeds = resolved["seeds"]
-    if not seeds:
-        raise ConfigError("seeds must be a non-empty list of integers")
-    if min(seeds) < 0:  # the Philox counter streams take only non-negative keys
-        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
-    if max(seeds) >= 2**64:  # the Philox key holds the seed in 64 bits
-        raise ConfigError(f"seeds must be below 2**64, got {max(seeds)}")
     grid = resolved.get("grid", {})
     for key, values in [("seeds", seeds), *((f"grid.{k}", v) for k, v in grid.items())]:
         if not values:
@@ -225,6 +219,10 @@ def _check_ranges(experiment: str, resolved: Dict[str, Any]) -> None:
         repeats = [value for i, value in enumerate(values) if value in values[:i]]
         if repeats:  # a repeat only reruns its cells, under record names that may collide
             raise ConfigError(f"{key} lists {repeats[0]!r} twice")
+    if min(seeds) < 0:  # the Philox counter streams take only non-negative keys
+        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
+    if max(seeds) >= 2**64:  # the Philox key holds the seed in 64 bits
+        raise ConfigError(f"seeds must be below 2**64, got {max(seeds)}")
     sampling = resolved["sampling"]
     for key in ("sigma2", "tau"):  # each swept value as written, or the setting it defaults to
         for value in grid.get(key, [sampling[key]]):

@@ -42,8 +42,8 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, cell: Dict[str, Any], seed: int)
     abort = ""
     warm = policy.mean.copy()
     state = spec.x0
-    states, costs, acceptances, ess_mins = [], [], [], []
-    total, retries, nonfinite = 0.0, 0, 0
+    states, inner_records = [], []
+    total = 0.0
     for s in range(int(cfg.resolved["sim_steps"])):
         t0 = time.perf_counter()
         try:
@@ -62,21 +62,16 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, cell: Dict[str, Any], seed: int)
         u0 = np.clip(solved.mean[:1], -spec.w_max, spec.w_max)
         state = spec.step(state, u0)
         cost = dubins_stage_cost(spec, state, u0)  # charged on (next state, applied control)
-        acceptance = float(inner.column("acceptance").mean())
         total += cost
         states.append(state)
-        costs.append(cost)
-        acceptances.append(acceptance)
-        ess_mins.append(float(inner.column("ess").min()))
-        retries += sum(r.retries for r in inner.records)
-        nonfinite += sum(r.nonfinite for r in inner.records)
+        inner_records += inner.records
         record.rows.append(
             {
                 "k": s,
                 "gap": cost,
                 "grad_norm_P": float(inner.records[-1].grad_norm_p),
                 "ess": float(inner.column("ess").mean()),
-                "acceptance": acceptance,
+                "acceptance": float(inner.column("acceptance").mean()),
                 "best_cost": total / (s + 1),
                 "ms": (time.perf_counter() - t0) * 1e3,
             }
@@ -91,12 +86,13 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, cell: Dict[str, Any], seed: int)
         float(np.linalg.norm(states[-1][:2] - spec.target[:2])) if states else float("nan")
     )
     record.flag_reason = abort
+    nan, rows = float("nan"), record.rows
     record.summary = {
-        "average_cost": float(np.mean(costs)) if costs else float("nan"),
-        "acceptance_rate": float(np.mean(acceptances)) if acceptances else float("nan"),
-        "ess_min": min(ess_mins, default=float("nan")),
-        "retries": retries,
-        "nonfinite_costs": nonfinite,
+        "average_cost": float(np.mean([r["gap"] for r in rows])) if rows else nan,
+        "acceptance_rate": float(np.mean([r["acceptance"] for r in rows])) if rows else nan,
+        "ess_min": min((float(r.ess) for r in inner_records), default=nan),
+        "retries": sum(r.retries for r in inner_records),
+        "nonfinite_costs": sum(r.nonfinite for r in inner_records),
         "safe": bool(clear and not abort),
         "terminal_position_error": terminal_err,
         "steps_completed": len(states),

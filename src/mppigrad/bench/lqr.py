@@ -77,9 +77,9 @@ def _cell_record(
     record = RunRecord(
         experiment="lqr", cell=dict(lane.cell), seed=seed, config_snapshot=cfg.snapshot()
     )
+    record.summary = {"eta_resolved": lane.eta, "rule": lane.rule, "l_sigma": lane.l_sigma}
     if trace.abort is not None:
         record.flag_reason = f"optimizer abort: {trace.abort}"
-        record.summary = {"eta_resolved": lane.eta, "rule": lane.rule, "l_sigma": lane.l_sigma}
         return record
 
     means = np.array([r.mean for r in trace.records] + [final_policy.mean])
@@ -103,11 +103,8 @@ def _cell_record(
         record.plot_rows.append(
             {"iteration": r.k, "evaluations": evaluations, "gap": float(gap)}
         )
-    record.summary = {
+    record.summary |= {
         **oracle,
-        "eta_resolved": lane.eta,
-        "rule": lane.rule,
-        "l_sigma": lane.l_sigma,
         "l_sigma_method": "closed_form_quadratic",
         "final_gap": float(gaps[-1]),
         "min_gap": float(gaps.min()),
@@ -145,7 +142,7 @@ def _fd_record(
             iters=iters,
             projector=projector,
         )
-    except ConvergenceError as err:
+    except (ConvergenceError, InfeasibleProblemError) as err:
         record.flag_reason = f"projection failure: {err}"
         return record
     gaps = costs - oracle["f_star"]

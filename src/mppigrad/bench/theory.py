@@ -156,10 +156,7 @@ def _weight_checks() -> List[CheckRow]:
     flags = np.ones(4, dtype=bool)
 
     def summary_for(tau, costs_in):
-        batch = SampleBatch(samples=samples, iteration=0)
-        batch.costs = costs_in
-        batch.feasible_flags = flags
-        return weigh(batch, tau)
+        return weigh(SampleBatch(samples, 0, costs=costs_in, feasible_flags=flags), tau)
 
     rows = []
     s = summary_for(1.3, costs)

@@ -236,6 +236,19 @@ def test_quadrature_oracle_checks_its_box_when_built(dim, lo, hi, error, match):
         analysis.QuadratureOracle(lambda pts: np.zeros(len(pts)), lo, hi, policy)
 
 
+def test_a_flat_box_is_a_caller_error_for_quadrature_only():
+    """Not "integrand vanished" at the first pass; the diameter bound still takes D = 0."""
+    zero = lambda pts: np.zeros(len(pts))
+    ones = lambda pts: np.ones(len(pts))
+    for lo, hi in (([1.0], [1.0]), ([-1.0, 0.5], [1.0, 0.5])):
+        policy = GaussianPolicy(np.zeros(len(lo)), 1.0, 1.0)
+        with pytest.raises(ValueError, match="positive width"):
+            analysis.QuadratureOracle(zero, lo, hi, policy)
+    assert analysis.l_sigma_diameter_bound(1.0, [1.0], [1.0]).d2_metric == 0.0
+    with pytest.raises(ValueError, match="positive width"):  # not "rho has no mass"
+        analysis.gibbs_identity_check(zero, [1.0], [1.0], GaussianPolicy(np.zeros(1), 1.0, 1.0), ones)
+
+
 def test_quadrature_oracle_gradient_matches_closed_form():
     sigma2, tau, q, c = 0.5, 2.0, 1.0, 0.3
     policy = GaussianPolicy(np.array([1.2]), sigma2, tau)

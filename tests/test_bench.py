@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mppigrad import optimizer, problems, qp, sampling
+from mppigrad import analysis, optimizer, problems, qp, sampling
 from mppigrad.bench import cli
 from mppigrad.bench import dubins as bench_dubins
 from mppigrad.bench.config import (
@@ -1155,6 +1155,35 @@ def test_cli_unusable_start_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "lqr_method-start_seed0: FLAGGED (start failure:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alpha", ["1.0e+8", "1.0e+300"])
+def test_cli_lqr_infeasible_fd_projection_is_a_flagged_record(tmp_path, capsys, alpha):
+    """An FD step so long that the projector reads it as inconsistent constraints."""
+    text = (
+        "version: 1\nexperiment: lqr\nseeds: [0]\noptimizer: {n_samples: 16, iterations: 2}\n"
+        f"grid: {{eta: [1.0]}}\nfd: {{enabled: true, alpha: {alpha}, budget_evals: 440}}\n"
+    )
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--experiment", "lqr", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]
+    )
+    assert code == 2
+    assert "lqr_method-fd_seed0: FLAGGED (projection failure: " in capsys.readouterr().out
+    summary = json.loads((out / "summary_lqr_method-fd_seed0.json").read_text())
+    assert summary["flagged"] and "constraints are inconsistent" in summary["flag_reason"]
+
+
+def test_cli_theory_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):
+    """A Simpson doubling capped at its start count cannot converge: exit 2, no report."""
+    monkeypatch.setattr(analysis, "MAX_CELLS_1D", analysis.START_CELLS)
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--experiment", "theory", "--config", "configs/theory.yaml", "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("oracle failure:")
+    assert not (out / "theory_report.json").exists()
 
 
 def test_cli_run_survives_a_reader_that_closes_stdout(tmp_path):

@@ -134,12 +134,23 @@ def test_solve_diagonal_matches_clipped_analytic_solution():
         assert prob.violation(sol.u_star) <= 1e-8
 
 
+def _kkt_residual(prob, sol):
+    """Largest of stationarity |Qu + c - G'lam|, complementarity |lam_i (Gu - h)_i|, violation."""
+    u, lam, g = sol.u_star, sol.lam, prob.g
+    slack = g @ u - prob.h
+    return max(
+        float(np.max(np.abs(prob.q @ u + prob.c - g.T @ lam))),
+        float(np.max(np.abs(lam * slack), initial=0.0)),
+        float(np.max(-slack, initial=0.0)),
+    )
+
+
 def test_reference_solution_on_benchmark_is_feasible_and_verified():
     lifted = qp.lift(double_integrator())
     sol = qp.solve_verified(lifted)
     ref = qp.solve_reference(lifted)
     assert lifted.violation(sol.u_star) <= 1e-8
-    assert sol.kkt_residual <= 1e-8
+    assert _kkt_residual(lifted, sol) <= 1e-8
     # the certificate returns the reference solution unchanged
     np.testing.assert_array_equal(sol.u_star, ref.u_star)
     assert sol.f_star == ref.f_star
@@ -354,8 +365,10 @@ def box_and_band(draw, with_band=True):
     """A feasible QpProblem on a random box and band, plus a point to project.
 
     The band holds A u0 for a u0 inside the box, so the set is never empty.
-    Zero widths make band rows equalities, at most n - 1 of them, so that the
-    set never shrinks to a point that only exact arithmetic can hit.
+    Zero widths make band rows equalities, at most n - 1 of them; every other
+    row is open on both sides of u0.  So the set never shrinks to a point that
+    only exact arithmetic can hit (`test_equality_and_tight_rows_pinning_a_point`
+    covers point sets).
     """
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 6))
@@ -367,11 +380,32 @@ def box_and_band(draw, with_band=True):
     if m:
         a = rng.normal(size=(m, n))
         center = a @ rng.uniform(lb, ub)
-        below, above = rng.choice([0.0, 0.3, 1.0], (2, m))
-        above[n - 1 :] = np.maximum(above[n - 1 :], 0.3)
+        below, above = rng.choice([0.3, 1.0], (2, m))
+        equality = rng.random(m) < 1.0 / 3.0
+        equality[n - 1 :] = False
+        below[equality] = above[equality] = 0.0
         lin = dict(lin_mat=a, lin_lo=center - below, lin_hi=center + above)
     prob = qp.QpProblem(q=np.eye(n), c=np.zeros(n), lb=lb, ub=ub, **lin)
     return prob, rng.uniform(-4.0, 4.0, n)
+
+
+def test_equality_and_tight_rows_pinning_a_point():
+    """An equality row and two rows tight at u0, opposed along its line, leave {u0}."""
+    u0 = np.array([0.2, 0.1])
+    a = np.array([[1.0, 0.3], [0.5, 1.0], [0.7, -1.0]])
+    lo = a @ u0
+    hi = lo + np.array([0.0, 1.0, 1.0])
+    box = dict(lb=-np.ones(2), ub=np.ones(2), lin_mat=a, lin_lo=lo, lin_hi=hi)
+    proj = qp.FeasibleSetProjector(qp.QpProblem(q=np.eye(2), c=np.zeros(2), **box))
+    np.testing.assert_allclose(proj(np.array([0.9, -0.7])), u0, atol=TOL)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        root = rng.normal(size=(2, 2))
+        q = root @ root.T + 0.1 * np.eye(2)
+        prob = qp.QpProblem(q=q, c=rng.normal(scale=3.0, size=2), **box)
+        sol = qp.solve_reference(prob)
+        assert prob.violation(sol.u_star) <= TOL
+        np.testing.assert_allclose(sol.u_star, u0, atol=1e-6)
 
 
 @settings(max_examples=80, deadline=None)
@@ -424,7 +458,7 @@ def test_reference_solve_satisfies_kkt_on_random_definite_q(case, seed):
     )
     sol = qp.solve_reference(definite)
     scale = 1.0 + np.abs(definite.q).max() + np.abs(definite.c).max()
-    assert sol.kkt_residual <= 1e-8 * scale
+    assert _kkt_residual(definite, sol) <= 1e-8 * scale
     proj = qp.FeasibleSetProjector(definite)
     for p in rng.uniform(-4.0, 4.0, (20, n)):
         assert sol.f_star <= definite.value(proj(p)) + 1e-9 * scale
