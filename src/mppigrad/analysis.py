@@ -16,6 +16,7 @@ routines that take a box check it one way, when called.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -77,9 +78,10 @@ class TiltOracle:
 class QuadraticOracle(TiltOracle):
     """Closed-form tilt for f0(u) = u'Qu/2 + c'u without constraints.
 
-    The tilted precision is Lam = Sigma^{-1} + Q/tau.  Sigma^{-1}, Lam, the
-    tilt covariance Lam^{-1} and log det(Sigma Lam) do not depend on the
-    mean, so they are formed once here.
+    The tilted precision is Lam = Sigma^{-1} + Q/tau.  Sigma^{-1}, Lam and
+    the tilt covariance Lam^{-1} do not depend on the mean, so they are
+    formed once here; log det(Sigma Lam), which only log Z reads, at the
+    first `moments` call.
     """
 
     def __init__(self, policy: GaussianPolicy, q, c):
@@ -107,8 +109,12 @@ class QuadraticOracle(TiltOracle):
         self.tilted_cov = 0.5 * (cov + cov.T)
         self.tilted_cov.setflags(write=False)  # every moments() record shares it
         self._c_over_tau = c / policy.tau
-        # Sigma and Lam are both SPD here, so the determinant is positive
-        self._logdet = float(np.linalg.slogdet(sigma @ lam)[1])
+        self._sigma, self._lam = sigma, lam
+
+    @functools.cached_property
+    def _logdet(self) -> float:
+        """log det(Sigma Lam); Sigma and Lam are both SPD, so the determinant is positive."""
+        return float(np.linalg.slogdet(self._sigma @ self._lam)[1])
 
     def moments(self, mean: Array) -> TiltMoments:
         """Tilted mean Lam^{-1} h with h = Sigma^{-1} mu - c/tau, and log Z.
@@ -257,10 +263,13 @@ def l_sigma_quadratic(cov, q, tau: float) -> float:
     """Exact smoothness constant for a quadratic cost (unconstrained tilt).
 
     The spectral norm of I - Sigma^{-1/2} (Sigma^{-1} + Q/tau)^{-1}
-    Sigma^{-1/2}, which does not depend on the mean.
+    Sigma^{-1/2}, which does not depend on the mean, so no tilt record (and
+    no log Z) is formed.
     """
     policy = GaussianPolicy(np.zeros(np.atleast_2d(np.asarray(q)).shape[0]), cov, tau)
-    return QuadraticOracle(policy, q, np.zeros(policy.dim)).l_sigma(policy.mean)
+    oracle = QuadraticOracle(policy, q, np.zeros(policy.dim))
+    m = preconditioned_hessian(policy, oracle.tilted_cov)
+    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
 def l_sigma_scalar(sigma2: float, q, tau: float) -> float:

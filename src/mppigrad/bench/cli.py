@@ -17,10 +17,6 @@ from typing import List, Optional
 
 from ..errors import ConfigError, QuadratureError
 from .config import load_config, parse_grid_override
-from .dubins import run_dubins
-from .lqr import run_lqr
-from .records import emit
-from .theory import emit_report, format_report, run_theory_suite
 
 
 def _positive_int(text: str) -> int:
@@ -87,7 +83,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
+    # each branch imports only the modules its experiment runs
     if cfg.experiment == "theory":
+        from .theory import emit_report, format_report, run_theory_suite
+
         try:
             rows, passed = run_theory_suite(cfg)
         except QuadratureError as exc:  # the battery solves no QP
@@ -96,7 +95,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         emit_report(rows, out_dir)
         lines, code = [format_report(rows)], 0 if passed else 3
     else:  # the runners turn every oracle, start, L_sigma and projection error into a flag
-        run = run_lqr if cfg.experiment == "lqr" else run_dubins
+        from .records import emit
+
+        if cfg.experiment == "lqr":
+            from .lqr import run_lqr as run
+        else:
+            from .dubins import run_dubins as run
         records = run(cfg, max_workers=args.workers)
         emit(records, out_dir)
         failed, lines = False, []

@@ -158,7 +158,8 @@ def _ldp(g: Array, h: Array) -> Tuple[Array, Array]:
     1/sqrt(1 + |x|^2), so one below sqrt(eps) (|x| > 6.7e7) is read as zero:
     the constraints are inconsistent.  A set that is a single point is a
     limit of this test: rounding can leave the point outside the computed
-    rows, and then it too is reported as inconsistent.
+    rows, and then it too is reported as inconsistent.  NNLS stopping at its
+    iteration cap, or an input that is not finite, raises ConvergenceError.
     """
     n = g.shape[1]
     if h.size == 0:  # unconstrained; scipy's nnls aborts the process on zero columns
@@ -170,6 +171,10 @@ def _ldp(g: Array, h: Array) -> Tuple[Array, Array]:
     except RuntimeError as err:
         raise ConvergenceError(
             f"NNLS did not finish: {err}", best=np.full(n, np.nan), residual=np.inf
+        ) from err
+    except ValueError as err:  # scipy's finite-input check; an overflowed FD iterate reaches it
+        raise ConvergenceError(
+            f"NNLS input is not finite: {err}", best=np.full(n, np.nan), residual=np.inf
         ) from err
     if rnorm <= np.sqrt(np.finfo(float).eps):
         raise InfeasibleProblemError(

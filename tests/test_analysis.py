@@ -1,5 +1,6 @@
 """Oracles and certificates: tilted moments, quadrature, smoothness, probes."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,15 @@ def test_smoothness_closed_form_routes_agree():
     est = analysis.l_sigma_quadratic(0.7, 2.0 * np.eye(2), 1.3)
     assert est == pytest.approx(analysis.l_sigma_scalar(0.7, 2.0, 1.3), abs=1e-12)
     assert analysis.l_sigma_quadratic(1.0, np.zeros((2, 2)), 1.0) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_quadratic_l_sigma_forms_no_log_z_at_a_huge_variance():
+    """L_sigma reads the tilt covariance alone, so log det(Sigma Lam), whose
+    product overflows at sigma2 = 1e308, is never formed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = analysis.l_sigma_quadratic(1e308, [[1.0, 0.0], [0.0, 2.0]], 1.0)
+    assert 0.0 <= value <= 1.0  # NaN fails both sides
 
 
 def test_numeric_smoothness_reduces_to_closed_form_without_truncation():

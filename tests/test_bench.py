@@ -1,6 +1,8 @@
 """Benchmark harness: config handling, record emission, runners, CLI."""
 
 import collections
+import contextlib
+import csv
 import dataclasses
 import json
 import math
@@ -88,6 +90,14 @@ def write_cfg(tmp_path, text, name="cfg.yaml"):
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this checkout's `src`."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path}
+
+
 SHIPPED_CONFIGS = sorted(
     path.relative_to(ROOT).as_posix()
     for path in [*ROOT.glob("configs/*.yaml"), *ROOT.glob("perfbench/configs/*.yaml")]
@@ -421,6 +431,36 @@ def test_lqr_fd_record_obeys_the_evaluation_budget(tiny_lqr_records):
     assert fd.summary["min_gap"] <= fd.rows[0]["gap"]
 
 
+def test_emitted_fd_and_gap_fields_match_their_second_routes(tiny_lqr_records, tmp_path):
+    """Read back from emit's files, two fields agree with routes of the test's own.
+
+    FD `alpha_lambda_max` is alpha times the largest singular value of the
+    lift rebuilt from the summary's config (Q_qp is SPD, so that is lmax).
+    `min_gap` is the least gap of the record's CSV column, and of its
+    `final_gap` for a sampled cell, whose final mean has no CSV row.
+    """
+    _, records = tiny_lqr_records
+    out = tmp_path / "o"
+    emit(records, out)
+    docs = {p.name[len("summary_"):-len(".json")]: json.loads(p.read_text())
+            for p in out.glob("summary_*.json")}
+    assert len(docs) == 2
+    for name, doc in docs.items():
+        with open(out / f"{name}.csv", newline="") as fh:
+            gaps = [float(row["gap"]) for row in csv.DictReader(fh)]
+        summary = doc["summary"]
+        if doc["cell"].get("method") == "fd":
+            assert summary["final_gap"] == gaps[-1]
+            assert min(gaps) < summary["final_gap"]  # the desk step diverges: the two differ
+            lifted = qp.lift(LqrSpec(**doc["config"]["problem"]))
+            lam_max = np.linalg.svd(lifted.q, compute_uv=False)[0]
+            alpha = doc["config"]["fd"]["alpha"]
+            assert summary["alpha_lambda_max"] == pytest.approx(alpha * lam_max, rel=1e-12)
+        else:
+            gaps.append(summary["final_gap"])
+        assert summary["min_gap"] == min(gaps)
+
+
 def test_summaries_report_worst_ess_and_retries(tiny_lqr_records, tmp_path):
     _, records = tiny_lqr_records
     rec = next(r for r in records if r.cell.get("eta") == 1.0)
@@ -553,11 +593,12 @@ def test_cli_lqr_overflowing_rule_step_is_one_flagged_record(tmp_path, capsys):
 ], ids=["lqr", "dubins"])
 def test_cli_overflowing_retry_inflation_aborts_the_lane(tmp_path, capsys, experiment, rest):
     # every sample of sigma2 = 1e308 scores infeasible, and one doubling overflows;
-    # the rollouts (and LQR's closed-form log det) overflow on the way, with warnings
+    # the Dubins rollouts overflow on the way, with warnings; the LQR lane forms no
+    # log Z, so it warns of nothing, as the suite's RuntimeWarning filter checks
     text = (f"version: 1\nexperiment: {experiment}\nseeds: [0]\n"
             f"sampling: {{sigma2: 1.0e+308, tau: 1.0}}\n{rest}")
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) if experiment == "dubins" else contextlib.nullcontext():
         code = cli.main(["run", "--experiment", experiment, "--config",
                          str(write_cfg(tmp_path, text)), "--out", str(out), "--workers", "1"])
     assert code == 0
@@ -1174,6 +1215,30 @@ def test_cli_lqr_infeasible_fd_projection_is_a_flagged_record(tmp_path, capsys, 
     assert summary["flagged"] and "constraints are inconsistent" in summary["flag_reason"]
 
 
+@pytest.mark.parametrize("leaf", ["alpha", "h"])
+def test_cli_nonfinite_fd_iterate_is_a_flagged_record(tmp_path, leaf):
+    """An FD step that overflows hands NNLS a non-finite point: exit 2, no traceback.
+
+    Run as a child `mppigrad run`: the overflow's RuntimeWarnings are expected
+    there, and this suite turns them into errors.
+    """
+    text = (
+        "version: 1\nexperiment: lqr\nseeds: [0]\noptimizer: {n_samples: 16, iterations: 2}\n"
+        f"grid: {{eta: [1.0]}}\nfd: {{enabled: true, {leaf}: 1.0e+308, budget_evals: 440}}\n"
+    )
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "mppigrad.bench.cli", "run", "--experiment", "lqr",
+         "--config", str(write_cfg(tmp_path, text)), "--out", str(out), "--workers", "1"],
+        cwd=ROOT, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "lqr_method-fd_seed0: FLAGGED (projection failure: NNLS input is not finite" in done.stdout
+    summary = json.loads((out / "summary_lqr_method-fd_seed0.json").read_text())
+    assert summary["flagged"] and "not finite" in summary["flag_reason"]
+
+
 def test_cli_theory_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):
     """A Simpson doubling capped at its start count cannot converge: exit 2, no report."""
     monkeypatch.setattr(analysis, "MAX_CELLS_1D", analysis.START_CELLS)
@@ -1191,12 +1256,10 @@ def test_cli_run_survives_a_reader_that_closes_stdout(tmp_path):
     cfg = write_cfg(tmp_path, TINY_DUBINS.replace("seeds: [0]", "seeds: [0, 1]")
                     .replace("k: [1]", "k: [1, 2]"))
     out = tmp_path / "d"
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "mppigrad.bench.cli", "run", "--experiment", "dubins",
          "--config", str(cfg), "--out", str(out)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
     )
     proc.stdout.close()  # long before the child's first print: it is still importing
     stderr = proc.stderr.read().decode()
@@ -1291,12 +1354,13 @@ def test_traced_benchmark_run_reports_every_per_layer_metric(tmp_path, workload)
 
 def test_each_module_imports_in_a_fresh_interpreter():
     """An import cycle shows only in an interpreter that has imported nothing yet."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    for module in ("mppigrad.problems", "mppigrad.qp", "mppigrad.analysis", "mppigrad.bench.cli"):
+    # the CLI imports each runner on dispatch, so every runner is named here too
+    modules = ("mppigrad.problems", "mppigrad.qp", "mppigrad.analysis", "mppigrad.bench.cli",
+               "mppigrad.bench.lqr", "mppigrad.bench.dubins", "mppigrad.bench.theory")
+    for module in modules:
         done = subprocess.run(
             [sys.executable, "-c", f"import {module}"],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_child_env(), capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, f"import {module} failed:\n{done.stderr}"
 
@@ -1309,11 +1373,9 @@ def test_readme_library_quickstart_runs():
     block = section[section.index("```python\n") + len("```python\n"):]
     block = block[: block.index("```")]
     assert "from mppigrad.sampling import GaussianPolicy" in block
-    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(
         [sys.executable, "-c", block],
-        cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        timeout=120,
+        cwd=root, env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     cost, feasible, ess = done.stdout.split()
@@ -1354,27 +1416,58 @@ print("numpy.random" in sys.modules)
 
 def test_config_loading_leaves_numpy_random_unloaded():
     """The Philox key type is built at the first draw, not when the package loads."""
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run(
         [sys.executable, "-c", NUMPY_RANDOM_PROBE],
-        cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        timeout=120,
+        cwd=ROOT, env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
 
 
+IMPORT_ON_USE_PROBE = """\
+import json, sys, tempfile
+from pathlib import Path
+from mppigrad.bench import load_config
+for name in ("lqr", "dubins", "theory"):
+    load_config(f"configs/{name}.yaml")
+loaded = {}
+loaded["load_config"] = sorted(m for m in sys.argv[2:] if m in sys.modules)
+from mppigrad.bench.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    Path(tmp, "cfg.yaml").write_text(sys.argv[1])
+    args = ["run", "--experiment", "dubins", "--config", f"{tmp}/cfg.yaml", "--out", f"{tmp}/o"]
+    loaded["code"] = main([*args, "--workers", "1"])
+loaded["dubins"] = sorted(m for m in sys.argv[2:] if m in sys.modules)
+import mppigrad.bench
+loaded["same"] = mppigrad.bench.run_lqr is mppigrad.bench.lqr.run_lqr
+print(json.dumps(loaded))
+"""
+
+
+def test_config_loading_and_each_cli_path_import_only_what_they_run():
+    """Loading a config loads no runner, `qp` or `analysis`; a Dubins run adds no LQR module."""
+    lqr_side = ["mppigrad.analysis", "mppigrad.bench.lqr", "mppigrad.bench.theory", "mppigrad.qp"]
+    runners = ["mppigrad.bench.dubins", "mppigrad.bench.records"]
+    tiny = TINY_DUBINS.replace("sim_steps: 4", "sim_steps: 1")
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_ON_USE_PROBE, tiny, *lqr_side, *runners],
+        cwd=ROOT, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded["load_config"] == []
+    assert loaded["code"] == 0
+    assert loaded["dubins"] == runners
+    assert loaded["same"] is True
+
+
 def test_scipy_loads_only_where_a_qp_is_solved():
     """Config loading and a Dubins step import no scipy; the first QP solve does."""
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
     outputs = []
     for probe in (SCIPY_PROBE, QP_PROBE):
         done = subprocess.run(
             [sys.executable, "-c", probe],
-            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+            cwd=ROOT, env=_child_env(), capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.split())
