@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     AllInfeasibleError,
+    ConvergenceError,
     DimensionMismatchError,
     NotSpdError,
     QuadratureError,
@@ -349,24 +350,30 @@ def fd_baseline(
     coordinate perturbations of scale h, steps with size alpha, and projects
     back onto the feasible set (a qp.FeasibleSetProjector, an exact LDP
     solve, for the constrained linear-quadratic case; identity when omitted).
-    Projector errors propagate.  On a quadratic with Hessian Q the iteration
-    is stable only for alpha * lambda_max(Q) < 2.  Deterministic.  Returns the
-    iters + 1 costs (the last at the final iterate) and the final iterate.
+    Projector errors propagate, and a step that leaves the iterate non-finite
+    (an overflowing alpha or h) raises ConvergenceError naming its iteration.
+    On a quadratic with Hessian Q the iteration is stable only for
+    alpha * lambda_max(Q) < 2.  Deterministic.  Returns the iters + 1 costs
+    (the last at the final iterate) and the final iterate.
     """
     n = problem.n_controls
     u = np.asarray(u0, dtype=float).copy()
     eye_h = h * np.eye(n)
     pts = np.empty((n + 1, n))  # the base point, then its n perturbations
     costs = np.empty(iters + 1)
-    for it in range(iters):
-        pts[0] = u
-        np.add(u, eye_h, out=pts[1:])
-        vals = problem.batch_objective(pts)
-        costs[it] = vals[0]
-        grad = (vals[1:] - vals[0]) / h
-        u = u - alpha * grad
-        if projector is not None:
-            u = projector(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the step's check
+        for it in range(iters):
+            pts[0] = u
+            np.add(u, eye_h, out=pts[1:])
+            vals = problem.batch_objective(pts)
+            costs[it] = vals[0]
+            grad = (vals[1:] - vals[0]) / h
+            stepped = u - alpha * grad
+            if not np.isfinite(stepped).all():
+                raise ConvergenceError(
+                    f"FD iterate is not finite after step {it}", best=u, residual=np.inf
+                )
+            u = stepped if projector is None else projector(stepped)
     costs[iters] = problem.batch_objective(_check_controls(u, n, "final FD iterate")[None, :])[0]
     return costs, u
 

@@ -195,17 +195,17 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
     with one lane per cell), so the cells share each iteration's base
     normals; up to `max_workers` seeds run concurrently.
 
-    The QP oracle is solved once and certified by weak duality before any
-    cell runs.  An oracle failure, a start the sampler cannot use (the zero
-    control sequence outside the constraint set), or a cell whose closed-form
-    L_sigma cannot be formed (a temperature or variance so small that
-    Sigma^-1 + Q/tau overflows) or whose rule step 1/L_sigma overflows
-    returns one flagged record in place of all others (the CLI maps that to
-    exit code 2).
+    The QP oracle is lifted, solved once and certified by weak duality before
+    any cell runs.  An oracle failure (a lifted cost that overflows is one),
+    a start the sampler cannot use (the zero control sequence outside the
+    constraint set), or a cell whose closed-form L_sigma cannot be formed (a
+    temperature or variance so small that Sigma^-1 + Q/tau overflows) or whose
+    rule step 1/L_sigma overflows returns one flagged record in place of all
+    others (the CLI maps that to exit code 2).
     """
     spec = _build_spec(cfg.section("problem"))
-    lifted = qp.lift(spec)
     try:
+        lifted = qp.lift(spec)
         solution = qp.solve_verified(lifted)
     except (ConvergenceError, InfeasibleProblemError, NotSpdError) as err:
         return _failure(cfg, "oracle", f"qp oracle failure: {err}")

@@ -61,6 +61,8 @@ class QpProblem:
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
             object.__setattr__(self, name, v)
+        if not (np.isfinite(q).all() and np.isfinite(self.c).all() and np.isfinite(self.constant)):
+            raise NotSpdError("Q_qp, c and the constant must be finite")
         if not np.allclose(q, q.T, atol=1e-10):
             raise NotSpdError("Q_qp must be symmetric")
         if np.linalg.eigvalsh(q).min() < -1e-8:
@@ -172,7 +174,7 @@ def _ldp(g: Array, h: Array) -> Tuple[Array, Array]:
         raise ConvergenceError(
             f"NNLS did not finish: {err}", best=np.full(n, np.nan), residual=np.inf
         ) from err
-    except ValueError as err:  # scipy's finite-input check; an overflowed FD iterate reaches it
+    except ValueError as err:  # scipy's finite check: g p overflows for a finite p near 1e305
         raise ConvergenceError(
             f"NNLS input is not finite: {err}", best=np.full(n, np.nan), residual=np.inf
         ) from err

@@ -1,15 +1,19 @@
 """Benchmark harness: config handling, record emission, runners, CLI."""
 
 import collections
-import contextlib
+import copy
 import csv
 import dataclasses
+import functools
 import json
 import math
+import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,33 +54,6 @@ sim_steps: 4
 optimizer: {n_samples: 128}
 grid: {k: [1]}
 """
-
-# the initial position (2.5) sits outside the state box, so the lifted QP has
-# no feasible point and the oracle must refuse to certify a reference value
-ORACLE_FAILURE_LQR = """
-version: 1
-experiment: lqr
-seeds: [0]
-problem:
-  x_min: [-0.1, -1.0]
-  x_max: [0.1, 1.0]
-optimizer: {n_samples: 100, iterations: 5}
-grid: {eta: [1.0]}
-"""
-
-# zero state and control weights lift to Q_qp = 0: semidefinite, so the config
-# loads, but no reference value can be certified
-SINGULAR_Q_LQR = """
-version: 1
-experiment: lqr
-seeds: [0]
-problem:
-  q: [[0.0, 0.0], [0.0, 0.0]]
-  r: [[0.0]]
-optimizer: {n_samples: 100, iterations: 5}
-grid: {eta: [1.0]}
-"""
-
 
 def write_cfg(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
@@ -490,14 +467,6 @@ def test_run_lqr_lifts_its_problem_once(tmp_path, monkeypatch):
     assert len(records) == 2 and not any(r.flagged for r in records)
 
 
-def test_lqr_oracle_failure_is_flagged(tmp_path):
-    records = run_lqr(load_config(write_cfg(tmp_path, ORACLE_FAILURE_LQR)))
-    assert len(records) == 1
-    assert records[0].flagged
-    assert records[0].cell == {"method": "oracle"}
-    assert "oracle" in records[0].flag_reason
-
-
 def test_lqr_uncertified_oracle_is_flagged(tmp_path, monkeypatch):
     honest = qp.solve_reference
 
@@ -522,110 +491,6 @@ def test_lqr_summaries_carry_the_oracle_duality_gap(tiny_lqr_records):
         assert abs(rec.summary["oracle_duality_gap"]) <= 1e-9
 
 
-def test_lqr_singular_q_oracle_failure_is_flagged(tmp_path):
-    records = run_lqr(load_config(write_cfg(tmp_path, SINGULAR_Q_LQR)))
-    assert len(records) == 1
-    assert records[0].flagged
-    assert records[0].cell == {"method": "oracle"}
-    assert "qp oracle failure" in records[0].flag_reason
-    assert "positive definite" in records[0].flag_reason
-
-
-# the QP is feasible and certified (f* = 58.514), but the zero control sequence
-# leaves the velocity band at x_1, so the sampler has no feasible start
-UNUSABLE_START_LQR = """
-version: 1
-experiment: lqr
-seeds: [0]
-problem: {x0: [5.4, 0.0]}
-optimizer: {n_samples: 100, iterations: 5}
-grid: {eta: [1.0]}
-"""
-
-
-def test_lqr_unusable_start_is_flagged(tmp_path):
-    """The oracle certifies f*, then the zero start fails: one start record, not an oracle one."""
-    cfg = load_config(write_cfg(tmp_path, UNUSABLE_START_LQR))
-    lifted = qp.lift(LqrSpec(**cfg.section("problem")))
-    assert qp.solve_verified(lifted).f_star + lifted.constant == pytest.approx(58.514, abs=1e-3)
-    records = run_lqr(cfg)
-    assert len(records) == 1
-    assert records[0].flagged
-    assert records[0].cell == {"method": "start"}
-    assert "zero control sequence is infeasible" in records[0].flag_reason
-
-
-@pytest.mark.parametrize("sampling", ["{sigma2: 1.0e-4, tau: 1.0e-306}",
-                                      "{sigma2: 1.0e-320, tau: 1.0}"],
-                         ids=["tiny_tau", "tiny_sigma2"])
-def test_cli_lqr_overflowing_tilted_precision_is_one_flagged_record(tmp_path, capsys, sampling):
-    text = (f"version: 1\nexperiment: lqr\nseeds: [0]\nsampling: {sampling}\n"
-            "optimizer: {n_samples: 64, iterations: 3}\n")
-    out = tmp_path / "o"
-    assert cli.main(["run", "--experiment", "lqr", "--config", str(write_cfg(tmp_path, text)),
-                     "--out", str(out)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
-    [summary] = out.glob("summary_*.json")
-    doc = json.loads(summary.read_text())
-    assert (summary.name, doc["flagged"]) == ("summary_lqr_method-l_sigma_seed0.json", True)
-    assert doc["flag_reason"].startswith(
-        "l_sigma failure: tilted precision Sigma^-1 + Q/tau is not finite for tau = "
-    )
-
-
-def test_cli_lqr_overflowing_rule_step_is_one_flagged_record(tmp_path, capsys):
-    # at tau = 1e308 the closed-form L_sigma is subnormal, so eta = 1/L_sigma is infinite
-    text = ("version: 1\nexperiment: lqr\nseeds: [0]\nsampling: {sigma2: 1.0e-4, tau: 1.0e+308}\n"
-            "optimizer: {n_samples: 64, iterations: 3}\n")
-    out = tmp_path / "o"
-    assert cli.main(["run", "--experiment", "lqr", "--config", str(write_cfg(tmp_path, text)),
-                     "--out", str(out)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
-    [summary] = out.glob("summary_*.json")
-    doc = json.loads(summary.read_text())
-    assert (summary.name, doc["flagged"]) == ("summary_lqr_method-l_sigma_seed0.json", True)
-    assert doc["flag_reason"].startswith("l_sigma failure: eta = 1/L_sigma is not a finite")
-
-
-@pytest.mark.parametrize("experiment, rest", [
-    ("lqr", "optimizer: {n_samples: 16, iterations: 3}\ngrid: {eta: [1.0]}\n"),
-    ("dubins", "sim_steps: 2\noptimizer: {n_samples: 16}\ngrid: {k: [2]}\n"),
-], ids=["lqr", "dubins"])
-def test_cli_overflowing_retry_inflation_aborts_the_lane(tmp_path, capsys, experiment, rest):
-    # every sample of sigma2 = 1e308 scores infeasible, and one doubling overflows;
-    # the Dubins rollouts overflow on the way, with warnings; the LQR lane forms no
-    # log Z, so it warns of nothing, as the suite's RuntimeWarning filter checks
-    text = (f"version: 1\nexperiment: {experiment}\nseeds: [0]\n"
-            f"sampling: {{sigma2: 1.0e+308, tau: 1.0}}\n{rest}")
-    out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning) if experiment == "dubins" else contextlib.nullcontext():
-        code = cli.main(["run", "--experiment", experiment, "--config",
-                         str(write_cfg(tmp_path, text)), "--out", str(out), "--workers", "1"])
-    assert code == 0
-    assert "Traceback" not in capsys.readouterr().err
-    [summary] = out.glob("summary_*.json")
-    doc = json.loads(summary.read_text())
-    assert doc["flagged"] is True
-    assert doc["flag_reason"].endswith("all 16 samples infeasible at iteration 0")
-
-
-@pytest.mark.parametrize("problem", [
-    "{speed: 1.0e+308}", "{dt: 1.0e+300}", "{q_weights: [1.0e+308, 1.0e+308, 1.0]}",
-], ids=["speed", "dt", "q_weights"])
-def test_cli_dubins_non_finite_certificate_cost_is_a_flagged_step(tmp_path, capsys, problem):
-    text = ("version: 1\nexperiment: dubins\nseeds: [0]\nsim_steps: 2\n"
-            f"problem: {problem}\noptimizer: {{n_samples: 16}}\ngrid: {{k: [2]}}\n")
-    out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code = cli.main(["run", "--experiment", "dubins", "--config",
-                         str(write_cfg(tmp_path, text)), "--out", str(out), "--workers", "1"])
-    assert code == 0
-    assert "Traceback" not in capsys.readouterr().err
-    doc = json.loads((out / "summary_dubins_k-2_seed0.json").read_text())
-    assert doc["flagged"] is True
-    assert doc["flag_reason"] == "step 0: objective is not finite on the known-feasible sequence"
-
-
 # ---------------------------------------------------------------------------
 # closed-loop runner
 # ---------------------------------------------------------------------------
@@ -646,6 +511,18 @@ def test_dubins_runner_summary_and_rows(tmp_path):
     assert "k=sim step" in rec.summary["csv_semantics"]
     assert {"step", "px", "py", "stage_cost"} == set(rec.plot_rows[0])
     assert 0.0 < rec.summary["acceptance_rate"] <= 1.0
+    # read back from emit's files, three fields agree with routes of the test's own
+    emit(records, tmp_path / "o")
+    summary = json.loads((tmp_path / "o" / "summary_dubins_k-1_seed0.json").read_text())
+    with open(tmp_path / "o" / "dubins_k-1_seed0.csv", newline="") as fh:
+        gaps = [float(row["gap"]) for row in csv.DictReader(fh)]
+    with open(tmp_path / "o" / "plot_dubins_k-1_seed0.csv", newline="") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    target = summary["config"]["problem"]["target"]
+    distance = math.hypot(float(last["px"]) - target[0], float(last["py"]) - target[1])
+    assert summary["summary"]["terminal_position_error"] == pytest.approx(distance, rel=1e-12)
+    assert summary["summary"]["average_cost"] == pytest.approx(sum(gaps) / len(gaps), rel=1e-12)
+    assert summary["summary"]["steps_completed"] == len(gaps)
 
 
 MULTI_CELL_DUBINS = """
@@ -908,24 +785,6 @@ def test_cli_uncreatable_out_is_a_config_error(tmp_path, capsys, experiment):
     assert captured.out == ""  # refused before anything ran
 
 
-def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
-    path = write_cfg(tmp_path, TINY_LQR)
-    out = tmp_path / "o"
-    assert cli.main(["run", "--experiment", "lqr", "--config", str(path), "--seed", "-1",
-                     "--out", str(out)]) == 1
-    assert "config error: seeds must be non-negative" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_seed_for_theory_is_a_config_error(tmp_path, capsys):
-    out = tmp_path / "o"
-    assert cli.main(["run", "--experiment", "theory", "--config", "configs/theory.yaml",
-                     "--seed", "12345", "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("config error: --seed does not apply to the theory experiment")
-    assert captured.out == "" and not out.exists()
-
-
 @pytest.mark.parametrize(
     "experiment, section, message",
     [
@@ -1180,63 +1039,171 @@ def test_cli_lqr_run_emits_artifacts(tmp_path, capsys):
     assert snap["version"] == 1 and snap["experiment"] == "lqr"
 
 
-def test_cli_oracle_failure_exit_code(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, ORACLE_FAILURE_LQR)
-    code = cli.main(
-        ["run", "--experiment", "lqr", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-    assert "FLAGGED" in capsys.readouterr().out
+# ---------------------------------------------------------------------------
+# the boundary contract: a config runs (exit 0), is refused (exit 1) or flags
+# the record of a failed method, the oracle, the start, L_sigma or FD (exit 2)
+# ---------------------------------------------------------------------------
+
+_FD = ("seeds: [0]\noptimizer: {n_samples: 16, iterations: 2}\ngrid: {eta: [1.0]}\n"
+       "fd: {enabled: true, %s, budget_evals: 440}\n")
+_L_SIGMA = ("seeds: [0]\nsampling: {sigma2: %s, tau: %s}\n"
+            "optimizer: {n_samples: 64, iterations: 3}\n")
+_OVERFLOW_DUBINS = ("seeds: [0]\nsim_steps: 2\nproblem: {%s}\noptimizer: {n_samples: 16}\n"
+                    "grid: {k: [2]}\n")
+_INFLATION = "seeds: [0]\nsampling: {sigma2: 1.0e+308, tau: 1.0}\n"  # every sample is infeasible
+_TILT = r"l_sigma failure: tilted precision Sigma\^-1 \+ Q/tau is not finite for tau = "
+_NOT_CERTIFIABLE = r"step 0: objective is not finite on the known-feasible sequence$"
+
+# (experiment, config body, extra argv, exit code, the record that flags the
+# fault, a regular expression matched at the start of its reason (of stderr
+# for exit 1), whether the run warns of an overflow); a row that does not
+# warn may raise no RuntimeWarning at all
+BOUNDARY_FAULTS = [
+    pytest.param(  # the initial position (2.5) sits outside the state box: no QP point
+        "lqr", "seeds: [0]\nproblem: {x_min: [-0.1, -1.0], x_max: [0.1, 1.0]}\n"
+        "optimizer: {n_samples: 100, iterations: 5}\ngrid: {eta: [1.0]}\n", [], 2,
+        "lqr_method-oracle_seed0", "qp oracle failure: constraints are inconsistent", False,
+        id="oracle_infeasible"),
+    pytest.param(  # zero weights lift to Q_qp = 0: semidefinite, so it loads, but not certifiable
+        "lqr", "seeds: [0]\nproblem: {q: [[0.0, 0.0], [0.0, 0.0]], r: [[0.0]]}\n"
+        "optimizer: {n_samples: 100, iterations: 5}\ngrid: {eta: [1.0]}\n", [], 2,
+        "lqr_method-oracle_seed0",
+        "qp oracle failure: reference solve needs a positive definite Q_qp", False,
+        id="oracle_singular_q"),
+    pytest.param(  # the free response A^t x0 overflows, and with it c and the constant
+        "lqr", "seeds: [0]\nproblem: {x0: [1.0e+308, 0.0]}\n", [], 2, "lqr_method-oracle_seed0",
+        "qp oracle failure: Q_qp, c and the constant must be finite", True, id="lift_overflow"),
+    pytest.param(  # certified (f* = 58.514), but the zero start leaves the velocity band at x_1
+        "lqr", "seeds: [0]\nproblem: {x0: [5.4, 0.0]}\n"
+        "optimizer: {n_samples: 100, iterations: 5}\ngrid: {eta: [1.0]}\n", [], 2,
+        "lqr_method-start_seed0", "start failure: the zero control sequence is infeasible", False,
+        id="unusable_start"),
+    pytest.param("lqr", _L_SIGMA % ("1.0e-4", "1.0e-306"), [], 2, "lqr_method-l_sigma_seed0",
+                 _TILT, False, id="l_sigma_tiny_tau"),
+    pytest.param("lqr", _L_SIGMA % ("1.0e-320", "1.0"), [], 2, "lqr_method-l_sigma_seed0",
+                 _TILT, False, id="l_sigma_tiny_sigma2"),
+    pytest.param(  # at tau = 1e308 the closed-form L_sigma is subnormal: 1/L_sigma is infinite
+        "lqr", _L_SIGMA % ("1.0e-4", "1.0e+308"), [], 2, "lqr_method-l_sigma_seed0",
+        "l_sigma failure: eta = 1/L_sigma is not a finite", False, id="l_sigma_rule_step"),
+    pytest.param(  # one covariance doubling overflows; the lane forms no log Z, so no warning
+        "lqr", _INFLATION + "optimizer: {n_samples: 16, iterations: 3}\ngrid: {eta: [1.0]}\n", [],
+        0, "lqr_eta-1p0_sigma2-1e+308_tau-1p0_seed0",
+        "optimizer abort: all 16 samples infeasible at iteration 0$", False, id="inflation_lqr"),
+    pytest.param(  # the rollouts overflow on the way
+        "dubins", _INFLATION + "sim_steps: 2\noptimizer: {n_samples: 16}\ngrid: {k: [2]}\n", [],
+        0, "dubins_k-2_seed0", "step 0: all 16 samples infeasible at iteration 0$", True,
+        id="inflation_dubins"),
+    pytest.param("dubins", _OVERFLOW_DUBINS % "speed: 1.0e+308", [], 0, "dubins_k-2_seed0",
+                 _NOT_CERTIFIABLE, True, id="certificate_speed"),
+    pytest.param("dubins", _OVERFLOW_DUBINS % "dt: 1.0e+300", [], 0, "dubins_k-2_seed0",
+                 _NOT_CERTIFIABLE, True, id="certificate_dt"),
+    pytest.param("dubins", _OVERFLOW_DUBINS % "q_weights: [1.0e+308, 1.0e+308, 1.0]", [], 0,
+                 "dubins_k-2_seed0", _NOT_CERTIFIABLE, True, id="certificate_q_weights"),
+    *(pytest.param(  # a step so long that the projector reads it as inconsistent constraints
+        "lqr", _FD % f"alpha: {alpha}", [], 2, "lqr_method-fd_seed0",
+        "projection failure: constraints are inconsistent", False, id=f"fd_alpha_{alpha}")
+      for alpha in ("1.0e+8", "1.0e+300")),
+    pytest.param(  # a finite iterate whose constraint products overflow in the projector
+        "lqr", _FD % "alpha: 1.0e+305", [], 2, "lqr_method-fd_seed0",
+        "projection failure: NNLS input is not finite", False, id="fd_alpha_1.0e+305"),
+    *(pytest.param(  # the step itself overflows, caught where it happens
+        "lqr", _FD % f"{leaf}: 1.0e+308", [], 2, "lqr_method-fd_seed0",
+        "projection failure: FD iterate is not finite after step 0", False,
+        id=f"fd_{leaf}_1.0e+308") for leaf in ("alpha", "h")),
+    pytest.param(
+        "lqr", "seeds: [0]\noptimizer: {n_samples: 200, iterations: 20}\ngrid: {eta: [1.0]}\n"
+        "fd: {enabled: true, budget_evals: 440}\n", ["--seed", "-1"], 1, None,
+        "config error: seeds must be non-negative", False, id="negative_seed"),
+    pytest.param("theory", "inject_bug: false\n", ["--seed", "12345"], 1, None,
+                 "config error: --seed does not apply to the theory experiment", False,
+                 id="seed_for_theory"),
+]
 
 
-def test_cli_unusable_start_exit_code(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, UNUSABLE_START_LQR)
-    code = cli.main(
-        ["run", "--experiment", "lqr", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-    assert "lqr_method-start_seed0: FLAGGED (start failure:" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("alpha", ["1.0e+8", "1.0e+300"])
-def test_cli_lqr_infeasible_fd_projection_is_a_flagged_record(tmp_path, capsys, alpha):
-    """An FD step so long that the projector reads it as inconsistent constraints."""
-    text = (
-        "version: 1\nexperiment: lqr\nseeds: [0]\noptimizer: {n_samples: 16, iterations: 2}\n"
-        f"grid: {{eta: [1.0]}}\nfd: {{enabled: true, alpha: {alpha}, budget_evals: 440}}\n"
-    )
+@pytest.mark.parametrize("experiment, body, argv, code, record, reason, warns", BOUNDARY_FAULTS)
+def test_cli_boundary_fault(tmp_path, capsys, experiment, body, argv, code, record, reason, warns):
     out = tmp_path / "o"
-    code = cli.main(
-        ["run", "--experiment", "lqr", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]
-    )
-    assert code == 2
-    assert "lqr_method-fd_seed0: FLAGGED (projection failure: " in capsys.readouterr().out
-    summary = json.loads((out / "summary_lqr_method-fd_seed0.json").read_text())
-    assert summary["flagged"] and "constraints are inconsistent" in summary["flag_reason"]
+    config = write_cfg(tmp_path, f"version: 1\nexperiment: {experiment}\n{body}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert cli.main(["run", "--experiment", experiment, "--config", str(config),
+                         "--out", str(out), "--workers", "1", *argv]) == code
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert any("overflow" in message for message in runtime) if warns else runtime == []
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 1:  # refused before anything ran or was written
+        assert re.match(reason, captured.err)
+        assert captured.out == "" and not out.exists()
+        return
+    summaries = [p.name for p in out.glob("summary_*.json")]
+    # a failed FD baseline flags its own record beside the cells; any other is the only record
+    assert f"summary_{record}.json" in summaries
+    assert len(summaries) == 1 or "method-fd" in record
+    doc = json.loads((out / f"summary_{record}.json").read_text())
+    assert RunRecord(experiment, doc["cell"], doc["seed"]).name == record
+    assert doc["flagged"] and re.match(reason, doc["flag_reason"])
+    assert f"{record}: FLAGGED ({doc['flag_reason']})" in captured.out
+    if "method-start" in record:  # the oracle certified f* before the start failed
+        lifted = qp.lift(LqrSpec(**doc["config"]["problem"]))
+        f_star = qp.solve_verified(lifted).f_star + lifted.constant
+        assert f_star == pytest.approx(58.514, abs=1e-3)
 
 
-@pytest.mark.parametrize("leaf", ["alpha", "h"])
-def test_cli_nonfinite_fd_iterate_is_a_flagged_record(tmp_path, leaf):
-    """An FD step that overflows hands NNLS a non-finite point: exit 2, no traceback.
+SWEEP_CONFIGS = {
+    "lqr": "seeds: [0]\nproblem: {horizon: 4}\ngrid: {eta: [1.0, rule]}\n"
+           "optimizer: {n_samples: 16, iterations: 3}\nfd: {enabled: true, budget_evals: 50}\n",
+    "dubins": "seeds: [0]\nsim_steps: 2\ngrid: {k: [1]}\noptimizer: {n_samples: 16}\n"
+              "problem: {horizon: 6, obstacles: [[3.0, 3.0, 0.6], [4.5, 1.5, 0.6]]}\n",
+}
+SWEEP_VALUES = {
+    float: (0.0, -1.0, 1.0e308, -1.0e308, 1.0e-308, 5.0e-324, math.nan, math.inf, -math.inf),
+    int: (0, -1, 1),
+}
 
-    Run as a child `mppigrad run`: the overflow's RuntimeWarnings are expected
-    there, and this suite turns them into errors.
+
+def _numeric_leaves(doc, path=()):
+    """The path and type of each int or float leaf of a config; bools and strings stay put."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, (*path, key))
+        elif type(value) in SWEEP_VALUES:
+            yield (*path, key), type(value)
+
+
+@pytest.mark.parametrize("experiment", ["lqr", "dubins"])
+def test_cli_boundary_contract_holds_leaf_by_leaf(tmp_path, capsys, experiment):
+    """Each numeric leaf of a tiny config, one at a time, through every value of SWEEP_VALUES.
+
+    The leaves are read off the loader's defaults merged with the tiny config,
+    so a new key is swept with no edit here.  Every run exits 0, 1 or 2 and
+    raises nothing; exit 1 prints a config error, and exit 2, and only exit 2,
+    leaves a flagged record of a failed method.  An exit-0 run may overflow on
+    its way to a flagged cell record, so RuntimeWarnings are ignored here.
     """
-    text = (
-        "version: 1\nexperiment: lqr\nseeds: [0]\noptimizer: {n_samples: 16, iterations: 2}\n"
-        f"grid: {{eta: [1.0]}}\nfd: {{enabled: true, {leaf}: 1.0e+308, budget_evals: 440}}\n"
-    )
-    out = tmp_path / "o"
-    done = subprocess.run(
-        [sys.executable, "-m", "mppigrad.bench.cli", "run", "--experiment", "lqr",
-         "--config", str(write_cfg(tmp_path, text)), "--out", str(out), "--workers", "1"],
-        cwd=ROOT, env=_child_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 2, done.stderr
-    assert "Traceback" not in done.stderr
-    assert "lqr_method-fd_seed0: FLAGGED (projection failure: NNLS input is not finite" in done.stdout
-    summary = json.loads((out / "summary_lqr_method-fd_seed0.json").read_text())
-    assert summary["flagged"] and "not finite" in summary["flag_reason"]
+    header = f"version: 1\nexperiment: {experiment}\n"
+    resolved = load_config(write_cfg(tmp_path, header + SWEEP_CONFIGS[experiment])).resolved
+    broken = []
+    for i, (path, kind) in enumerate(_numeric_leaves(resolved)):
+        for j, value in enumerate(SWEEP_VALUES[kind]):
+            doc = copy.deepcopy(resolved)
+            functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+            config = write_cfg(tmp_path, header + yaml.safe_dump(doc))
+            out = tmp_path / f"o{i}-{j}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    code = cli.main(["run", "--experiment", experiment, "--config", str(config),
+                                     "--out", str(out), "--workers", "1"])
+                except Exception as exc:  # an escape, the one outcome the contract rules out
+                    code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            docs = [json.loads(p.read_text()) for p in out.glob("summary_*.json")]
+            failed = any(d["flagged"] and "method" in d["cell"] for d in docs)
+            if not (code == 1 and err.startswith("config error:")
+                    or code in (0, 2) and failed == (code == 2)):
+                broken.append(f"{'.'.join(map(str, path))} = {value!r}: {code}")
+    assert not broken, "\n".join(broken)
 
 
 def test_cli_theory_quadrature_failure_exit_code(tmp_path, capsys, monkeypatch):
