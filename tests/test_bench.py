@@ -467,6 +467,42 @@ def test_run_lqr_lifts_its_problem_once(tmp_path, monkeypatch):
     assert len(records) == 2 and not any(r.flagged for r in records)
 
 
+# the initial position (2.5) sits outside the state box: the QP has no point
+ORACLE_FAILURE_LQR = """seeds: [0]
+problem: {x_min: [-0.1, -1.0], x_max: [0.1, 1.0]}
+optimizer: {n_samples: 100, iterations: 5}
+grid: {eta: [1.0]}
+"""
+
+# the QP is feasible and certified (f* = 58.514), but the zero control sequence
+# leaves the velocity band at x_1, so the sampler has no feasible start
+UNUSABLE_START_LQR = """seeds: [0]
+problem: {x0: [5.4, 0.0]}
+optimizer: {n_samples: 100, iterations: 5}
+grid: {eta: [1.0]}
+"""
+
+
+def test_lqr_oracle_failure_is_flagged(tmp_path):
+    records = run_lqr(load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\n" + ORACLE_FAILURE_LQR)))
+    assert len(records) == 1
+    assert records[0].flagged
+    assert records[0].cell == {"method": "oracle"}
+    assert "oracle" in records[0].flag_reason
+
+
+def test_lqr_unusable_start_is_flagged(tmp_path):
+    """The oracle certifies f*, then the zero start fails: one start record, not an oracle one."""
+    cfg = load_config(write_cfg(tmp_path, "version: 1\nexperiment: lqr\n" + UNUSABLE_START_LQR))
+    lifted = qp.lift(LqrSpec(**cfg.section("problem")))
+    assert qp.solve_verified(lifted).f_star + lifted.constant == pytest.approx(58.514, abs=1e-3)
+    records = run_lqr(cfg)
+    assert len(records) == 1
+    assert records[0].flagged
+    assert records[0].cell == {"method": "start"}
+    assert "zero control sequence is infeasible" in records[0].flag_reason
+
+
 def test_lqr_uncertified_oracle_is_flagged(tmp_path, monkeypatch):
     honest = qp.solve_reference
 
@@ -1059,11 +1095,8 @@ _NOT_CERTIFIABLE = r"step 0: objective is not finite on the known-feasible seque
 # for exit 1), whether the run warns of an overflow); a row that does not
 # warn may raise no RuntimeWarning at all
 BOUNDARY_FAULTS = [
-    pytest.param(  # the initial position (2.5) sits outside the state box: no QP point
-        "lqr", "seeds: [0]\nproblem: {x_min: [-0.1, -1.0], x_max: [0.1, 1.0]}\n"
-        "optimizer: {n_samples: 100, iterations: 5}\ngrid: {eta: [1.0]}\n", [], 2,
-        "lqr_method-oracle_seed0", "qp oracle failure: constraints are inconsistent", False,
-        id="oracle_infeasible"),
+    pytest.param("lqr", ORACLE_FAILURE_LQR, [], 2, "lqr_method-oracle_seed0",
+                 "qp oracle failure: constraints are inconsistent", False, id="oracle_infeasible"),
     pytest.param(  # zero weights lift to Q_qp = 0: semidefinite, so it loads, but not certifiable
         "lqr", "seeds: [0]\nproblem: {q: [[0.0, 0.0], [0.0, 0.0]], r: [[0.0]]}\n"
         "optimizer: {n_samples: 100, iterations: 5}\ngrid: {eta: [1.0]}\n", [], 2,
@@ -1073,11 +1106,9 @@ BOUNDARY_FAULTS = [
     pytest.param(  # the free response A^t x0 overflows, and with it c and the constant
         "lqr", "seeds: [0]\nproblem: {x0: [1.0e+308, 0.0]}\n", [], 2, "lqr_method-oracle_seed0",
         "qp oracle failure: Q_qp, c and the constant must be finite", True, id="lift_overflow"),
-    pytest.param(  # certified (f* = 58.514), but the zero start leaves the velocity band at x_1
-        "lqr", "seeds: [0]\nproblem: {x0: [5.4, 0.0]}\n"
-        "optimizer: {n_samples: 100, iterations: 5}\ngrid: {eta: [1.0]}\n", [], 2,
-        "lqr_method-start_seed0", "start failure: the zero control sequence is infeasible", False,
-        id="unusable_start"),
+    pytest.param("lqr", UNUSABLE_START_LQR, [], 2, "lqr_method-start_seed0",
+                 "start failure: the zero control sequence is infeasible", False,
+                 id="unusable_start"),
     pytest.param("lqr", _L_SIGMA % ("1.0e-4", "1.0e-306"), [], 2, "lqr_method-l_sigma_seed0",
                  _TILT, False, id="l_sigma_tiny_tau"),
     pytest.param("lqr", _L_SIGMA % ("1.0e-320", "1.0"), [], 2, "lqr_method-l_sigma_seed0",
@@ -1144,10 +1175,6 @@ def test_cli_boundary_fault(tmp_path, capsys, experiment, body, argv, code, reco
     assert RunRecord(experiment, doc["cell"], doc["seed"]).name == record
     assert doc["flagged"] and re.match(reason, doc["flag_reason"])
     assert f"{record}: FLAGGED ({doc['flag_reason']})" in captured.out
-    if "method-start" in record:  # the oracle certified f* before the start failed
-        lifted = qp.lift(LqrSpec(**doc["config"]["problem"]))
-        f_star = qp.solve_verified(lifted).f_star + lifted.constant
-        assert f_star == pytest.approx(58.514, abs=1e-3)
 
 
 SWEEP_CONFIGS = {
