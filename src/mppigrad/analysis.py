@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     AllInfeasibleError,
-    ConvergenceError,
     DimensionMismatchError,
     NotSpdError,
     QuadratureError,
@@ -351,7 +350,7 @@ def fd_baseline(
     back onto the feasible set (a qp.FeasibleSetProjector, an exact LDP
     solve, for the constrained linear-quadratic case; identity when omitted).
     Projector errors propagate, and a step that leaves the iterate non-finite
-    (an overflowing alpha or h) raises ConvergenceError naming its iteration.
+    (an overflowing alpha or h) raises FloatingPointError naming its iteration.
     On a quadratic with Hessian Q the iteration is stable only for
     alpha * lambda_max(Q) < 2.  Deterministic.  Returns the iters + 1 costs
     (the last at the final iterate) and the final iterate.
@@ -370,9 +369,7 @@ def fd_baseline(
             grad = (vals[1:] - vals[0]) / h
             stepped = u - alpha * grad
             if not np.isfinite(stepped).all():
-                raise ConvergenceError(
-                    f"FD iterate is not finite after step {it}", best=u, residual=np.inf
-                )
+                raise FloatingPointError(f"FD iterate is not finite after step {it}")
             u = stepped if projector is None else projector(stepped)
     costs[iters] = problem.batch_objective(_check_controls(u, n, "final FD iterate")[None, :])[0]
     return costs, u

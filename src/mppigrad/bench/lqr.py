@@ -142,6 +142,9 @@ def _fd_record(
             iters=iters,
             projector=projector,
         )
+    except FloatingPointError as err:
+        record.flag_reason = f"fd failure: {err}"
+        return record
     except (ConvergenceError, InfeasibleProblemError) as err:
         record.flag_reason = f"projection failure: {err}"
         return record

@@ -14,6 +14,7 @@ and a feasible certificate.  Each spec owns its dynamics (`spec.step`), and
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
@@ -321,6 +322,10 @@ class DubinsSpec:
             shape = getattr(self, name).shape
             if shape != (3,):
                 raise ValueError(f"{name} must have length 3, got shape {shape}")
+        if not (self.q_weights >= 0).all():
+            raise ValueError(f"q_weights must be non-negative, got {self.q_weights.tolist()}")
+        if not self.r_weight >= 0:
+            raise ValueError(f"r_weight must be non-negative, got {self.r_weight!r}")
         if self.w_max <= 0 or self.dt <= 0 or self.speed < 0:
             raise ValueError("dt and w_max must be positive, speed non-negative")
         if self.horizon < 1:
@@ -351,7 +356,15 @@ def _dubins_rollout(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
 
 
 def dubins_evaluate_batch(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
-    """Costs and feasibility flags from one rollout, checking one obstacle at a time."""
+    """Costs and feasibility flags from one rollout, obstacles in a broad and a narrow phase.
+
+    The broad phase takes the bounding box of every position in the batch once
+    and skips each disc that the box's nearest point already clears; the
+    narrow phase tests every point against each remaining disc.  The skip is
+    exact: rounding is monotone and sign-symmetric, so every point's computed
+    squared distance is at least the box's.  A NaN or an infinity in the box
+    or in a disc's centre sends that disc to the point test.
+    """
     W = np.asarray(controls, dtype=float)
     pos, heading = _dubins_rollout(spec, W)
     err = np.empty(heading.shape + (3,))
@@ -362,8 +375,17 @@ def dubins_evaluate_batch(spec: DubinsSpec, controls: Array) -> Tuple[Array, Arr
     costs = (err @ spec.q_weights).sum(axis=1) + spec.r_weight * (W**2).sum(axis=1)
     ok = np.abs(W) <= spec.w_max  # per step, reduced over the horizon once at the end
     px, py = pos
-    for cx, cy, radius in spec.obstacles:
-        ok &= (px - cx) ** 2 + (py - cy) ** 2 > radius**2
+    lo_x, lo_y = pos.min(axis=(1, 2), initial=np.inf).tolist()  # initial: an empty batch
+    hi_x, hi_y = pos.max(axis=(1, 2), initial=-np.inf).tolist()
+    finite_box = all(map(math.isfinite, (lo_x, lo_y, hi_x, hi_y)))
+    for (cx, cy, _), radius in zip(spec.obstacles.tolist(), spec.obstacles[:, 2]):
+        r2 = float(radius**2)  # numpy's scalar power, an ulp off r * r at times: both tests use it
+        if finite_box and math.isfinite(cx) and math.isfinite(cy):
+            gx = max(0.0, lo_x - cx, cx - hi_x)
+            gy = max(0.0, lo_y - cy, cy - hi_y)
+            if gx * gx + gy * gy > r2:
+                continue
+        ok &= (px - cx) ** 2 + (py - cy) ** 2 > r2
     return costs, ok.all(axis=1)
 
 

@@ -411,6 +411,14 @@ def test_fd_baseline_propagates_projector_failures():
         )
 
 
+def test_fd_baseline_stops_at_the_step_that_leaves_the_iterate_non_finite():
+    with pytest.raises(FloatingPointError, match="^FD iterate is not finite after step 0$"):
+        analysis.fd_baseline(
+            quadratic_problem(np.eye(2), np.full(2, 10.0)), np.zeros(2),
+            h=1e-6, alpha=1e308, iters=3,
+        )
+
+
 def _fd_stacked_reference(problem, u0, h, alpha, iters, projector=None):
     """The FD loop as first written: a fresh stacked batch per iteration, and
     the final iterate scored on its own as a one-row batch."""

@@ -932,6 +932,11 @@ def test_cli_uncreatable_out_is_a_config_error(tmp_path, capsys, experiment):
          "invalid lqr config: a must be a rectangular array of numbers"),
         ("dubins", "problem: {obstacles: [[1.0, 1.0, 1.0], [1.0, 1.0]]}",
          "invalid dubins config: obstacles must be a rectangular array of numbers"),
+        # a negative cost weight leaves the cost unbounded below
+        ("dubins", "problem: {r_weight: -1.0}",
+         "invalid dubins config: r_weight must be non-negative, got -1.0"),
+        ("dubins", "problem: {q_weights: [1.0, -1.0, 0.01]}",
+         "invalid dubins config: q_weights must be non-negative, got [1.0, -1.0, 0.01]"),
     ],
     ids=["dubins_negative_dt", "lqr_zero_horizon", "lqr_wrong_a_shape", "dubins_odd_antithetic",
          "dubins_negative_sigma2", "dubins_non_numeric_tau", "lqr_zero_tau_in_grid",
@@ -956,7 +961,8 @@ def test_cli_uncreatable_out_is_a_config_error(tmp_path, capsys, experiment):
          "lqr_short_x0", "lqr_short_x_min", "lqr_long_x_max", "lqr_long_u_min", "lqr_empty_u_max",
          "dubins_short_x0", "dubins_short_target", "dubins_short_q_weights",
          "dubins_negative_obstacle_radius", "lqr_inverted_u_box", "lqr_inverted_x_box",
-         "lqr_ragged_a", "dubins_ragged_obstacles"],
+         "lqr_ragged_a", "dubins_ragged_obstacles", "dubins_negative_r_weight",
+         "dubins_negative_q_weight"],
 )
 def test_cli_bad_problem_or_optimizer_value_is_a_config_error(
     tmp_path, capsys, experiment, section, message
@@ -1139,7 +1145,7 @@ BOUNDARY_FAULTS = [
         "projection failure: NNLS input is not finite", False, id="fd_alpha_1.0e+305"),
     *(pytest.param(  # the step itself overflows, caught where it happens
         "lqr", _FD % f"{leaf}: 1.0e+308", [], 2, "lqr_method-fd_seed0",
-        "projection failure: FD iterate is not finite after step 0", False,
+        "fd failure: FD iterate is not finite after step 0$", False,
         id=f"fd_{leaf}_1.0e+308") for leaf in ("alpha", "h")),
     pytest.param(
         "lqr", "seeds: [0]\noptimizer: {n_samples: 200, iterations: 20}\ngrid: {eta: [1.0]}\n"

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -378,6 +379,11 @@ def test_dubins_spec_validation():
         DubinsSpec(speed=-1.0)
     with pytest.raises(ValueError, match="cx, cy, radius"):
         DubinsSpec(obstacles=np.ones((2, 4)))
+    with pytest.raises(ValueError, match="r_weight must be non-negative"):
+        DubinsSpec(r_weight=-5e-324)
+    with pytest.raises(ValueError, match="q_weights must be non-negative"):
+        DubinsSpec(q_weights=[1.0, 1.0, -0.01])
+    DubinsSpec(r_weight=0.0, q_weights=[0.0, 0.0, 0.0])  # zero weights stay legal
 
 
 def test_dubins_problem_feasible_search_uses_candidate():
@@ -547,3 +553,104 @@ def test_dubins_one_buffer_rollout_equals_the_stacked_one_bitwise(n, obstacles):
             want_costs, want_flags = stacked_dubins_evaluate(spec, batch)
         assert np.array_equal(costs, want_costs, equal_nan=True)
         assert np.array_equal(flags, want_flags)
+
+
+# ---------------------------------------------------------------------------
+# the obstacle broad phase against testing every disc
+# ---------------------------------------------------------------------------
+
+
+def _broad_phase_cases():
+    """(spec, batch) params; the reference tests every disc at every point."""
+    rng = np.random.default_rng(28)
+    horizon = 12
+    edge = np.zeros((3, horizon))
+    edge[0, 4] = np.nan  # a NaN row from step 5 on
+    edge[1, 0] = np.inf
+    edge[2, 7] = -np.inf
+
+    def batch(n, scale=1.0, edge_rows=np.empty((0, horizon))):
+        return _with_edge_rows(rng.normal(0.0, scale, (n, horizon)), edge_rows)
+
+    near_path = [[0.0, 2.0, 1.0], [0.5, 4.0, 0.3]]  # straddled by the batch's box
+    far = [[50.0, 0.0, 1.0], [-40.0, 3.0, 2.0], [0.0, 60.0, 0.5], [1.0e308, -1.0e308, 1.0]]
+    cases = []
+    for name, obstacles in (("far_discs", far), ("straddled_discs", near_path),
+                            ("far_and_straddled", far + near_path)):
+        spec = DubinsSpec(horizon=horizon, obstacles=obstacles)
+        for n in (1, 128):
+            for scale in (0.3, 4.0):
+                cases.append(pytest.param(spec, batch(n, scale), id=f"{name}-n{n}-s{scale}"))
+        cases.append(pytest.param(spec, batch(16, 2.0, edge), id=f"{name}-edge_rows"))
+        cases.append(pytest.param(spec, edge[:1], id=f"{name}-nan_row_alone"))
+    cases.append(pytest.param(DubinsSpec(horizon=horizon, obstacles=[]), batch(16),
+                              id="no_obstacles"))
+    # a small disc deep inside a wide box, on the straight rows' path
+    inside = DubinsSpec(horizon=horizon, obstacles=[[0.0, 1.2, 0.3]])
+    cases.append(pytest.param(inside, batch(64, 4.0, np.zeros((8, horizon))),
+                              id="disc_inside_a_wide_box"))
+    # a centre on the path, so the underflowing r^2 meets a zero or tiny distance
+    for radius in (5e-324, 1e-160):
+        spec = DubinsSpec(horizon=horizon, obstacles=[[0.0, 0.4, radius], [0.0, 0.8, radius]])
+        cases.append(pytest.param(spec, batch(32, 0.3, np.zeros((1, horizon))),
+                                  id=f"radius_{radius}"))
+        for offset in (0.0, 1e-162, 1e-160, 2e-160):
+            parked = DubinsSpec(speed=0.0, horizon=3, x0=[offset, 0.4, 0.0],
+                                obstacles=[[0.0, 0.4, radius]])
+            cases.append(pytest.param(parked, np.zeros((1, 3)),
+                                      id=f"radius_{radius}-parked_{offset}"))
+    # speed * dt overflows: heading 0 puts every x at +inf and every y at 0 * inf = NaN
+    blown = DubinsSpec(speed=1e308, dt=10.0, horizon=4, x0=[0.0, 0.0, 0.0],
+                       obstacles=[[0.0, 50.0, 1.0], [-50.0, 0.0, 1.0]])
+    cases.append(pytest.param(blown, np.zeros((1, 4)), id="inf_x_nan_y_row"))
+    cases.append(pytest.param(blown, rng.normal(0.0, 1.0, (8, 4)), id="overflowing_batch"))
+    nan_x = DubinsSpec(horizon=horizon, x0=[np.nan, 0.0, np.pi / 2], obstacles=[[0.0, 50.0, 1.0]])
+    cases.append(pytest.param(nan_x, batch(4), id="nan_x_plane"))
+    # centres a config cannot hold: NaN and infinite
+    for cx, cy in ((np.nan, 50.0), (50.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)):
+        spec = DubinsSpec(horizon=horizon, obstacles=[[cx, cy, 1.0]])
+        cases.append(pytest.param(spec, batch(4), id=f"centre_{cx}_{cy}"))
+    return cases
+
+
+@pytest.mark.parametrize("spec, batch", _broad_phase_cases())
+def test_dubins_broad_phase_equals_testing_every_disc_bitwise(spec, batch):
+    with np.errstate(all="ignore"):
+        costs, flags = dubins_evaluate_batch(spec, batch)
+        want_costs, want_flags = stacked_dubins_evaluate(spec, batch)
+    assert np.array_equal(costs, want_costs, equal_nan=True)
+    assert np.array_equal(flags, want_flags)
+
+
+def test_dubins_tangent_state_is_not_clear():
+    """d^2 = r^2 exactly: the strict test keeps the state out; one ulp of d further is clear."""
+    for x, clear in ((1.0, False), (1.0 - 2.0**-52, True)):  # d = 2 - x = 1, then 1 + 2^-52
+        spec = DubinsSpec(speed=0.0, horizon=5, x0=[x, 3.0, 0.0], obstacles=[[2.0, 3.0, 1.0]])
+        for evaluate in (dubins_evaluate_batch, stacked_dubins_evaluate):
+            assert evaluate(spec, np.zeros((2, 5)))[1].tolist() == [clear, clear]
+
+
+def test_dubins_broad_phase_skips_a_far_disc_before_its_squares_overflow():
+    spec = DubinsSpec(obstacles=[[1.0e308, -1.0e308, 1.0], [-1.0e308, 0.0, 0.5]])
+    batch = np.random.default_rng(5).normal(0.0, 1.0, (64, spec.horizon))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, flags = dubins_evaluate_batch(spec, batch)
+    assert flags.all()
+
+
+def test_dubins_broad_phase_holds_on_random_discs_and_batches():
+    """Radii from the subnormal range to 3, centres near and far, batches of 1 to 64 rows."""
+    rng = np.random.default_rng(2028)
+    for trial in range(60):
+        n_discs = int(rng.integers(0, 7))
+        centres = rng.normal(2.0, 4.0, (n_discs, 2)) * 10.0 ** rng.integers(0, 3, (n_discs, 1))
+        radii = 10.0 ** rng.uniform(-323.0, 0.5, n_discs)
+        spec = DubinsSpec(horizon=10, speed=float(rng.choice([0.0, 1.0, 4.0, 1e300])),
+                          obstacles=np.column_stack([centres, radii]) if n_discs else [])
+        batch = rng.normal(0.0, float(rng.choice([0.1, 1.0, 6.0])), (int(rng.integers(1, 65)), 10))
+        with np.errstate(all="ignore"):
+            costs, flags = dubins_evaluate_batch(spec, batch)
+            want_costs, want_flags = stacked_dubins_evaluate(spec, batch)
+        assert np.array_equal(costs, want_costs, equal_nan=True), trial
+        assert np.array_equal(flags, want_flags), trial
