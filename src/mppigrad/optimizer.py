@@ -150,18 +150,17 @@ def pgd_step(
                 raise err from None
     wmean = weighted_mean(batch, summary)
     new_mean = _apply_update(policy, config.eta, wmean)
-    finite = np.isfinite(batch.costs)  # `weigh` counts the rest as infeasible
     record = IterationRecord(
         k=iteration,
         mean=policy.mean.copy(),
         grad_norm_p=_grad_norm_p(sampler, wmean - policy.mean),
         ess=summary.effective_sample_size,
         acceptance=summary.acceptance_rate,
-        best_cost=float(batch.costs[batch.feasible_flags & finite].min()),
+        best_cost=summary.best_cost,
         free_energy=float(-sampler.tau * summary.log_mean_weight),
         ms=(time.perf_counter() - t0) * 1e3,
         retries=retries,
-        nonfinite=int(np.count_nonzero(~finite)),
+        nonfinite=summary.nonfinite,
     )
     return policy.with_mean(new_mean), record
 

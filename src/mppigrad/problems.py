@@ -330,6 +330,14 @@ class DubinsSpec:
             raise ValueError("dt and w_max must be positive, speed non-negative")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        # each disc once per spec, as (cx, cy, r2, finite centre) in Python floats, r2 by
+        # numpy's scalar power (an ulp off r * r at times); not a field, which config
+        # records would list
+        discs = tuple(
+            (cx, cy, float(radius**2), math.isfinite(cx) and math.isfinite(cy))
+            for (cx, cy, _), radius in zip(self.obstacles.tolist(), self.obstacles[:, 2])
+        )
+        object.__setattr__(self, "_discs", discs)
 
     def step(self, x: Array, u: Array) -> Array:
         return x + self.dt * np.array(
@@ -339,31 +347,54 @@ class DubinsSpec:
 
 def _dubins_rollout(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
     """Positions of x_1..x_T as one (2, N, T) array (px plane, py plane) and
-    headings of x_1..x_T as an (N, T) view; one cumsum integrates both planes."""
+    headings of x_1..x_T as a contiguous (N, T) array.
+
+    The headings are integrated in their own buffer (cumsum, then times dt,
+    then plus theta_0); cos and sin of theta_0..theta_{T-1} fill the two
+    planes, theta_0's column from one scalar, and one cumsum integrates both.
+    """
     n, horizon = controls.shape
-    heading = np.empty((n, horizon + 1))  # theta_0..theta_T
-    heading[:, 0] = spec.x0[2]
-    np.cumsum(controls, axis=1, out=heading[:, 1:])
-    heading[:, 1:] *= spec.dt
-    heading[:, 1:] += spec.x0[2]
+    theta0 = spec.x0[2]
+    heading = np.cumsum(controls, axis=1)  # theta_1..theta_T
+    heading *= spec.dt
+    heading += theta0
     pos = np.empty((2, n, horizon))
-    np.cos(heading[:, :-1], out=pos[0])
-    np.sin(heading[:, :-1], out=pos[1])
+    pos[0, :, 0] = np.cos(theta0)
+    pos[1, :, 0] = np.sin(theta0)
+    np.cos(heading[:, :-1], out=pos[0, :, 1:])
+    np.sin(heading[:, :-1], out=pos[1, :, 1:])
     np.cumsum(pos, axis=2, out=pos)
     pos *= spec.speed * spec.dt
     pos += spec.x0[:2, None, None]
-    return pos, heading[:, 1:]
+    return pos, heading
+
+
+def _near_discs(spec: DubinsSpec, lo_x: float, hi_x: float, lo_y: float, hi_y: float):
+    """(cx, cy, r2) of each disc that the box [lo_x, hi_x] x [lo_y, hi_y] does not clear.
+
+    A disc is skipped when the box's nearest point lies strictly outside it,
+    `gx * gx + gy * gy > r2` in Python floats.  The skip is exact: rounding
+    is monotone and sign-symmetric, so no point of the box has a smaller
+    computed squared distance.  A NaN or an infinity in the box or in a
+    disc's centre skips nothing.
+    """
+    finite_box = all(map(math.isfinite, (lo_x, hi_x, lo_y, hi_y)))
+    for cx, cy, r2, finite_centre in spec._discs:
+        if finite_box and finite_centre:
+            gx = max(0.0, lo_x - cx, cx - hi_x)
+            gy = max(0.0, lo_y - cy, cy - hi_y)
+            if gx * gx + gy * gy > r2:
+                continue
+        yield cx, cy, r2
 
 
 def dubins_evaluate_batch(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
     """Costs and feasibility flags from one rollout, obstacles in a broad and a narrow phase.
 
     The broad phase takes the bounding box of every position in the batch once
-    and skips each disc that the box's nearest point already clears; the
-    narrow phase tests every point against each remaining disc.  The skip is
-    exact: rounding is monotone and sign-symmetric, so every point's computed
-    squared distance is at least the box's.  A NaN or an infinity in the box
-    or in a disc's centre sends that disc to the point test.
+    and skips each disc that the box already clears (`_near_discs`); the
+    narrow phase tests every point against each remaining disc, in one
+    squared-distance buffer per call.
     """
     W = np.asarray(controls, dtype=float)
     pos, heading = _dubins_rollout(spec, W)
@@ -377,15 +408,14 @@ def dubins_evaluate_batch(spec: DubinsSpec, controls: Array) -> Tuple[Array, Arr
     px, py = pos
     lo_x, lo_y = pos.min(axis=(1, 2), initial=np.inf).tolist()  # initial: an empty batch
     hi_x, hi_y = pos.max(axis=(1, 2), initial=-np.inf).tolist()
-    finite_box = all(map(math.isfinite, (lo_x, lo_y, hi_x, hi_y)))
-    for (cx, cy, _), radius in zip(spec.obstacles.tolist(), spec.obstacles[:, 2]):
-        r2 = float(radius**2)  # numpy's scalar power, an ulp off r * r at times: both tests use it
-        if finite_box and math.isfinite(cx) and math.isfinite(cy):
-            gx = max(0.0, lo_x - cx, cx - hi_x)
-            gy = max(0.0, lo_y - cy, cy - hi_y)
-            if gx * gx + gy * gy > r2:
-                continue
-        ok &= (px - cx) ** 2 + (py - cy) ** 2 > r2
+    d2 = dy = None  # allocated by the first disc that reaches the narrow phase
+    for cx, cy, r2 in _near_discs(spec, lo_x, hi_x, lo_y, hi_y):
+        d2 = np.subtract(px, cx, out=d2)
+        np.square(d2, out=d2)
+        dy = np.subtract(py, cy, out=dy)
+        np.square(dy, out=dy)
+        d2 += dy
+        ok &= d2 > r2
     return costs, ok.all(axis=1)
 
 
@@ -396,9 +426,18 @@ def dubins_stage_cost(spec: DubinsSpec, x_next: Array, u: Array) -> float:
 
 
 def dubins_clear(spec: DubinsSpec, state: Array) -> bool:
-    """True when a single state lies strictly outside every obstacle."""
-    d2 = ((np.asarray(state)[:2] - spec.obstacles[:, :2]) ** 2).sum(axis=1)
-    return bool((d2 > spec.obstacles[:, 2] ** 2).all())
+    """True when a single state lies strictly outside every obstacle.
+
+    The evaluator's disc test on a one-point box, so both compare with the
+    same r2 and a far centre's distance is never squared.  On a finite state
+    and centre the box skip alone decides; only a disc it does not skip, or
+    a non-finite state or centre, reaches the point test.
+    """
+    x, y = np.asarray(state, dtype=float)[:2].tolist()
+    return all(
+        (x - cx) * (x - cx) + (y - cy) * (y - cy) > r2
+        for cx, cy, r2 in _near_discs(spec, x, x, y, y)
+    )
 
 
 def dubins_problem(spec: DubinsSpec, known_candidate: Optional[Array] = None) -> TrajectoryProblem:

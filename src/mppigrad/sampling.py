@@ -9,7 +9,6 @@ with max-subtraction, which is exact for the normalized quantities.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -160,7 +159,8 @@ class GaussianPolicy:
         mean = np.asarray(mean, dtype=float)
         if mean.shape != self.mean.shape:
             raise DimensionMismatchError(self.dim, mean.size, "mean")
-        moved = copy.copy(self)
+        moved = object.__new__(type(self))
+        moved.__dict__.update(self.__dict__)
         moved.mean = mean.copy()
         return moved
 
@@ -191,6 +191,8 @@ class WeightSummary:
     effective_sample_size: float
     acceptance_rate: float
     log_mean_weight: float
+    best_cost: float = float("nan")  # least cost over the usable samples
+    nonfinite: int = 0  # samples whose cost is NaN or infinite
 
 
 def draw(
@@ -249,33 +251,46 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     """Self-normalized weights w_j ∝ exp(-cost_j/tau) over feasible samples.
 
     A sample whose cost is not finite counts as infeasible: one NaN or -inf
-    cost would otherwise make every weight NaN.  When the largest usable
-    -cost/tau overflows, the weights are exp(-(cost - least cost)/tau), the
-    tau -> 0 limit, and `log_mean_weight` keeps its true value, +-inf.  Raises
-    AllInfeasibleError when no sample is feasible, leaving the retry decision
-    to the caller.
+    cost would otherwise make every weight NaN.  The usable mask (feasible
+    and finite) is built once; when every sample is usable no -inf is
+    masked in, and the shifted log-weights are exponentiated in place.
+    When the largest usable -cost/tau overflows, the weights are
+    exp(-(cost - least cost)/tau), the tau -> 0 limit, and `log_mean_weight`
+    keeps its true value, +-inf.  The summary also carries the least usable
+    cost and the count of non-finite costs.  Raises AllInfeasibleError when
+    no sample is feasible, leaving the retry decision to the caller.
     """
     if batch.costs is None or batch.feasible_flags is None:
         raise ValueError("batch must be evaluated before weighing")
     costs = np.asarray(batch.costs, dtype=float)
-    flags = np.asarray(batch.feasible_flags, dtype=bool) & np.isfinite(costs)
+    finite = np.isfinite(costs)
+    usable = np.asarray(batch.feasible_flags, dtype=bool) & finite
     n = batch.n
-    if not flags.any():
+    n_usable = np.count_nonzero(usable)
+    if not n_usable:
         raise AllInfeasibleError(n, batch.iteration)
-    log_w = np.where(flags, -costs / tau, _NEG_INF)
-    shift = log_w.max()  # the -inf of an infeasible row never wins
+    every = n_usable == n
+    best = costs.min() if every else costs[usable].min()
+    log_w = -costs
+    log_w /= tau
+    if not every:
+        log_w[~usable] = _NEG_INF
+    shift = log_w.max()  # the -inf of an unusable row never wins
     if math.isfinite(shift):
-        raw = np.exp(log_w - shift)  # exp(-inf - shift) is exactly 0
+        log_w -= shift
+        raw = np.exp(log_w, out=log_w)  # exp(-inf - shift) is exactly 0
     else:  # inf - inf would make every weight NaN
-        raw = np.exp(np.where(flags, costs[flags].min() - costs, _NEG_INF) / tau)
+        raw = np.exp(np.where(usable, best - costs, _NEG_INF) / tau)
     total = raw.sum()
     normalized = raw / total
     ess = 1.0 / float((normalized**2).sum())
     return WeightSummary(
         normalized_weights=normalized,
         effective_sample_size=ess,
-        acceptance_rate=float(np.count_nonzero(flags) / n),
+        acceptance_rate=float(n_usable / n),
         log_mean_weight=float(shift + np.log(total) - np.log(n)),
+        best_cost=float(best),
+        nonfinite=n - int(np.count_nonzero(finite)),
     )
 
 

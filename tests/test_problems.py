@@ -539,20 +539,32 @@ def test_lqr_bound_blocks_are_shared_by_threads():
                          ids=["desk_obstacles", "no_obstacles"])
 @pytest.mark.parametrize("n", [1, 9, 128, 1000])
 def test_dubins_one_buffer_rollout_equals_the_stacked_one_bitwise(n, obstacles):
-    spec = DubinsSpec(obstacles=obstacles)
-    edge = np.zeros((4, spec.horizon))
-    edge[0] = spec.w_max  # on the rate bound
-    edge[1, 3] = np.nan
-    edge[2, 0] = np.inf
-    edge[3, 5] = -np.inf
+    specs = (
+        DubinsSpec(obstacles=obstacles),
+        # theta_0 = -0.0 (sin gives -0.0) from a signed-zero start; a one-step horizon
+        DubinsSpec(obstacles=obstacles, x0=[-0.0, -0.0, -0.0], target=[-0.0, 1.0, 0.0]),
+        DubinsSpec(obstacles=obstacles, horizon=1),
+    )
     rng = np.random.default_rng(n)
-    for scale in (0.3, 2.0, 8.0):
-        batch = _with_edge_rows(rng.normal(0.0, scale, (n, spec.horizon)), edge)
-        with np.errstate(invalid="ignore", over="ignore"):
-            costs, flags = dubins_evaluate_batch(spec, batch)
-            want_costs, want_flags = stacked_dubins_evaluate(spec, batch)
-        assert np.array_equal(costs, want_costs, equal_nan=True)
-        assert np.array_equal(flags, want_flags)
+    for spec in specs:
+        edge = np.zeros((4, spec.horizon))
+        edge[0] = spec.w_max  # on the rate bound
+        edge[1, min(3, spec.horizon - 1)] = np.nan
+        edge[2, 0] = np.inf
+        edge[3, min(5, spec.horizon - 1)] = -np.inf
+        for scale in (0.3, 2.0, 8.0):
+            batch = _with_edge_rows(rng.normal(0.0, scale, (n, spec.horizon)), edge)
+            with np.errstate(invalid="ignore", over="ignore"):
+                pos, heading = problems._dubins_rollout(spec, batch)
+                costs, flags = dubins_evaluate_batch(spec, batch)
+                want_states = stacked_dubins_states(spec, batch)
+                want_costs, want_flags = stacked_dubins_evaluate(spec, batch)
+            assert pos.shape == (2, n, spec.horizon) and heading.shape == (n, spec.horizon)
+            for got, want in ((pos[0], want_states[:, :, 0]), (pos[1], want_states[:, :, 1]),
+                              (heading, want_states[:, :, 2])):
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert np.array_equal(costs, want_costs, equal_nan=True)
+            assert np.array_equal(flags, want_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -654,3 +666,39 @@ def test_dubins_broad_phase_holds_on_random_discs_and_batches():
             want_costs, want_flags = stacked_dubins_evaluate(spec, batch)
         assert np.array_equal(costs, want_costs, equal_nan=True), trial
         assert np.array_equal(flags, want_flags), trial
+
+
+def _parked_flags(spec, state):
+    """The evaluator's flag and `dubins_clear` on one state, parked there at speed 0."""
+    parked = dataclasses.replace(spec, speed=0.0, horizon=1, x0=[state[0], state[1], 0.0])
+    [flag] = dubins_evaluate_batch(parked, np.zeros((1, 1)))[1].tolist()
+    return flag, dubins_clear(parked, np.array([state[0], state[1], 0.0]))
+
+
+def test_dubins_clear_and_the_evaluator_agree_on_tangent_states():
+    """Both routes compare with the same r2, numpy's scalar radius**2, an ulp off r * r at times."""
+    r = 0.20375587553322855  # r * r = 0.04151645681431253 > r**2 = 0.04151645681431252
+    assert float(np.float64(r) ** 2) < r * r
+    spec = DubinsSpec(obstacles=[[0.0, 0.0, r]])
+    assert _parked_flags(spec, (r, 0.0)) == (True, True)
+    rng = np.random.default_rng(2029)
+    split = 0
+    for radius in 10.0 ** rng.uniform(-3.0, 1.0, 2000):
+        centre = rng.normal(0.0, 3.0, 2)
+        spec = DubinsSpec(obstacles=[[centre[0], centre[1], radius]])
+        for state in ((centre[0] + radius, centre[1]), (centre[0], centre[1] - radius)):
+            flag, clear = _parked_flags(spec, state)
+            assert flag == clear, (radius, centre, state)
+            split += flag
+    assert 0 < split  # some tangent states are clear by one ulp of r2
+
+
+def test_dubins_clear_squares_no_far_centre():
+    spec = DubinsSpec(obstacles=[[1.0e308, 0.0, 0.5], [-1.0e308, -1.0e308, 1.0],
+                                 [0.0, 1.0e308, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dubins_clear(spec, np.array([0.0, 0.0, 0.0]))
+        assert dubins_clear(spec, np.array([1.0e300, -1.0e300, 1.0]))
+        assert not dubins_clear(spec, np.array([1.0e308, 0.25, 0.0]))
+        assert not dubins_clear(spec, np.array([np.nan, 0.0, 0.0]))

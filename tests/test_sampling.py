@@ -95,6 +95,30 @@ def test_with_mean_rejects_a_mean_of_another_length(cov):
         policy.with_mean(np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "cov", [0.5, np.array([0.5, 2.0]), np.array([[0.8, 0.25], [0.25, 0.5]])],
+    ids=["scalar", "diag", "full"],
+)
+def test_with_mean_moves_a_fresh_mean_and_shares_the_rest(cov):
+    policy = GaussianPolicy(np.array([0.1, -0.2]), cov, tau=3.0)
+    before = {name: np.copy(value) for name, value in vars(policy).items()}
+    target = np.array([1.0, 2.0])
+    moved = policy.with_mean(target)
+    assert type(moved) is GaussianPolicy and moved is not policy
+    assert np.array_equal(moved.mean, target)
+    assert not np.shares_memory(moved.mean, target)
+    assert not np.shares_memory(moved.mean, policy.mean)
+    target[0] = 9.0  # the caller's array stays the caller's
+    assert moved.mean[0] == 1.0
+    assert moved.tau == policy.tau == 3.0
+    assert vars(moved).keys() == vars(policy).keys()
+    for name in vars(policy).keys() - {"mean", "tau"}:
+        assert getattr(moved, name) is getattr(policy, name), name
+    for name, value in vars(policy).items():  # the original is untouched
+        assert np.array_equal(value, before[name]), name
+    assert np.array_equal(moved.cov_matrix(), policy.cov_matrix())
+
+
 def test_score_trivial_cases_and_fd():
     """The u-gradient of log N(u; mu, S) is -S^{-1}(u - mu), minus the score in mu."""
     policy = GaussianPolicy(np.array([0.5, -0.3]), np.eye(2), tau=1.0)
@@ -577,6 +601,10 @@ def test_weigh_equals_the_reference_bitwise(case):
     assert type(got.acceptance_rate) is float
     assert _bits(got.acceptance_rate) == _bits(want.acceptance_rate)
     assert _bits(got.log_mean_weight) == _bits(want.log_mean_weight)
+    costs = batch.costs
+    assert _bits(got.best_cost) == _bits(costs[batch.feasible_flags & np.isfinite(costs)].min())
+    assert type(got.nonfinite) is int
+    assert got.nonfinite == np.count_nonzero(~np.isfinite(costs))
 
 
 def test_draws_sharing_a_normals_cache_equal_lone_draws_bitwise(monkeypatch):
