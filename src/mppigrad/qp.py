@@ -12,13 +12,15 @@ variables.  The reference value is certified by weak duality before it is
 trusted as an optimality-gap reference: the solver's multipliers give a lower
 bound on the optimum that shares only the problem data with the solver.
 
-scipy is imported only where a QP is solved (the LQR oracle and the FD
-projector), so loading a config, a Dubins run and the theory suite never pay
-for `scipy.linalg` or `scipy.optimize`.
+Everything here is numpy: the NNLS is Lawson and Hanson's algorithm on the
+normal equations of the LDP, with its small passive-set system solved in
+Python floats, and the change of variables uses `numpy.linalg`.  No run path
+imports scipy; the tests use it as an independent second route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -28,6 +30,14 @@ from .errors import ConvergenceError, InfeasibleProblemError, NotSpdError
 from .problems import LqrSpec, lqr_response
 
 AGREEMENT = 1e-6  # largest relative duality gap and violation `solve_verified` certifies
+_EPS = float(np.finfo(float).eps)
+# NNLS: a new column whose squared distance from the passive span is at most
+# this share of its squared length is dependent.  The Gram form computes that
+# distance to a few roundings of the length (under 1.2e-15 of it for a column
+# already in the span, in random tests); 64 eps leaves room above that.
+DEPENDENT = 64.0 * _EPS
+_HUGE = 2.0**500  # NNLS: an |h_j| beyond this is scaled down before h_i h_j is formed
+_VANISHING = math.sqrt(_EPS)  # `_ldp` reads an NNLS residual this small as zero
 
 Array = np.ndarray
 
@@ -145,40 +155,161 @@ def lift(spec: LqrSpec) -> QpProblem:
     )
 
 
-def nnls(a: Array, b: Array) -> Tuple[Array, float]:
-    """scipy's NNLS, min |a z - b| over z >= 0; `_ldp` calls it through this name."""
-    from scipy.optimize import nnls as scipy_nnls  # local: scipy.optimize loads only here
+def nnls(g: Array, h: Array, gram: Optional[Array] = None) -> Tuple[Array, float]:
+    """Lawson-Hanson NNLS of the LDP problem: min |E z - e| over z >= 0.
 
-    return scipy_nnls(a, b)
+    E = [g'; h'] has one column e_j = (g_j, h_j) per row of g, and e is the
+    last unit vector, so E'E = gram + h h' with gram = g g' (formed here when
+    not given) and E'e = h.  This is algorithm NNLS of Lawson & Hanson (1974,
+    ch. 23) on those normal equations: z = 0 is optimal when no h_j is
+    positive; otherwise the column with the largest w_j = e_j'(e - E z) joins
+    the passive set if it is independent of it (its squared distance from
+    their span exceeds `DEPENDENT` times |e_j|^2) and its least-squares
+    coefficient is positive, and an inner loop steps back toward the last
+    non-negative z, dropping the columns that reach zero, until the passive
+    least-squares solution is positive.  The passive system is small, so it
+    is solved in Python floats through a Cholesky factor that grows by one
+    row per new column; w = h (1 - h'z) - gram z costs one mat-vec.
+
+    Returns z and the residual |E z - e|, formed from its parts g'z and
+    h'z - 1, so that it stays accurate as it vanishes.  Raises ValueError
+    when h is not finite, and RuntimeError after 3m inner iterations, m the
+    number of columns.  When some h_i h_j could overflow, h and gram are
+    first scaled by a power of two, and z scales back exactly.
+    """
+    m, n = g.shape
+    z = np.zeros(m)
+    if not m:
+        return z, 1.0
+    t = int(h.argmax())
+    top, bottom = h[t], h[h.argmin()]
+    scale = 1.0
+    if not (-_HUGE <= bottom and top <= _HUGE):  # not finite, or h_i h_j could overflow
+        if not np.isfinite(h).all():
+            raise ValueError("array must not contain infs or NaNs")
+        scale = math.ldexp(1.0, -math.frexp(max(top, -bottom))[1])
+        h, top = h * scale, top * scale
+        gram = (g @ g.T if gram is None else gram) * (scale * scale)
+    if not top > 0.0:  # every row already holds: z = 0 (the first test of NNLS)
+        return z, 1.0
+    if gram is None:
+        gram = g @ g.T
+    w = h.copy()
+    passive: list = []  # columns in the order they joined
+    coef: list = []  # z on them
+    rows: list = []  # lower Cholesky factor of (gram + h h') on the passive set
+    u: list = []  # rows^-1 h_passive, so that z_hat = rows'^-1 u
+
+    gram_at, h_at = gram.item, h.item
+
+    def extend(t):
+        """Row of the factor for column t after the passive set, or None if t is dependent."""
+        ht = h_at(t)
+        r = []
+        rr = ru = 0.0
+        for j, row, uj in zip(passive, rows, u):
+            v = gram_at(j, t) + h_at(j) * ht
+            for a, b in zip(row, r):
+                v -= a * b
+            v /= row[-1]
+            r.append(v)
+            rr += v * v
+            ru += v * uj
+        mtt = gram_at(t, t) + ht * ht
+        s = mtt - rr
+        if not s > DEPENDENT * mtt:
+            return None
+        d = math.sqrt(s)
+        r.append(d)
+        return r, (ht - ru) / d
+
+    it, cap, full, sigma = 0, 3 * m, min(m, n + 1), 0.0
+    while len(passive) < full and w[t] > 0.0:  # else the Kuhn-Tucker conditions hold
+        new = extend(t)
+        if new is None or not new[1] > 0.0:  # dependent, or z_t would not be positive
+            w[t] = 0.0
+            t = int(w.argmax())
+            continue
+        passive.append(t)
+        coef.append(0.0)
+        rows.append(new[0])
+        u.append(new[1])
+        while True:
+            it += 1
+            if it > cap:
+                raise RuntimeError("Maximum number of iterations reached.")
+            z_hat = list(u)
+            for i in range(len(u) - 1, -1, -1):
+                v = z_hat[i]
+                for k in range(i + 1, len(u)):
+                    v -= rows[k][i] * z_hat[k]
+                z_hat[i] = v / rows[i][i]
+            if min(z_hat) > 0.0:
+                coef = z_hat
+                break
+            # step from coef toward z_hat until the first coefficient reaches zero
+            alpha, first = 2.0, 0
+            for i, (c, v) in enumerate(zip(coef, z_hat)):
+                if v <= 0.0 and c / (c - v) < alpha:
+                    alpha, first = c / (c - v), i
+            coef = [c + alpha * (v - c) for c, v in zip(coef, z_hat)]
+            coef[first] = 0.0
+            kept = [c > 0.0 for c in coef]
+            for j, k in zip(passive, kept):
+                if not k:
+                    z[j] = 0.0
+            cut = kept.index(False)
+            moved = [j for j, k in zip(passive[cut:], kept[cut:]) if k]
+            coef = [c for c, k in zip(coef, kept) if k]
+            del passive[cut:], rows[cut:], u[cut:]
+            for j in moved:  # the factor rows after the first column dropped are rebuilt
+                new = extend(j)
+                if new is None:
+                    raise RuntimeError("passive columns became dependent")
+                passive.append(j)
+                rows.append(new[0])
+                u.append(new[1])
+        sigma = 0.0
+        for j, c in zip(passive, coef):
+            z[j] = c
+            sigma += h_at(j) * c
+        w = h * (1.0 - sigma)
+        w -= gram @ z
+        for j in passive:
+            w[j] = 0.0
+        t = int(w.argmax())
+    gz = g.T @ z
+    rnorm = math.hypot(scale * math.sqrt(float(gz @ gz)), sigma - 1.0)
+    if scale != 1.0:
+        z *= scale
+    return z, rnorm
 
 
-def _ldp(g: Array, h: Array) -> Tuple[Array, Array]:
+def _ldp(g: Array, h: Array, gram: Optional[Array] = None) -> Tuple[Array, Array]:
     """min |x| s.t. g x >= h; returns x and its multipliers lam.
 
     With z >= 0 the NNLS solution of [g'; h'] z = e_last, lam = z / (1 - h'z)
-    and x = g'lam (Lawson & Hanson 1974, ch. 23).  The NNLS residual is
+    and x = g'lam (Lawson & Hanson 1974, ch. 23).  `gram` is g g', passed by
+    a caller that solves many problems with the same g.  The NNLS residual is
     1/sqrt(1 + |x|^2), so one below sqrt(eps) (|x| > 6.7e7) is read as zero:
     the constraints are inconsistent.  A set that is a single point is a
     limit of this test: rounding can leave the point outside the computed
     rows, and then it too is reported as inconsistent.  NNLS stopping at its
-    iteration cap, or an input that is not finite, raises ConvergenceError.
+    iteration cap, or an h that is not finite, raises ConvergenceError.  With
+    no rows at all, NNLS has nothing to do and x = 0.
     """
     n = g.shape[1]
-    if h.size == 0:  # unconstrained; scipy's nnls aborts the process on zero columns
-        return np.zeros(n), np.zeros(0)
-    target = np.zeros(n + 1)
-    target[n] = 1.0
     try:
-        z, rnorm = nnls(np.vstack([g.T, h]), target)
+        z, rnorm = nnls(g, h, gram)
     except RuntimeError as err:
         raise ConvergenceError(
             f"NNLS did not finish: {err}", best=np.full(n, np.nan), residual=np.inf
         ) from err
-    except ValueError as err:  # scipy's finite check: g p overflows for a finite p near 1e305
+    except ValueError as err:  # g p overflows for a finite p near 1e305
         raise ConvergenceError(
             f"NNLS input is not finite: {err}", best=np.full(n, np.nan), residual=np.inf
         ) from err
-    if rnorm <= np.sqrt(np.finfo(float).eps):
+    if rnorm <= _VANISHING:
         raise InfeasibleProblemError(
             f"constraints are inconsistent: LDP residual {rnorm:.3e} vanishes"
         )
@@ -198,17 +329,15 @@ def solve_reference(qp: QpProblem) -> QpSolution:
     when the constraints are inconsistent, and ConvergenceError when NNLS
     stops at its iteration cap.
     """
-    from scipy.linalg import LinAlgError, cholesky, solve_triangular  # local: see the module doc
-
     g, h = qp.g, qp.h
     try:
-        r = cholesky(qp.q)
-    except LinAlgError as err:
+        low = np.linalg.cholesky(qp.q)  # Q = low low', so R = low'
+    except np.linalg.LinAlgError as err:
         raise NotSpdError(f"reference solve needs a positive definite Q_qp: {err}") from err
-    shift = solve_triangular(r, qp.c, trans="T")
-    g_x = solve_triangular(r, g.T, trans="T").T
+    shift = np.linalg.solve(low, qp.c)
+    g_x = np.linalg.solve(low, g.T).T
     x, lam = _ldp(g_x, h + g_x @ shift)
-    u = solve_triangular(r, x - shift)
+    u = np.linalg.solve(low.T, x - shift)
     return QpSolution(u_star=u, f_star=qp.value(u), lam=lam)
 
 
@@ -247,13 +376,16 @@ class FeasibleSetProjector:
     """Euclidean projection onto {u: lb<=u<=ub, lin_lo<=A u<=lin_hi}.
 
     In the offset x = u - p, min 1/2|u-p|^2 s.t. G u >= h is the LDP problem
-    min |x| s.t. G x >= h - G p.  The problem stacks (G, h) once, so projecting many
-    points against the same constraint set repeats only the NNLS solve.
+    min |x| s.t. G x >= h - G p.  The projector forms G and its Gram matrix
+    G G' once, so projecting many points against the same constraint set
+    repeats only the mat-vec G p and the NNLS solve, and a point that already
+    satisfies every row ends at NNLS's first test.
     """
 
     def __init__(self, qp: QpProblem):
         self._g, self._h = qp.g, qp.h
+        self._gram = self._g @ self._g.T
 
     def __call__(self, point: Array) -> Array:
         p = np.asarray(point, dtype=float)
-        return p + _ldp(self._g, self._h - self._g @ p)[0]
+        return p + _ldp(self._g, self._h - self._g @ p, self._gram)[0]

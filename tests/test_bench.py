@@ -1382,25 +1382,29 @@ def test_readme_library_quickstart_runs():
     assert math.isfinite(float(cost)) and feasible == "True" and float(ess) >= 1.0
 
 
-SCIPY_PROBE = """\
-import sys
+NO_SCIPY_PROBE = """\
+import sys, tempfile
+from pathlib import Path
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # importing scipy or any submodule now raises ImportError
+from mppigrad import qp
 from mppigrad.bench.cli import main
 from mppigrad.bench.config import load_config
+from mppigrad.bench.lqr import _build_spec
 from mppigrad.optimizer import PgdConfig, pgd_step
 from mppigrad.problems import DubinsSpec, dubins_problem
 from mppigrad.sampling import GaussianPolicy
 cfg = load_config("configs/dubins.yaml")
 problem = dubins_problem(DubinsSpec(**cfg.section("problem")))
 pgd_step(problem, GaussianPolicy(problem.known_feasible, 0.25, tau=4.0), PgdConfig(n_samples=64), 0)
-print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
-"""
-
-QP_PROBE = """\
-import sys
-from mppigrad import qp
-from mppigrad.problems import double_integrator
-assert "scipy.optimize" not in sys.modules
-print(qp.solve_verified(qp.lift(double_integrator())).duality_gap, "scipy.optimize" in sys.modules)
+desk = qp.lift(_build_spec(load_config("configs/lqr.yaml").section("problem")))
+gap = qp.solve_verified(desk).duality_gap
+with tempfile.TemporaryDirectory() as tmp:
+    Path(tmp, "cfg.yaml").write_text(sys.argv[2])
+    code = main(["run", "--experiment", "lqr", "--config", f"{tmp}/cfg.yaml", "--out", f"{tmp}/o",
+                 "--workers", "1"])
+loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod)
+print(repr(gap), code, loaded)
 """
 
 
@@ -1461,19 +1465,60 @@ def test_config_loading_and_each_cli_path_import_only_what_they_run():
     assert loaded["same"] is True
 
 
-def test_scipy_loads_only_where_a_qp_is_solved():
-    """Config loading and a Dubins step import no scipy; the first QP solve does."""
-    outputs = []
-    for probe in (SCIPY_PROBE, QP_PROBE):
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            cwd=ROOT, env=_child_env(), capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout.split())
-    assert outputs[0] == ["[]"], f"scipy loaded before any QP solve: {outputs[0]}"
-    gap, loaded = outputs[1]
-    assert abs(float(gap)) < 1e-6 and loaded == "True"
+@pytest.mark.parametrize("scipy_state", ["importable", "blocked"])
+def test_no_run_path_needs_scipy(scipy_state):
+    """Config loading, a Dubins step, the desk QP oracle and an LQR run with FD load no scipy.
+
+    With scipy importable, none of it is imported; with it blocked, the
+    certified oracle and the run (its sampled cell and projected FD
+    baseline) still succeed, so scipy is a test dependency only.
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, scipy_state, TINY_LQR],
+        cwd=ROOT, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    gap, code, loaded = done.stdout.splitlines()[-1].split(" ", 2)
+    assert abs(float(gap)) < 1e-6
+    assert code == "0", done.stdout
+    assert loaded == "[]", f"scipy loaded on a run path: {loaded}"
+
+
+FAILING_PROPERTY = """\
+import warnings
+
+from hypothesis import given, settings, strategies as st
+
+
+@settings(max_examples=20, database=None, deadline=None)
+@given(st.integers(0, 100))
+def test_deliberately_false(x):
+    assert x < 10
+
+
+def test_other_deprecations_stay_errors():
+    warnings.warn("any other deprecation", DeprecationWarning)
+"""
+
+
+def test_a_failing_property_test_is_reported_under_the_suite_settings(tmp_path):
+    """A Hypothesis failure prints its falsifying example and exits 1, not INTERNALERROR (3).
+
+    Reporting the example loads libcst, which subclasses the deprecated
+    mypy_extensions.TypedDict; `pyproject.toml` ignores that one warning and
+    keeps every other DeprecationWarning an error.
+    """
+    (tmp_path / "test_false.py").write_text(FAILING_PROPERTY)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_false.py"],
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "Falsifying example: test_deliberately_false(" in done.stdout
+    assert "DeprecationWarning: any other deprecation" in done.stdout
+    assert "2 failed" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr
 
 
 # the contract across hosts: discrete values equal, continuous ones within this

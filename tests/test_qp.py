@@ -1,5 +1,6 @@
 """QP lift, verified reference solve, and feasible-set projection."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, minimize
+from scipy.optimize import nnls as scipy_nnls
 
-from mppigrad import qp
+from mppigrad import analysis, qp
 from mppigrad.errors import ConvergenceError, InfeasibleProblemError, NotSpdError
 from mppigrad.problems import (
     LqrSpec,
     double_integrator,
+    lqr_problem,
     lqr_response,
     lqr_stage_cost,
     rollout,
@@ -230,6 +233,32 @@ def test_reference_agrees_with_trust_constr_on_random_definite_qps():
         assert abs(sol.f_star - _trust_constr_value(prob)) <= 1e-6 * (1.0 + abs(sol.f_star))
 
 
+def test_reference_solve_admits_a_nearly_dependent_row():
+    """The optimal active set needs a column within 8e-6 rad of the passive span.
+
+    Here the box vertex (ub_0, lb_1, lb_2) nearly touches the band's upper
+    row, so NNLS must take that row in after the three box rows (its squared
+    distance from their span is 6e-11 of its length) and then drop one.  A
+    dependence test loose enough to refuse it stops at a point whose KKT
+    residual is 1e-3 (a Hypothesis example once found this).
+    """
+    root = np.array([[-2.174671124127068, -0.8736338982290647, 0.16944777359152446],
+                     [0.1489623008584376, -0.5975908506331576, -0.19470472101468994],
+                     [-0.8045978852010511, -0.6495224199775486, -0.15196104536490732]])
+    prob = qp.QpProblem(
+        q=root @ root.T + 0.1 * np.eye(3),
+        c=np.array([-5.5451661341779275, 4.475436303834656, 4.768760000347647]),
+        lb=np.array([-1.2283529, -0.67435572, -0.27177861]),
+        ub=np.array([1.03374641, 0.58663441, 1.0660117]),
+        lin_mat=np.array([[-0.80459789, -0.64952242, -0.15196105]]),
+        lin_lo=np.array([-1.65348927]),
+        lin_hi=np.array([-0.35348927]),
+    )
+    sol = qp.solve_verified(prob)
+    assert _kkt_residual(prob, sol) <= 1e-10
+    assert abs(sol.f_star - _trust_constr_value(prob)) <= 1e-6 * (1.0 + abs(sol.f_star))
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -303,6 +332,110 @@ def test_qp_problem_validation():
         )
     with pytest.raises(ValueError, match="shape"):
         qp.QpProblem(q=np.eye(2), c=np.zeros(3), lb=-np.ones(2), ub=np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# NNLS against scipy's, the second route (tests only: no run path imports scipy)
+# ---------------------------------------------------------------------------
+
+VANISHING = np.sqrt(np.finfo(float).eps)  # the NNLS residual `_ldp` reads as zero
+
+
+def _scipy_ldp_nnls(g, h):
+    """scipy's Lawson-Hanson NNLS of the same LDP, on the stacked matrix [g'; h']."""
+    target = np.zeros(g.shape[1] + 1)
+    target[-1] = 1.0
+    return scipy_nnls(np.vstack([g.T, h]), target)
+
+
+def _ldp_instance(kind, rng):
+    """Rows g x >= h around an interior point x0, reshaped by `kind`, in shuffled order."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+    g = rng.normal(size=(m, n))
+    x0 = rng.normal(size=n)
+    h = g @ x0 - rng.uniform(0.1, 1.0, m)
+    if kind == "duplicated":  # repeated columns of [g'; h']
+        rep = rng.integers(0, m, size=m)
+        g, h = np.vstack([g, g[rep]]), np.concatenate([h, h[rep]])
+    elif kind == "negated":  # band equality rows: a row and its negation, fewer than n of them
+        eq = rng.choice(m, size=min(m, n - 1), replace=False)
+        h[eq] = g[eq] @ x0
+        g, h = np.vstack([g, -g[eq]]), np.concatenate([h, -h[eq]])
+    elif kind == "satisfied":  # the origin satisfies every row
+        h = -np.abs(h) - 0.1
+    elif kind == "inconsistent":  # a'x >= 1 and a'x <= 0
+        a = rng.normal(size=n)
+        g, h = np.vstack([g, a, -a]), np.concatenate([h, [1.0, 0.0]])
+    elif kind == "huge":  # h_i h_j overflows, so NNLS scales h first
+        h = h * 2.0**600
+    order = rng.permutation(h.size)
+    return g[order], h[order]
+
+
+LDP_KINDS = ["plain", "duplicated", "negated", "satisfied", "inconsistent", "huge"]
+
+
+@pytest.mark.parametrize("kind", LDP_KINDS)
+def test_nnls_agrees_with_scipy_on_random_instances(kind):
+    """Same fit E z, residual and LDP point as scipy's NNLS; z itself is not unique for repeats.
+
+    An inconsistent set, and a huge h (a displacement near 2^600), both read
+    as a vanishing residual on both sides.
+    """
+    rng = np.random.default_rng(LDP_KINDS.index(kind))
+    for _ in range(100):
+        g, h = _ldp_instance(kind, rng)
+        z_ref, r_ref = _scipy_ldp_nnls(g, h)
+        z, rnorm = qp.nnls(g, h)
+        assert z.shape == z_ref.shape and z.min() >= 0.0
+        vanishes = kind in ("inconsistent", "huge") and r_ref < 1.0  # 1.0: no row violated
+        assert (rnorm <= VANISHING) == (r_ref <= VANISHING) == vanishes
+        if kind == "satisfied" or r_ref == 1.0:
+            assert rnorm == 1.0 and not z.any() and not z_ref.any()
+        if rnorm <= VANISHING:
+            with pytest.raises(InfeasibleProblemError, match="inconsistent"):
+                qp._ldp(g, h)
+            continue
+        stacked = np.vstack([g.T, h])
+        np.testing.assert_allclose(stacked @ z, stacked @ z_ref, rtol=0.0, atol=1e-12)
+        assert rnorm == pytest.approx(r_ref, rel=1e-12)
+        x_ref = g.T @ (z_ref / (1.0 - h @ z_ref))
+        np.testing.assert_allclose(qp._ldp(g, h)[0], x_ref, rtol=0.0, atol=1e-10)
+
+
+def test_nnls_agrees_with_scipy_on_the_desk_fd_projections():
+    """The first 2,000 projections of the desk FD run; the `lqr_fd` benchmark makes the first 50.
+
+    Each point is projected by the projector's NNLS (with its stored Gram
+    matrix) and by scipy's on the stacked matrix; the fit E z, the residual
+    and the projected point agree to 1e-12.  (z itself need not: the box row
+    of u_0 and the velocity row of x_1 are the same row.)
+    """
+    lifted = qp.lift(double_integrator())
+    projector = qp.FeasibleSetProjector(lifted)
+    points = []
+
+    def recording(p):
+        points.append(p.copy())
+        return projector(p)
+
+    analysis.fd_baseline(
+        lqr_problem(lifted), np.zeros(10), h=1e-3, alpha=1e-3, iters=2000, projector=recording
+    )
+    g, gram = lifted.g, lifted.g @ lifted.g.T
+    active = collections.Counter()
+    for p in points:
+        h = lifted.h - g @ p
+        z_ref, r_ref = _scipy_ldp_nnls(g, h)
+        z, rnorm = qp.nnls(g, h, gram)
+        stacked = np.vstack([g.T, h])
+        np.testing.assert_allclose(stacked @ z, stacked @ z_ref, rtol=0.0, atol=1e-12)
+        assert abs(rnorm - r_ref) <= 1e-12
+        x_ref = g.T @ (z_ref / (1.0 - h @ z_ref))
+        np.testing.assert_allclose(projector(p), p + x_ref, rtol=0.0, atol=1e-12)
+        active[int(np.count_nonzero(z))] += 1
+    # every active-set size the run meets: interior points end at NNLS's first test
+    assert sorted(active) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
