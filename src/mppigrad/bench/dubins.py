@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List
 
 import numpy as np
@@ -25,6 +24,7 @@ from ..errors import InfeasibleProblemError
 from ..problems import DubinsSpec, dubins_clear, dubins_problem, dubins_stage_cost
 from ..sampling import GaussianPolicy
 from .config import RunConfig, pgd_config
+from .jobs import map_jobs
 from .records import RunRecord
 
 
@@ -103,8 +103,13 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, cell: Dict[str, Any], seed: int)
 
 
 def run_dubins(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
-    """All (K, seed) cells of the closed-loop study, run concurrently."""
+    """All (K, seed) cells of the closed-loop study, up to `max_workers` at once.
+
+    One job per (K, seed) cell.  A one-job run (or `max_workers=1`) runs in
+    the calling thread with no pool, so it sees the caller's numpy error
+    state, where a pool thread starts from numpy's default
+    (`bench.jobs.map_jobs`); the CLI sets none.
+    """
     spec = DubinsSpec(**cfg.section("problem"))  # the spec converts its arrays itself
     jobs = [(cell, seed) for cell in cfg.cells() for seed in cfg.seeds]
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
-        return list(pool.map(lambda job: _one_cell(spec, cfg, job[0], job[1]), jobs))
+    return map_jobs(lambda job: _one_cell(spec, cfg, job[0], job[1]), jobs, max_workers)

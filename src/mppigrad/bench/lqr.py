@@ -13,7 +13,6 @@ baseline is run at an equal objective-evaluation budget.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List
 
 import numpy as np
@@ -24,6 +23,7 @@ from ..optimizer import OptimizerTrace, run, step_size_rule
 from ..problems import LqrSpec, TrajectoryProblem, lqr_problem
 from ..sampling import GaussianPolicy
 from .config import RunConfig, pgd_config
+from .jobs import map_jobs
 from .records import RunRecord
 
 
@@ -196,7 +196,10 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
 
     One job per seed runs every cell of that seed in lockstep (`optimizer.run`
     with one lane per cell), so the cells share each iteration's base
-    normals; up to `max_workers` seeds run concurrently.
+    normals; up to `max_workers` seeds run concurrently.  A one-seed run (or
+    `max_workers=1`) runs in the calling thread with no pool, so it sees the
+    caller's numpy error state, where a pool thread starts from numpy's
+    default (`bench.jobs.map_jobs`); the CLI sets none.
 
     The QP oracle is lifted, solved once and certified by weak duality before
     any cell runs.  An oracle failure (a lifted cost that overflows is one),
@@ -227,11 +230,9 @@ def run_lqr(cfg: RunConfig, max_workers: int = 4) -> List[RunRecord]:
         lanes = [_Lane(problem, lifted, cfg, cell) for cell in cfg.cells()]
     except (NotSpdError, StepSizeError) as err:
         return _failure(cfg, "l_sigma", f"l_sigma failure: {err}")
-    seeds = cfg.seeds
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(seeds))) as pool:
-        by_seed = list(
-            pool.map(lambda seed: _seed_records(problem, oracle, cfg, lanes, seed), seeds)
-        )
+    by_seed = map_jobs(
+        lambda seed: _seed_records(problem, oracle, cfg, lanes, seed), cfg.seeds, max_workers
+    )
     records = [record for by_cell in zip(*by_seed) for record in by_cell]  # cell, then seed
     if cfg.section("fd")["enabled"]:
         records.append(_fd_record(problem, lifted, oracle, cfg))

@@ -201,20 +201,23 @@ def lqr_response(spec: LqrSpec) -> Tuple[Array, Array]:
     """The stacked states x = (x_1..x_T) as the affine map x = M u + b.
 
     Block (t, j) of M is A^(t-1-j) B for j < t, and b stacks the free
-    response A^t x0.  `qp.lift` builds the lifted quadratic and the state
-    band from it; the LQR evaluator reads both through the lift.
+    response A^t x0.  Each of the T distinct blocks A^k B is one product,
+    copied into every block row that holds it.  `qp.lift` builds the lifted
+    quadratic and the state band from it; the LQR evaluator reads both
+    through the lift.
     """
     n, m, T = spec.state_dim, spec.control_dim, spec.horizon
     powers = [np.eye(n)]
     for _ in range(T):
         powers.append(spec.a @ powers[-1])
+    blocks = [power @ spec.b for power in powers[:T]]  # A^k B, each formed once
 
     big_m = np.zeros((T * n, T * m))
     b = np.empty(T * n)
     for t in range(1, T + 1):
         b[(t - 1) * n : t * n] = powers[t] @ spec.x0
         for j in range(t):
-            big_m[(t - 1) * n : t * n, j * m : (j + 1) * m] = powers[t - 1 - j] @ spec.b
+            big_m[(t - 1) * n : t * n, j * m : (j + 1) * m] = blocks[t - 1 - j]
     return big_m, b
 
 
@@ -224,20 +227,25 @@ def lqr_problem(lifted) -> TrajectoryProblem:
     The trajectory cost is exactly 1/2 u'Q_qp u + c'u + constant, and the
     constraint set is the lift's control box plus lin_lo <= M u <= lin_hi, so
     the cost formula and the bounds exist only in the lift.  A batch U costs
-    one product with Q_qp and one with M (for the state band); Q_qp is used
-    as it is, never factored, so a positive semidefinite R stays admissible.
+    one product with Q_qp and one with [I; M] (for the box and the state
+    band); Q_qp is used as it is, never factored, so a positive semidefinite
+    R stays admissible.
     The zero control sequence is the certificate.
 
     Feasibility is checked constraint-major: the box rows (U') and the band
-    rows (M U') fill one (n_box + n_band, N) array that is compared with
-    bound blocks of the same shape and reduced along its long contiguous
-    axis.  numpy compares two contiguous blocks about three times as fast as
-    it broadcasts a bound column, so the lower and upper blocks are built
-    once per batch size (a run uses a few: the sample count, the cell
-    record's K+1 means, FD's n+1 points, the single certificate) and kept
-    read-only, which lets worker threads share them.
+    rows (M U') are one product of the stacked [I; M], formed once and kept
+    read-only, with U'.  Its identity rows are U' exactly (x * 1 plus
+    zeros) for finite x; a row with a NaN or an infinity reads infeasible
+    against finite bounds (0 * inf is NaN).  The (n_box + n_band, N)
+    product is compared with bound blocks of the same shape and reduced
+    along its long contiguous axis.  numpy compares two contiguous blocks
+    about three times as fast as it broadcasts a bound column, so the lower
+    and upper blocks are built once per batch size (a run uses a few: the
+    sample count, the cell record's K+1 means, FD's n+1 points, the single
+    certificate) and kept read-only, which lets worker threads share them.
     """
-    n_box = lifted.dim
+    rows_of = np.vstack([np.eye(lifted.dim), lifted.lin_mat])  # [I; M]
+    rows_of.flags.writeable = False
     lo = np.concatenate([lifted.lb, lifted.lin_lo])[:, None]
     hi = np.concatenate([lifted.ub, lifted.lin_hi])[:, None]
 
@@ -251,9 +259,7 @@ def lqr_problem(lifted) -> TrajectoryProblem:
     def evaluate(controls: Array) -> Tuple[Array, Array]:
         quad = np.einsum("ij,ij->i", controls @ lifted.q, controls)
         costs = 0.5 * quad + controls @ lifted.c + lifted.constant
-        rows = np.empty((lo.shape[0], controls.shape[0]))
-        rows[:n_box] = controls.T
-        np.matmul(lifted.lin_mat, controls.T, out=rows[n_box:])
+        rows = rows_of @ controls.T
         lo_block, hi_block = bound_blocks(controls.shape[0])
         ok = rows >= lo_block
         ok &= rows <= hi_block
@@ -330,6 +336,12 @@ class DubinsSpec:
             raise ValueError("dt and w_max must be positive, speed non-negative")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        # plain products: a Python float's ** 2 raises OverflowError instead of giving inf
+        if not math.isfinite(self.r_weight * self.w_max * self.w_max * self.horizon):
+            raise ValueError(
+                f"the largest control cost r_weight * w_max^2 * horizon is not finite: r_weight "
+                f"{self.r_weight!r}, w_max {self.w_max!r}, horizon {self.horizon!r}"
+            )
         # each disc once per spec, as (cx, cy, r2, finite centre) in Python floats, r2 by
         # numpy's scalar power (an ulp off r * r at times); not a field, which config
         # records would list

@@ -23,6 +23,8 @@ import yaml
 from mppigrad import analysis, optimizer, problems, qp, sampling
 from mppigrad.bench import cli
 from mppigrad.bench import dubins as bench_dubins
+from mppigrad.bench import jobs
+from mppigrad.bench import lqr as bench_lqr
 from mppigrad.bench.config import (
     _DUBINS_DEFAULTS,
     RunConfig,
@@ -329,9 +331,9 @@ def _same_record(a, b):
     assert (a.name, a.cell, a.seed, a.flagged, a.flag_reason) == (
         b.name, b.cell, b.seed, b.flagged, b.flag_reason
     )
-    assert [{k: v for k, v in row.items() if k != "ms"} for row in a.rows] == [
-        {k: v for k, v in row.items() if k != "ms"} for row in b.rows
-    ]
+    # through json, where a NaN (an FD row's sampler columns) equals a NaN
+    rows = [[{k: v for k, v in row.items() if k != "ms"} for row in r.rows] for r in (a, b)]
+    assert json.dumps(rows[0]) == json.dumps(rows[1])
     assert a.plot_rows == b.plot_rows
     masked = [{k: v for k, v in r.summary.items() if k != "runtime_seconds"} for r in (a, b)]
     assert json.dumps(masked[0], sort_keys=True) == json.dumps(masked[1], sort_keys=True)
@@ -584,6 +586,65 @@ def test_dubins_records_do_not_depend_on_the_worker_count(tmp_path):
     assert len(threaded) == len(serial) == 4
     for a, b in zip(threaded, serial):
         _same_record(a, b)
+
+
+_real_pool = jobs.ThreadPoolExecutor
+
+
+def _pool_spy(monkeypatch):
+    """Count the thread pools `map_jobs` starts; the pools still run their jobs."""
+    started = []
+
+    def spy(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return _real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(jobs, "ThreadPoolExecutor", spy)
+    return started
+
+
+def test_one_job_runs_start_no_thread_pool(tmp_path, monkeypatch):
+    # the runners reach the pool only through map_jobs, whose pool here raises
+    assert not hasattr(bench_lqr, "ThreadPoolExecutor")
+    assert not hasattr(bench_dubins, "ThreadPoolExecutor")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-job run started a thread pool")
+
+    monkeypatch.setattr(jobs, "ThreadPoolExecutor", no_pool)
+    lqr_records = run_lqr(load_config(write_cfg(tmp_path, TINY_LQR)), max_workers=4)
+    assert [r.name for r in lqr_records] == ["lqr_eta-1p0_sigma2-0p0001_tau-1p0_seed0",
+                                             "lqr_method-fd_seed0"]
+    assert not any(r.flagged for r in lqr_records)
+    [record] = run_dubins(load_config(write_cfg(tmp_path, TINY_DUBINS)), max_workers=4)
+    assert record.summary["steps_completed"] == 4
+
+
+@pytest.mark.parametrize("experiment, text", [
+    pytest.param("lqr", TINY_LQR.replace("seeds: [0]", "seeds: [0, 1]"), id="lqr"),
+    pytest.param("dubins", TINY_DUBINS.replace("seeds: [0]", "seeds: [0, 1]"), id="dubins"),
+])
+def test_two_job_records_equal_inline_and_pooled(tmp_path, monkeypatch, experiment, text):
+    # one worker runs both jobs in the calling thread, two run them on a pool
+    run = run_lqr if experiment == "lqr" else run_dubins
+    cfg = load_config(write_cfg(tmp_path, text))
+    started = _pool_spy(monkeypatch)
+    inline = run(cfg, max_workers=1)
+    assert started == []
+    pooled = run(cfg, max_workers=2)
+    assert started == [2]
+    assert len(inline) == len(pooled) == (3 if experiment == "lqr" else 2)
+    for a, b in zip(inline, pooled):
+        _same_record(a, b)
+
+
+def test_map_jobs_keeps_job_order_and_pools_only_concurrent_jobs(monkeypatch):
+    started = _pool_spy(monkeypatch)
+    assert jobs.map_jobs(lambda x: x * x, [3], 4) == [9]
+    assert jobs.map_jobs(lambda x: x * x, [1, 2, 3], 1) == [1, 4, 9]
+    assert started == []
+    assert jobs.map_jobs(lambda x: x * x, [1, 2, 3], 8) == [1, 4, 9]
+    assert started == [3]  # never more threads than jobs
 
 
 def test_cli_dubins_overflowing_log_weights_take_the_least_cost_sample(tmp_path, capsys):
@@ -1136,6 +1197,10 @@ BOUNDARY_FAULTS = [
                  _NOT_CERTIFIABLE, True, id="certificate_dt"),
     pytest.param("dubins", _OVERFLOW_DUBINS % "q_weights: [1.0e+308, 1.0e+308, 1.0]", [], 0,
                  "dubins_k-2_seed0", _NOT_CERTIFIABLE, True, id="certificate_q_weights"),
+    *(pytest.param(  # the largest control cost, r_weight * w_max^2 * horizon, overflows
+        "dubins", _OVERFLOW_DUBINS % f"{leaf}: 1.0e+308", [], 1, None,
+        "config error: invalid dubins config: the largest control cost r_weight", False,
+        id=f"control_cost_{leaf}") for leaf in ("r_weight", "w_max")),
     *(pytest.param(  # a step so long that the projector reads it as inconsistent constraints
         "lqr", _FD % f"alpha: {alpha}", [], 2, "lqr_method-fd_seed0",
         "projection failure: constraints are inconsistent", False, id=f"fd_alpha_{alpha}")

@@ -384,6 +384,14 @@ def test_dubins_spec_validation():
     with pytest.raises(ValueError, match="q_weights must be non-negative"):
         DubinsSpec(q_weights=[1.0, 1.0, -0.01])
     DubinsSpec(r_weight=0.0, q_weights=[0.0, 0.0, 0.0])  # zero weights stay legal
+    # the largest control cost r_weight * w_max^2 * horizon must be finite
+    overflowing = ({"r_weight": 1e308}, {"w_max": 1e308},
+                   {"r_weight": 1.0, "w_max": 1e150, "horizon": 10**10})
+    for fields in overflowing:
+        with pytest.raises(ValueError, match="largest control cost .* is not finite"):
+            DubinsSpec(**fields)
+    DubinsSpec(r_weight=0.0, w_max=1e308)  # zero control cost at any rate
+    DubinsSpec(r_weight=1.0, w_max=1e150, horizon=20)
 
 
 def test_dubins_problem_feasible_search_uses_candidate():
@@ -482,6 +490,43 @@ def test_lqr_constraint_major_check_equals_the_row_major_one_bitwise(n):
     with np.errstate(invalid="ignore", over="ignore"):
         flags = prob.batch_feasible(LQR_EDGE_ROWS)
     assert flags.tolist() == [True, True] + [False] * 6
+
+
+def _edge_cases():
+    """(spec, controls, flag): a box or band bound met exactly, then passed by one ulp."""
+    desk = double_integrator()
+    wide = dataclasses.replace(desk, x_min=[-5.0, -2.0], x_max=[5.0, 2.0])  # u alone binds
+    up, down = np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)
+    zeros = [0.0] * 10
+    yield wide, [1.0, -1.0] + zeros[2:], True  # u_0 = u_max
+    yield wide, [up, -1.0] + zeros[2:], False
+    yield wide, zeros[1:] + [-1.0], True  # u_9 = u_min
+    yield wide, zeros[1:] + [down], False
+    yield desk, [0.5, 0.5, -0.5, -0.5] + zeros[4:], True  # v_2 = x_max[1]
+    yield desk, [0.5, 0.5 + 2.0**-52, -0.5, -0.5] + zeros[4:], False  # v_2 = nextafter(1, 2)
+    yield desk, [-0.5, -0.5, 0.5, 0.5] + zeros[4:], True  # v_2 = x_min[1]
+    yield desk, [-0.5, -0.5 - 2.0**-52, 0.5, 0.5] + zeros[4:], False
+    # p_1 = p_2 = 2.75 = x_max[0], then the position falls; and the bound one ulp lower
+    braking = [0.5, -1.0] + zeros[2:]
+    yield dataclasses.replace(desk, x_max=[2.75, 1.0]), braking, True
+    yield dataclasses.replace(desk, x_max=[np.nextafter(2.75, 0.0), 1.0]), braking, False
+
+
+@pytest.mark.parametrize("n", [1, 9, 1000])
+def test_lqr_stacked_rows_flag_box_and_band_edges_as_the_rollout_does(n):
+    # each case alone and tiled through a batch of n rows (one row takes numpy's
+    # matrix-vector route); costs and flags against the stepwise rollout
+    for spec, controls, flag in _edge_cases():
+        u = np.array(controls)
+        states = rollout(spec, u)[1:]
+        in_box = bool(np.all((u >= spec.u_min) & (u <= spec.u_max)))
+        in_band = bool(np.all((states >= spec.x_min) & (states <= spec.x_max)))
+        assert (in_box and in_band) == flag
+        prob = lqr_problem(lift(spec))
+        costs, flags = prob.evaluate_batch(np.tile(u, (n, 1)))
+        assert flags.tolist() == [flag] * n
+        want = stepwise_cost(spec, partial(lqr_stage_cost, spec), u)
+        np.testing.assert_allclose(costs, want, rtol=1e-12, atol=0)
 
 
 def _assert_equals_row_major(prob, lifted, batch):
