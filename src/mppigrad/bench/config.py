@@ -127,11 +127,13 @@ class RunConfig:
         return doc
 
     def write_snapshot(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(
+        from .records import _write_text  # here, so that loading a config loads no records
+
+        _write_text(
+            Path(path),
             yaml.dump(
                 self.snapshot(), Dumper=_SnapshotDumper, sort_keys=True, default_flow_style=None
             ),
-            encoding="utf-8",
         )
 
 

@@ -65,16 +65,14 @@ def _one_cell(spec: DubinsSpec, cfg: RunConfig, cell: Dict[str, Any], seed: int)
         total += cost
         states.append(state)
         inner_records += inner.records
-        record.rows.append(
-            {
-                "k": s,
-                "gap": cost,
-                "grad_norm_P": float(inner.records[-1].grad_norm_p),
-                "ess": float(inner.column("ess").mean()),
-                "acceptance": float(inner.column("acceptance").mean()),
-                "best_cost": total / (s + 1),
-                "ms": (time.perf_counter() - t0) * 1e3,
-            }
+        record.add_row(
+            s,
+            cost,
+            grad_norm_P=float(inner.records[-1].grad_norm_p),
+            ess=float(inner.column("ess").mean()),
+            acceptance=float(inner.column("acceptance").mean()),
+            best_cost=total / (s + 1),
+            ms=(time.perf_counter() - t0) * 1e3,
         )
         record.plot_rows.append(
             {"step": s, "px": float(state[0]), "py": float(state[1]), "stage_cost": cost}

@@ -89,17 +89,7 @@ def _cell_record(
     evaluations = 0  # cumulative; each all-infeasible retry scores another n samples
     for r, gap in zip(trace.records, gaps[:-1]):
         evaluations += (1 + r.retries) * n
-        record.rows.append(
-            {
-                "k": r.k,
-                "gap": float(gap),
-                "grad_norm_P": r.grad_norm_p,
-                "ess": r.ess,
-                "acceptance": r.acceptance,
-                "best_cost": r.best_cost,
-                "ms": r.ms,
-            }
-        )
+        record.add_row(r.k, float(gap), r.grad_norm_p, r.ess, r.acceptance, r.best_cost, r.ms)
         record.plot_rows.append(
             {"iteration": r.k, "evaluations": evaluations, "gap": float(gap)}
         )
@@ -149,19 +139,8 @@ def _fd_record(
         record.flag_reason = f"projection failure: {err}"
         return record
     gaps = costs - oracle["f_star"]
-    nan = float("nan")
     for k, gap in enumerate(gaps):
-        record.rows.append(
-            {
-                "k": k,
-                "gap": float(gap),
-                "grad_norm_P": nan,
-                "ess": nan,
-                "acceptance": nan,
-                "best_cost": float(costs[k]),
-                "ms": nan,
-            }
-        )
+        record.add_row(k, float(gap), best_cost=float(costs[k]))  # no sampler columns
         record.plot_rows.append({"iteration": k, "evaluations": k * per, "gap": float(gap)})
     record.summary = {
         **oracle,

@@ -4,14 +4,16 @@ Every run produces: a per-iteration CSV (fixed header
 `k,gap,grad_norm_P,ess,acceptance,best_cost,ms`), a machine-readable summary
 JSON, and a plot-data CSV carrying both iteration and evaluation-count axes.
 Values are written with str (for a Python float, the shortest round trip),
-UTF-8, LF endings.  The `ms` column and the summary's runtime fields are the
-only quantities not determined by (config, seed); everything else is
-byte-reproducible.  The cells of one LQR seed step in lockstep, so a
-sampled LQR record's `runtime_seconds` is the time from the start of its
-seed's run to the end of its own record: it includes the steps of every
-cell of that seed, the times of one seed's cells overlap, and they do not
-add up to the run's wall time.  Its `ms` column is the cell's own step
-time, which for the seed's first cell also holds the shared noise draw.
+UTF-8, LF endings, by `_write_text`, which also writes the CLI's
+`config_snapshot.yaml` and the theory report.  The `ms` column and the
+summary's runtime fields are the only quantities not determined by
+(config, seed); everything else is byte-reproducible.  The cells of one LQR
+seed step in lockstep, so a sampled LQR record's `runtime_seconds` is the
+time from the start of its seed's run to the end of its own record: it
+includes the steps of every cell of that seed, the times of one seed's cells
+overlap, and they do not add up to the run's wall time.  Its `ms` column is
+the cell's own step time, which for the seed's first cell also holds the
+shared noise draw.
 
 For closed-loop (dubins) records the CSV keeps the same header with k = the
 simulation step, gap = realized stage cost, and best_cost = the running
@@ -23,12 +25,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Sequence
 
-from .. import __version__ as _tool_version
+from .. import __version__
 
 _COLUMNS = ("k", "gap", "grad_norm_P", "ess", "acceptance", "best_cost", "ms")
 CSV_HEADER = ",".join(_COLUMNS)
+_NAN = float("nan")
 
 
 @dataclass
@@ -43,7 +46,6 @@ class RunRecord:
     plot_rows: List[Dict[str, float]] = field(default_factory=list)
     config_snapshot: Dict[str, Any] = field(default_factory=dict)
     flag_reason: str = ""  # why the record is flagged; empty when it is not
-    tool_version: str = _tool_version
 
     @property
     def flagged(self) -> bool:
@@ -57,6 +59,12 @@ class RunRecord:
         bits.append(f"seed{self.seed}")
         return "_".join(bits)
 
+    def add_row(
+        self, k, gap, grad_norm_P=_NAN, ess=_NAN, acceptance=_NAN, best_cost=_NAN, ms=_NAN
+    ) -> None:
+        """Append one per-iteration row; a column the method has no value for is NaN."""
+        self.rows.append(dict(zip(_COLUMNS, (k, gap, grad_norm_P, ess, acceptance, best_cost, ms))))
+
 
 def _slug(value: Any) -> str:
     return str(value).replace(".", "p").replace("-", "m").replace("/", "_")
@@ -67,6 +75,12 @@ def _write_text(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write output file {path}: {exc}") from exc
+
+
+def _write_csv(path: Path, columns: Sequence[str], rows: List[Dict[str, float]]) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(str(row[col]) for col in columns) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def emit(records: List[RunRecord], out_dir) -> List[Path]:
@@ -81,26 +95,19 @@ def emit(records: List[RunRecord], out_dir) -> List[Path]:
     for record in sorted(records, key=lambda r: r.name):
         base = record.name
         csv_path = out / f"{base}.csv"
-        lines = [CSV_HEADER]
-        for row in record.rows:
-            lines.append(",".join(str(row[col]) for col in _COLUMNS))
-        _write_text(csv_path, "\n".join(lines) + "\n")
+        _write_csv(csv_path, _COLUMNS, record.rows)
         written.append(csv_path)
 
         if record.plot_rows:
             plot_path = out / f"plot_{base}.csv"
-            cols = list(record.plot_rows[0].keys())
-            plines = [",".join(cols)]
-            for row in record.plot_rows:
-                plines.append(",".join(str(row[c]) for c in cols))
-            _write_text(plot_path, "\n".join(plines) + "\n")
+            _write_csv(plot_path, list(record.plot_rows[0]), record.plot_rows)
             written.append(plot_path)
 
         summary_doc = {
             "experiment": record.experiment,
             "cell": record.cell,
             "seed": record.seed,
-            "tool_version": record.tool_version,
+            "tool_version": __version__,
             "flagged": record.flagged,
             "flag_reason": record.flag_reason,
             "summary": record.summary,

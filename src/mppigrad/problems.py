@@ -336,8 +336,9 @@ class DubinsSpec:
             raise ValueError("dt and w_max must be positive, speed non-negative")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        # plain products: a Python float's ** 2 raises OverflowError instead of giving inf
-        if not math.isfinite(self.r_weight * self.w_max * self.w_max * self.horizon):
+        # plain products (a Python float's ** 2 raises OverflowError instead of giving inf),
+        # r_weight last as in the evaluators, so a zero weight meets an infinite w^2 as NaN
+        if not math.isfinite(self.w_max * self.w_max * self.horizon * self.r_weight):
             raise ValueError(
                 f"the largest control cost r_weight * w_max^2 * horizon is not finite: r_weight "
                 f"{self.r_weight!r}, w_max {self.w_max!r}, horizon {self.horizon!r}"

@@ -255,9 +255,10 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     and finite) is built once; when every sample is usable no -inf is
     masked in, and the shifted log-weights are exponentiated in place.
     When the largest usable -cost/tau overflows, the weights are
-    exp(-(cost - least cost)/tau), the tau -> 0 limit, and `log_mean_weight`
-    keeps its true value, +-inf.  The summary also carries the least usable
-    cost and the count of non-finite costs.  Raises AllInfeasibleError when
+    exp(-(cost - least cost)/tau), the tau -> 0 limit, reached without a
+    numpy overflow warning, and `log_mean_weight` keeps its true value,
+    +-inf.  The summary also carries the least usable cost and the count of
+    non-finite costs.  Raises AllInfeasibleError when
     no sample is feasible, leaving the retry decision to the caller.
     """
     if batch.costs is None or batch.feasible_flags is None:
@@ -272,7 +273,11 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     every = n_usable == n
     best = costs.min() if every else costs[usable].min()
     log_w = -costs
-    log_w /= tau
+    if tau < 1.0:  # only a divisor below 1 takes a finite -cost past the float range
+        with np.errstate(over="ignore"):  # to -+inf, the tau -> 0 limit below
+            log_w /= tau
+    else:
+        log_w /= tau
     if not every:
         log_w[~usable] = _NEG_INF
     shift = log_w.max()  # the -inf of an unusable row never wins
@@ -280,7 +285,8 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
         log_w -= shift
         raw = np.exp(log_w, out=log_w)  # exp(-inf - shift) is exactly 0
     else:  # inf - inf would make every weight NaN
-        raw = np.exp(np.where(usable, best - costs, _NEG_INF) / tau)
+        with np.errstate(over="ignore"):  # a -(cost - least cost)/tau past the range is -inf
+            raw = np.exp(np.where(usable, best - costs, _NEG_INF) / tau)
     total = raw.sum()
     normalized = raw / total
     ess = 1.0 / float((normalized**2).sum())

@@ -228,6 +228,16 @@ def test_emit_order_is_independent_of_record_order(tmp_path):
 # constrained linear-quadratic runner
 # ---------------------------------------------------------------------------
 
+# two sampled cells (no FD) whose gap is least before the final mean
+EARLY_MINIMUM_LQR = """
+version: 1
+experiment: lqr
+seeds: [0]
+sampling: {sigma2: 0.01, tau: 1.0}
+optimizer: {n_samples: 64, iterations: 60}
+grid: {eta: [1.0, rule]}
+"""
+
 
 @pytest.fixture(scope="module")
 def tiny_lqr_records(tmp_path_factory):
@@ -416,28 +426,32 @@ def test_emitted_fd_and_gap_fields_match_their_second_routes(tiny_lqr_records, t
     FD `alpha_lambda_max` is alpha times the largest singular value of the
     lift rebuilt from the summary's config (Q_qp is SPD, so that is lmax).
     `min_gap` is the least gap of the record's CSV column, and of its
-    `final_gap` for a sampled cell, whose final mean has no CSV row.
+    `final_gap` for a sampled cell, whose final mean has no CSV row.  The
+    second input's two sampled cells reach their least gap before their
+    final mean, so there a `min_gap` that only copied `final_gap` would fail.
     """
-    _, records = tiny_lqr_records
-    out = tmp_path / "o"
-    emit(records, out)
-    docs = {p.name[len("summary_"):-len(".json")]: json.loads(p.read_text())
-            for p in out.glob("summary_*.json")}
-    assert len(docs) == 2
-    for name, doc in docs.items():
-        with open(out / f"{name}.csv", newline="") as fh:
-            gaps = [float(row["gap"]) for row in csv.DictReader(fh)]
-        summary = doc["summary"]
-        if doc["cell"].get("method") == "fd":
-            assert summary["final_gap"] == gaps[-1]
-            assert min(gaps) < summary["final_gap"]  # the desk step diverges: the two differ
-            lifted = qp.lift(LqrSpec(**doc["config"]["problem"]))
-            lam_max = np.linalg.svd(lifted.q, compute_uv=False)[0]
-            alpha = doc["config"]["fd"]["alpha"]
-            assert summary["alpha_lambda_max"] == pytest.approx(alpha * lam_max, rel=1e-12)
-        else:
-            gaps.append(summary["final_gap"])
-        assert summary["min_gap"] == min(gaps)
+    early = run_lqr(load_config(write_cfg(tmp_path, EARLY_MINIMUM_LQR)), max_workers=1)
+    for i, (records, early_minimum) in enumerate([(tiny_lqr_records[1], False), (early, True)]):
+        out = tmp_path / f"o{i}"
+        emit(records, out)
+        docs = {p.name[len("summary_"):-len(".json")]: json.loads(p.read_text())
+                for p in out.glob("summary_*.json")}
+        assert len(docs) == 2
+        for name, doc in docs.items():
+            with open(out / f"{name}.csv", newline="") as fh:
+                gaps = [float(row["gap"]) for row in csv.DictReader(fh)]
+            summary = doc["summary"]
+            if doc["cell"].get("method") == "fd":
+                assert summary["final_gap"] == gaps[-1]
+                assert min(gaps) < summary["final_gap"]  # the desk step diverges: the two differ
+                lifted = qp.lift(LqrSpec(**doc["config"]["problem"]))
+                lam_max = np.linalg.svd(lifted.q, compute_uv=False)[0]
+                alpha = doc["config"]["fd"]["alpha"]
+                assert summary["alpha_lambda_max"] == pytest.approx(alpha * lam_max, rel=1e-12)
+            else:
+                assert min(gaps) < summary["final_gap"] or not early_minimum
+                gaps.append(summary["final_gap"])
+            assert summary["min_gap"] == min(gaps)
 
 
 def test_summaries_report_worst_ess_and_retries(tiny_lqr_records, tmp_path):
@@ -652,7 +666,8 @@ def test_cli_dubins_overflowing_log_weights_take_the_least_cost_sample(tmp_path,
     text = ("version: 1\nexperiment: dubins\nseeds: [0]\nsim_steps: 3\n"
             "sampling: {tau: 1.0e-307}\noptimizer: {n_samples: 64}\ngrid: {k: [2]}\n")
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():  # weigh takes the tau -> 0 limit without a numpy warning
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(["run", "--experiment", "dubins", "--config",
                          str(write_cfg(tmp_path, text)), "--out", str(out), "--workers", "1"])
     assert code == 0
@@ -1201,6 +1216,10 @@ BOUNDARY_FAULTS = [
         "dubins", _OVERFLOW_DUBINS % f"{leaf}: 1.0e+308", [], 1, None,
         "config error: invalid dubins config: the largest control cost r_weight", False,
         id=f"control_cost_{leaf}") for leaf in ("r_weight", "w_max")),
+    pytest.param(  # a zero weight does not hide a w_max^2 * horizon that overflows
+        "dubins", _OVERFLOW_DUBINS % "r_weight: 0.0, w_max: 1.0e+308", [], 1, None,
+        "config error: invalid dubins config: the largest control cost r_weight", False,
+        id="control_cost_zero_weight"),
     *(pytest.param(  # a step so long that the projector reads it as inconsistent constraints
         "lqr", _FD % f"alpha: {alpha}", [], 2, "lqr_method-fd_seed0",
         "projection failure: constraints are inconsistent", False, id=f"fd_alpha_{alpha}")
@@ -1277,7 +1296,8 @@ def test_cli_boundary_contract_holds_leaf_by_leaf(tmp_path, capsys, experiment):
     so a new key is swept with no edit here.  Every run exits 0, 1 or 2 and
     raises nothing; exit 1 prints a config error, and exit 2, and only exit 2,
     leaves a flagged record of a failed method.  An exit-0 run may overflow on
-    its way to a flagged cell record, so RuntimeWarnings are ignored here.
+    its way to a flagged cell record, but one that flags no record raises no
+    RuntimeWarning.
     """
     header = f"version: 1\nexperiment: {experiment}\n"
     resolved = load_config(write_cfg(tmp_path, header + SWEEP_CONFIGS[experiment])).resolved
@@ -1288,8 +1308,8 @@ def test_cli_boundary_contract_holds_leaf_by_leaf(tmp_path, capsys, experiment):
             functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
             config = write_cfg(tmp_path, header + yaml.safe_dump(doc))
             out = tmp_path / f"o{i}-{j}"
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
                 try:
                     code = cli.main(["run", "--experiment", experiment, "--config", str(config),
                                      "--out", str(out), "--workers", "1"])
@@ -1298,9 +1318,13 @@ def test_cli_boundary_contract_holds_leaf_by_leaf(tmp_path, capsys, experiment):
             err = capsys.readouterr().err
             docs = [json.loads(p.read_text()) for p in out.glob("summary_*.json")]
             failed = any(d["flagged"] and "method" in d["cell"] for d in docs)
+            leaf = f"{'.'.join(map(str, path))} = {value!r}"
             if not (code == 1 and err.startswith("config error:")
                     or code in (0, 2) and failed == (code == 2)):
-                broken.append(f"{'.'.join(map(str, path))} = {value!r}: {code}")
+                broken.append(f"{leaf}: {code}")
+            runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+            if code == 0 and not any(d["flagged"] for d in docs) and runtime:
+                broken.append(f"{leaf}: exit 0 unflagged, yet warned {runtime[0]!r}")
     assert not broken, "\n".join(broken)
 
 

@@ -384,13 +384,15 @@ def test_dubins_spec_validation():
     with pytest.raises(ValueError, match="q_weights must be non-negative"):
         DubinsSpec(q_weights=[1.0, 1.0, -0.01])
     DubinsSpec(r_weight=0.0, q_weights=[0.0, 0.0, 0.0])  # zero weights stay legal
-    # the largest control cost r_weight * w_max^2 * horizon must be finite
+    # the largest control cost r_weight * w_max^2 * horizon must be finite, formed as the
+    # evaluators form it (w^2 before r_weight), so a zero weight hides no overflowing w_max^2
     overflowing = ({"r_weight": 1e308}, {"w_max": 1e308},
-                   {"r_weight": 1.0, "w_max": 1e150, "horizon": 10**10})
+                   {"r_weight": 1.0, "w_max": 1e150, "horizon": 10**10},
+                   {"r_weight": 0.0, "w_max": 1e308})
     for fields in overflowing:
         with pytest.raises(ValueError, match="largest control cost .* is not finite"):
             DubinsSpec(**fields)
-    DubinsSpec(r_weight=0.0, w_max=1e308)  # zero control cost at any rate
+    DubinsSpec(r_weight=0.0, w_max=1e150)  # zero control cost at any finite w_max^2 * horizon
     DubinsSpec(r_weight=1.0, w_max=1e150, horizon=20)
 
 
