@@ -257,13 +257,15 @@ def lqr_problem(lifted) -> TrajectoryProblem:
         return blocks
 
     def evaluate(controls: Array) -> Tuple[Array, Array]:
-        quad = np.einsum("ij,ij->i", controls @ lifted.q, controls)
-        costs = 0.5 * quad + controls @ lifted.c + lifted.constant
+        costs = np.einsum("ij,ij->i", controls @ lifted.q, controls)
+        costs *= 0.5  # 0.5 u'Qu + c'u + constant, summed left to right in place
+        costs += controls @ lifted.c
+        costs += lifted.constant
         rows = rows_of @ controls.T
         lo_block, hi_block = bound_blocks(controls.shape[0])
         ok = rows >= lo_block
         ok &= rows <= hi_block
-        return costs, ok.all(axis=0)
+        return costs, np.logical_and.reduce(ok, axis=0)
 
     return TrajectoryProblem(evaluate=evaluate, known_feasible=np.zeros(lifted.dim))
 

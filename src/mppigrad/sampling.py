@@ -253,13 +253,16 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     A sample whose cost is not finite counts as infeasible: one NaN or -inf
     cost would otherwise make every weight NaN.  The usable mask (feasible
     and finite) is built once; when every sample is usable no -inf is
-    masked in, and the shifted log-weights are exponentiated in place.
-    When the largest usable -cost/tau overflows, the weights are
-    exp(-(cost - least cost)/tau), the tau -> 0 limit, reached without a
-    numpy overflow warning, and `log_mean_weight` keeps its true value,
-    +-inf.  The summary also carries the least usable cost and the count of
-    non-finite costs.  Raises AllInfeasibleError when
-    no sample is feasible, leaving the retry decision to the caller.
+    masked in, no non-finite cost is counted, and the shifted log-weights
+    are exponentiated in place.  The shift, the largest usable -cost/tau,
+    is read off the least usable cost as -(best/tau): x -> fl(x/tau) is
+    monotone for tau > 0 and negation is exact, so this is max(-cost/tau)
+    bit for bit, without a pass over the batch.  When it overflows, the
+    weights are exp(-(cost - least cost)/tau), the tau -> 0 limit, reached
+    without a numpy overflow warning, and `log_mean_weight` keeps its true
+    value, +-inf.  The summary also carries the least usable cost and the
+    count of non-finite costs.  Raises AllInfeasibleError when no sample is
+    feasible, leaving the retry decision to the caller.
     """
     if batch.costs is None or batch.feasible_flags is None:
         raise ValueError("batch must be evaluated before weighing")
@@ -271,32 +274,36 @@ def weigh(batch: SampleBatch, tau: float) -> WeightSummary:
     if not n_usable:
         raise AllInfeasibleError(n, batch.iteration)
     every = n_usable == n
-    best = costs.min() if every else costs[usable].min()
-    log_w = -costs
+    best = float(np.minimum.reduce(costs if every else costs[usable]))
+    shift = -(best / tau)  # a float division past the range is +-inf, with no warning
     if tau < 1.0:  # only a divisor below 1 takes a finite -cost past the float range
         with np.errstate(over="ignore"):  # to -+inf, the tau -> 0 limit below
-            log_w /= tau
+            log_w = np.divide(costs, -tau)  # fl(c/-tau) = fl(-c/tau): negation is exact
     else:
-        log_w /= tau
+        log_w = np.divide(costs, -tau)
     if not every:
         log_w[~usable] = _NEG_INF
-    shift = log_w.max()  # the -inf of an unusable row never wins
     if math.isfinite(shift):
-        log_w -= shift
+        if best < 0.0:  # shift > 0: a usable -cost/tau far below it leaves the range, to -inf
+            with np.errstate(over="ignore"):
+                log_w -= shift
+        else:
+            log_w -= shift
         raw = np.exp(log_w, out=log_w)  # exp(-inf - shift) is exactly 0
     else:  # inf - inf would make every weight NaN
         with np.errstate(over="ignore"):  # a -(cost - least cost)/tau past the range is -inf
             raw = np.exp(np.where(usable, best - costs, _NEG_INF) / tau)
-    total = raw.sum()
+    total = np.add.reduce(raw)
     normalized = raw / total
-    ess = 1.0 / float((normalized**2).sum())
+    ess = 1.0 / float(np.add.reduce(np.square(normalized, out=raw)))
     return WeightSummary(
         normalized_weights=normalized,
         effective_sample_size=ess,
         acceptance_rate=float(n_usable / n),
-        log_mean_weight=float(shift + np.log(total) - np.log(n)),
-        best_cost=float(best),
-        nonfinite=n - int(np.count_nonzero(finite)),
+        # log of a float, not an int: the same float64 loop, without numpy's integer conversion
+        log_mean_weight=float(shift + np.log(total) - np.log(float(n))),
+        best_cost=best,
+        nonfinite=0 if every else n - int(np.count_nonzero(finite)),
     )
 
 

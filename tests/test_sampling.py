@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mppigrad import sampling
@@ -351,6 +351,20 @@ def test_overflowing_log_weights_take_the_low_temperature_limit(costs, tau, weig
     assert s.log_mean_weight == log_mean
 
 
+@pytest.mark.parametrize("costs, flags, weights", [
+    ([-1e308, 1e308], [True, True], [1.0, 0.0]),
+    ([1e308, np.nan, -1e308, -1e308], [True, True, True, False], [0.0, 0.0, 1.0, 0.0]),
+], ids=["all_usable", "some_unusable"])
+def test_usable_costs_of_both_signs_past_the_range_weigh_without_a_warning(costs, flags, weights):
+    # pyproject.toml makes a RuntimeWarning an error, so an overflow in the shifted subtract,
+    # -1e308 - 1e308 for the costlier row, would fail this test
+    _, s = _weighed(costs, flags, tau=1.0)
+    np.testing.assert_array_equal(s.normalized_weights, weights)
+    assert s.effective_sample_size == 1.0
+    assert s.log_mean_weight == 1e308  # 1e308 + log 1 - log n rounds back to 1e308
+    assert s.best_cost == -1e308
+
+
 def test_weighted_mean_trivial_cases():
     rng = np.random.default_rng(6)
     samples = rng.standard_normal((5, 3))
@@ -506,7 +520,12 @@ def concatenated_draw(policy, n, seed, iteration=0, antithetic=False, retry=0):
 
 
 def reference_weigh(batch, tau):
-    """`weigh` as it was before its shift and acceptance trims."""
+    """`weigh` as it was before its shift and acceptance trims.
+
+    When every usable -cost/tau overflows, the weights are the tau -> 0
+    limit exp(-(cost - least cost)/tau), as in `weigh`; the reference's own
+    overflows to +-inf are silenced, since they are not what is tested.
+    """
     if batch.costs is None or batch.feasible_flags is None:
         raise ValueError("batch must be evaluated before weighing")
     costs = np.asarray(batch.costs, dtype=float)
@@ -514,9 +533,13 @@ def reference_weigh(batch, tau):
     n = batch.n
     if not flags.any():
         raise AllInfeasibleError(n, batch.iteration)
-    log_w = np.where(flags, -costs / tau, float("-inf"))
-    shift = log_w[flags].max()
-    raw = np.exp(log_w - shift)
+    with np.errstate(over="ignore"):
+        log_w = np.where(flags, -costs / tau, float("-inf"))
+        shift = log_w[flags].max()
+        if np.isfinite(shift):
+            raw = np.exp(log_w - shift)
+        else:
+            raw = np.exp(np.where(flags, (costs[flags].min() - costs) / tau, float("-inf")))
     total = raw.sum()
     normalized = raw / total
     ess = 1.0 / float((normalized**2).sum())
@@ -594,8 +617,20 @@ def _bits(value):
     return np.asarray(value, dtype=float).tobytes()
 
 
+def _case(costs, tau, flags=None):
+    batch = SampleBatch(samples=np.zeros((len(costs), 1)), iteration=0)
+    batch.costs = np.array(costs, dtype=float)
+    batch.feasible_flags = np.ones(len(costs), bool) if flags is None else np.array(flags)
+    return batch, tau
+
+
 @settings(max_examples=300, deadline=None)
 @given(hostile_batch())
+@example(_case([1e308, 2.0, -3.0, np.nan], 0.5))  # tau < 1 takes one -cost/tau past the range
+@example(_case([100.0, 50.0, 40.0, -np.inf], 1e-307))  # every usable -cost/tau is -inf
+@example(_case([-1e300, 5.0, 4.0], 5e-324))  # every usable -cost/tau is +-inf
+@example(_case([-1e308, 1e308], 1.0))  # both signs: a shifted -cost/tau leaves the range
+@example(_case([np.nan, np.inf, 7.5, -np.inf, 1.0], 2.0, [True, True, True, True, False]))
 def test_weigh_equals_the_reference_bitwise(case):
     batch, tau = case
     got, want = weigh(batch, tau), reference_weigh(batch, tau)
