@@ -353,6 +353,10 @@ class DubinsSpec:
             for (cx, cy, _), radius in zip(self.obstacles.tolist(), self.obstacles[:, 2])
         )
         object.__setattr__(self, "_discs", discs)
+        # the four stage-cost weights (q_x, q_y, q_theta, r), in the evaluator's plane order
+        weights = np.append(self.q_weights, self.r_weight)
+        weights.flags.writeable = False
+        object.__setattr__(self, "_weights", weights)
 
     def step(self, x: Array, u: Array) -> Array:
         return x + self.dt * np.array(
@@ -360,27 +364,46 @@ class DubinsSpec:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _prefix_operators(horizon: int) -> Tuple[Array, Array]:
+    """U_T, the (T, T) upper-triangular ones, and the ones vector of length T.
+
+    `A @ U_T` holds the prefix sums of A's rows (column t sums columns
+    0..t), and `A @ ones` their totals, each as one BLAS call.  Formed once
+    per horizon and kept read-only, so worker threads share them.
+    """
+    ops = np.triu(np.ones((horizon, horizon))), np.ones(horizon)
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
 def _dubins_rollout(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
     """Positions of x_1..x_T as one (2, N, T) array (px plane, py plane) and
     headings of x_1..x_T as a contiguous (N, T) array.
 
-    The headings are integrated in their own buffer (cumsum, then times dt,
-    then plus theta_0); cos and sin of theta_0..theta_{T-1} fill the two
-    planes, theta_0's column from one scalar, and one cumsum integrates both.
+    Both integrations are prefix sums formed as products with U_T
+    (`_prefix_operators`): the headings are (controls @ U_T) * dt + theta_0;
+    cos and sin of theta_0..theta_{T-1} fill the two planes, theta_0's column
+    from one scalar, and one stacked product integrates both.  A NaN or an
+    infinite control reaches every step of its row (0 * inf in the product),
+    not only the steps from the bad one on.
     """
     n, horizon = controls.shape
+    upper, _ = _prefix_operators(horizon)
     theta0 = spec.x0[2]
-    heading = np.cumsum(controls, axis=1)  # theta_1..theta_T
+    heading = controls @ upper  # theta_1..theta_T
     heading *= spec.dt
     heading += theta0
-    pos = np.empty((2, n, horizon))
-    pos[0, :, 0] = np.cos(theta0)
-    pos[1, :, 0] = np.sin(theta0)
-    np.cos(heading[:, :-1], out=pos[0, :, 1:])
-    np.sin(heading[:, :-1], out=pos[1, :, 1:])
-    np.cumsum(pos, axis=2, out=pos)
+    turns = np.empty((2, n, horizon))
+    turns[0, :, 0] = np.cos(theta0)
+    turns[1, :, 0] = np.sin(theta0)
+    np.cos(heading[:, :-1], out=turns[0, :, 1:])
+    np.sin(heading[:, :-1], out=turns[1, :, 1:])
+    pos = turns @ upper
     pos *= spec.speed * spec.dt
-    pos += spec.x0[:2, None, None]
+    pos[0] += spec.x0[0]
+    pos[1] += spec.x0[1]
     return pos, heading
 
 
@@ -406,19 +429,25 @@ def _near_discs(spec: DubinsSpec, lo_x: float, hi_x: float, lo_y: float, hi_y: f
 def dubins_evaluate_batch(spec: DubinsSpec, controls: Array) -> Tuple[Array, Array]:
     """Costs and feasibility flags from one rollout, obstacles in a broad and a narrow phase.
 
-    The broad phase takes the bounding box of every position in the batch once
-    and skips each disc that the box already clears (`_near_discs`); the
-    narrow phase tests every point against each remaining disc, in one
-    squared-distance buffer per call.
+    The cost squares the x, y and heading errors and the turn rates into
+    four (N, T) planes; one product with a ones vector totals all 4N rows
+    over the horizon, and one product with (q_x, q_y, q_theta, r) weighs the
+    four totals of each row.  The broad phase takes the bounding box of every
+    position in the batch once and skips each disc that the box already
+    clears (`_near_discs`); the narrow phase tests every point against each
+    remaining disc, in one squared-distance buffer per call.
     """
     W = np.asarray(controls, dtype=float)
     pos, heading = _dubins_rollout(spec, W)
-    err = np.empty(heading.shape + (3,))
-    np.subtract(pos[0], spec.target[0], out=err[:, :, 0])
-    np.subtract(pos[1], spec.target[1], out=err[:, :, 1])
-    np.subtract(heading, spec.target[2], out=err[:, :, 2])
-    np.square(err, out=err)
-    costs = (err @ spec.q_weights).sum(axis=1) + spec.r_weight * (W**2).sum(axis=1)
+    n, horizon = W.shape
+    _, ones = _prefix_operators(horizon)
+    planes = np.empty((4, n, horizon))
+    np.subtract(pos[0], spec.target[0], out=planes[0])
+    np.subtract(pos[1], spec.target[1], out=planes[1])
+    np.subtract(heading, spec.target[2], out=planes[2])
+    planes[3] = W
+    np.square(planes, out=planes)
+    costs = spec._weights @ (planes.reshape(4 * n, horizon) @ ones).reshape(4, n)
     ok = np.abs(W) <= spec.w_max  # per step, reduced over the horizon once at the end
     px, py = pos
     lo_x, lo_y = pos.min(axis=(1, 2), initial=np.inf).tolist()  # initial: an empty batch

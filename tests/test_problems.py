@@ -26,6 +26,7 @@ from mppigrad.problems import (
     rollout,
 )
 from mppigrad.qp import lift
+from mppigrad.sampling import SampleBatch, weigh
 
 
 def stepwise_cost(spec, stage_cost, u):
@@ -279,6 +280,37 @@ def test_dubins_batch_rollout_matches_scalar_dynamics():
     np.testing.assert_allclose(batch_states, scalar_states, rtol=1e-12, atol=1e-12)
 
 
+def test_dubins_long_horizon_rollout_matches_scalar_dynamics():
+    # past T ~ 130 a prefix product is slower than a scan, yet it must stay as accurate
+    spec = DubinsSpec(horizon=150)
+    rng = np.random.default_rng(150)
+    stage = partial(dubins_stage_cost, spec)
+    for scale in (0.3, 2.0, 8.0):
+        W = rng.normal(0.0, scale, (16, spec.horizon))
+        pos, heading = problems._dubins_rollout(spec, W)
+        costs = dubins_evaluate_batch(spec, W)[0]
+        for i, row in enumerate(W):
+            batch_states = np.column_stack([pos[0, i], pos[1, i], heading[i]])
+            np.testing.assert_allclose(batch_states, rollout(spec, row)[1:], rtol=1e-12, atol=1e-12)
+            assert costs[i] == pytest.approx(stepwise_cost(spec, stage, row), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("step", [0, 7, 19])
+def test_dubins_nonfinite_turn_rate_row_is_infeasible_and_weighs_nothing(bad, step):
+    # the prefix product spreads a bad control to every step of its row (0 * inf)
+    spec = DubinsSpec()
+    W = np.random.default_rng(31).uniform(-1.0, 1.0, (8, spec.horizon))
+    W[3, step] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        costs, flags = dubins_evaluate_batch(spec, W)
+    assert not flags[3] and not np.isfinite(costs[3])
+    assert np.isfinite(np.delete(costs, 3)).all() and flags.any()
+    summary = weigh(SampleBatch(W, iteration=0, costs=costs, feasible_flags=flags), tau=1.0)
+    assert summary.normalized_weights[3] == 0.0 and summary.nonfinite == 1
+    assert np.delete(summary.normalized_weights, 3).sum() == pytest.approx(1.0)
+
+
 def test_dubins_clear_single_state():
     spec = DubinsSpec()
     assert problems.dubins_clear(spec, np.array([0.0, 0.0, 0.0]))
@@ -433,18 +465,22 @@ def row_major_lqr_evaluate(lifted, controls):
 
 
 def stacked_dubins_states(spec, W):
-    """Three separate cumsums, then an (N, T, 3) stack."""
-    theta = spec.x0[2] + spec.dt * np.cumsum(W, axis=1)
+    """Three separate (N, T) @ (T, T) prefix products, then an (N, T, 3) stack."""
+    upper = np.triu(np.ones((W.shape[1], W.shape[1])))
+    theta = spec.x0[2] + spec.dt * (W @ upper)
     theta_path = np.concatenate([np.full((W.shape[0], 1), spec.x0[2]), theta[:, :-1]], axis=1)
-    px = spec.x0[0] + spec.speed * spec.dt * np.cumsum(np.cos(theta_path), axis=1)
-    py = spec.x0[1] + spec.speed * spec.dt * np.cumsum(np.sin(theta_path), axis=1)
+    px = spec.x0[0] + spec.speed * spec.dt * (np.cos(theta_path) @ upper)
+    py = spec.x0[1] + spec.speed * spec.dt * (np.sin(theta_path) @ upper)
     return np.stack([px, py, theta], axis=2)
 
 
 def stacked_dubins_evaluate(spec, W):
+    """Per-plane totals of the squared errors and turn rates, then weighed."""
     X = stacked_dubins_states(spec, W)
     err = X - spec.target
-    costs = (err**2 @ spec.q_weights).sum(axis=1) + spec.r_weight * (W**2).sum(axis=1)
+    squares = np.concatenate([err[:, :, 0] ** 2, err[:, :, 1] ** 2, err[:, :, 2] ** 2, W**2])
+    totals = (squares @ np.ones(W.shape[1])).reshape(4, W.shape[0])
+    costs = np.append(spec.q_weights, spec.r_weight) @ totals
     ok = np.abs(W) <= spec.w_max
     px, py = X[:, :, 0], X[:, :, 1]
     for cx, cy, radius in spec.obstacles:
